@@ -10,19 +10,22 @@ import time
 import pytest
 
 from collabmap.collab import (
+    SELECTORS,
     classify_publication,
     count_collaborations,
     extract_edges,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
 from collabmap.harness import (
+    ComparisonOracle,
     SplitMix64,
     SynthConfig,
     generate,
+    oracle_article_ifpr,
     oracle_collab_counts,
     oracle_researcher_fss,
     oracle_researcher_outputs,
-    oracle_article_ifpr,
 )
 from collabmap.indicators import (
     LEVEL_SDS,
@@ -30,6 +33,7 @@ from collabmap.indicators import (
     if_percentile_ranks,
     ifpr_by_publication,
     midrank_percentiles,
+    multidisc_by_scope,
     researcher_performance,
     sector_intensity,
 )
@@ -41,7 +45,15 @@ from collabmap.resolve import (
     resolve_org,
     suggest_aliases,
 )
-from collabmap.stats import descriptive, paired_t, t_cdf, welch_t
+from collabmap.stats import (
+    GROUPING_RESEARCHERS,
+    INDICATORS_BY_GROUPING,
+    compare,
+    descriptive,
+    paired_t,
+    t_cdf,
+    welch_t,
+)
 
 from conftest import GOLDEN
 from test_collab import _expected_case
@@ -90,6 +102,55 @@ def test_case_grid_complete_and_fast():
     return "25 cells exact"
 
 
+def _assert_close(got, want, context):
+    """Equal sequences of rows or numbers; floats may differ by 1e-9."""
+    assert len(got) == len(want), context
+    for g, w in zip(got, want):
+        if isinstance(w, (tuple, list)):
+            _assert_close(g, w, context)
+        elif isinstance(w, float):
+            assert g is not None and abs(g - w) <= 1e-9, (context, g, w)
+        else:
+            assert g == w, (context, g, w)
+
+
+def _assert_comparison_layer(corpus, out, min_collab_pubs, seed):
+    oracle = ComparisonOracle(out)
+    for level in (LEVEL_SDS, LEVEL_UDA):
+        rows = [(r.sector_id, r.n_industry_coauth, r.pct_of_all, r.pct_of_coauth,
+                 r.per_researcher) for r in sector_intensity(corpus, level)]
+        _assert_close(rows, oracle.sector_intensity(level), (seed, level))
+    for selector in SELECTORS:
+        rows = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs)
+                for r in multidisc_by_scope(corpus, selector)]
+        _assert_close(rows, oracle.multidisc_by_scope(selector), (seed, selector))
+    for grouping, indicators in INDICATORS_BY_GROUPING.items():
+        for indicator in indicators:
+            context = (seed, grouping, indicator)
+            if grouping == GROUPING_RESEARCHERS:
+                xs, ys, excluded = oracle.researcher_groups(indicator)
+                n_units = len(xs) + len(ys)
+            else:
+                xs, ys, excluded = oracle.paired_samples(grouping, indicator,
+                                                         min_collab_pubs)
+                n_units = len(xs)
+            try:
+                c = compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
+            except (InsufficientData, InsufficientSectors):
+                assert min(len(xs), len(ys)) < 2, context
+                continue
+            except ZeroVariance:
+                if grouping == GROUPING_RESEARCHERS:
+                    constant = (xs, ys)
+                else:
+                    constant = ([x - y for x, y in zip(xs, ys)],)
+                assert all(max(v) - min(v) <= 1e-9 for v in constant), context
+                continue
+            _assert_close(c.sample_a.values, xs, context)
+            _assert_close(c.sample_b.values, ys, context)
+            assert (c.n_units, c.excluded) == (n_units, excluded), context
+
+
 @criterion("synthetic corpora match raw-file oracles over 100 seeds, budget 60s")
 def test_engine_matches_oracles_over_seeds(tmp_path):
     start = time.perf_counter()
@@ -112,9 +173,20 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
         assert set(engine_ifpr) == set(oracle_ifpr), seed
         for pub_id, value in oracle_ifpr.items():
             assert abs(engine_ifpr[pub_id] - value) <= 1e-9, (seed, pub_id)
+
+        # a second shape per seed, from 20 single-author articles to a sparse
+        # roster with 2000 researchers, so that scopes get excluded and
+        # skipped, industry output runs from none to 14%, and both Welch
+        # groups are populated in most seeds
+        shaped = generate(
+            SynthConfig(seed=seed, n_pubs=20 + 4 * seed, n_researchers=30 + 20 * seed,
+                        n_journals=12, industry_rate=0.02 * (seed % 8),
+                        max_authors=1 + seed % 5),
+            tmp_path / f"c{seed}")
+        _assert_comparison_layer(load_corpus(shaped), shaped, 2 * (seed % 16), seed)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
-    return "counts and outputs exact, fss and impact ranks at 1e-9"
+    return "counts and outputs exact, fss, impact ranks and comparison samples at 1e-9"
 
 
 @criterion("midrank percentile group mean 50 within 1e-9 over 1000 groups, transform-stable")
