@@ -8,10 +8,10 @@ industry side.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from . import views
 from .corpus import Corpus, Organization, Publication
 from .errors import UnknownSelector
 
@@ -109,37 +109,19 @@ def classify_publication(
 
 
 def classify_corpus(
-    corpus: Corpus,
-    home_country: str = HOME_COUNTRY,
-    workers: int = 1,
+    corpus: Corpus, home_country: str = HOME_COUNTRY
 ) -> dict[str, CollaborationProfile]:
-    """Profiles for every publication, keyed by pub_id.
-
-    Classification is per-publication and pure, so the result is identical
-    for any worker count; workers > 1 fans the corpus out over a thread pool.
-    """
+    """Profiles for every publication, keyed by pub_id."""
     registry = corpus.organizations
-    if workers <= 1:
-        return {
-            pub.pub_id: classify_publication(pub, registry, home_country)
-            for pub in corpus.publications
-        }
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        profiles = pool.map(
-            lambda pub: classify_publication(pub, registry, home_country),
-            corpus.publications,
-        )
-        return {profile.pub_id: profile for profile in profiles}
+    return {
+        pub.pub_id: classify_publication(pub, registry, home_country)
+        for pub in corpus.publications
+    }
 
 
-def count_collaborations(
-    corpus: Corpus,
-    home_country: str = HOME_COUNTRY,
-    profiles: Mapping[str, CollaborationProfile] | None = None,
-) -> CollabSummary:
+def count_collaborations(corpus: Corpus, home_country: str = HOME_COUNTRY) -> CollabSummary:
     """Total collaborations and the article/collaboration split by case."""
-    if profiles is None:
-        profiles = classify_corpus(corpus, home_country)
+    profiles = views.of(corpus, home_country).profiles
     articles_by_case = {case: 0 for case in COLLAB_CASES}
     collaborations_by_case = {case: 0 for case in COLLAB_CASES}
     for pub in corpus.publications:
@@ -156,14 +138,9 @@ def count_collaborations(
     )
 
 
-def extract_edges(
-    corpus: Corpus,
-    home_country: str = HOME_COUNTRY,
-    profiles: Mapping[str, CollaborationProfile] | None = None,
-) -> list[CollabEdge]:
+def extract_edges(corpus: Corpus, home_country: str = HOME_COUNTRY) -> list[CollabEdge]:
     """Every (publication, university, firm) pair, deterministically sorted."""
-    if profiles is None:
-        profiles = classify_corpus(corpus, home_country)
+    profiles = views.of(corpus, home_country).profiles
     edges: list[CollabEdge] = []
     for pub in corpus.publications:
         profile = profiles[pub.pub_id]
@@ -174,13 +151,8 @@ def extract_edges(
     return edges
 
 
-def subset(
-    corpus: Corpus,
-    selector: str,
-    home_country: str = HOME_COUNTRY,
-    profiles: Mapping[str, CollaborationProfile] | None = None,
-) -> frozenset[str]:
-    """Publication ids matching a selector.
+def subset_mask(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY) -> int:
+    """The publications a selector keeps, as a bitmask (see :mod:`.views`).
 
     ``all`` is everything; ``extramural_collab`` requires at least two
     distinct address organizations, one of them a university;
@@ -189,16 +161,15 @@ def subset(
     """
     if selector not in SELECTORS:
         raise UnknownSelector(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    index = views.of(corpus, home_country)
     if selector == SELECTOR_ALL:
-        return frozenset(pub.pub_id for pub in corpus.publications)
-    if profiles is None:
-        profiles = classify_corpus(corpus, home_country)
+        return index.everything
     if selector == SELECTOR_EXTRAMURAL:
-        return frozenset(
-            pub.pub_id
-            for pub in corpus.publications
-            if len(pub.address_org_ids) >= 2 and profiles[pub.pub_id].universities
-        )
-    return frozenset(
-        pub.pub_id for pub in corpus.publications if profiles[pub.pub_id].collab_count >= 1
-    )
+        return index.extramural
+    return index.industry
+
+
+def subset(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY) -> frozenset[str]:
+    """Publication ids matching a selector; see :func:`subset_mask`."""
+    mask = subset_mask(corpus, selector, home_country)
+    return views.of(corpus, home_country).pub_ids(mask)

@@ -13,7 +13,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
     CollabmapError,
@@ -25,6 +26,9 @@ from .errors import (
     MissingFile,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    from .views import Views
 
 ORG_KINDS = frozenset(
     {"university", "private_firm", "public_org", "consortium", "foundation", "foreign_org"}
@@ -48,12 +52,25 @@ class SectorEntry:
     uda_name: str
 
 
+def _read_only(obj: object, *names: str) -> None:
+    # a private read-only copy, so no later write reaches a frozen object
+    for name in names:
+        object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
+
+
 @dataclass(frozen=True)
 class Taxonomy:
-    """Sector classification: each sector maps to exactly one disciplinary area."""
+    """Sector classification: each sector maps to exactly one disciplinary area.
 
-    sectors: dict[str, SectorEntry]
-    uda_names: dict[str, str]
+    Both mappings are read-only; they compare equal to dicts with the same
+    items.
+    """
+
+    sectors: Mapping[str, SectorEntry]
+    uda_names: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        _read_only(self, "sectors", "uda_names")
 
     def uda_of(self, sds_id: str) -> str:
         return self.sectors[sds_id].uda_id
@@ -114,12 +131,14 @@ class Corpus:
     ``publications`` is sorted by pub_id, and address lists are sorted sets,
     so two corpora loaded from row-permuted copies of the same files compare
     equal. ``window_excluded`` counts publications dropped by the year filter.
+    The corpus is immutable all the way down: its mappings are read-only
+    copies, which lets the derived views cached on it never go stale.
     """
 
     taxonomy: Taxonomy
-    organizations: dict[str, Organization]
-    journals: dict[tuple[str, int], JournalYear]
-    researchers: dict[str, Researcher]
+    organizations: Mapping[str, Organization]
+    journals: Mapping[tuple[str, int], JournalYear]
+    researchers: Mapping[str, Researcher]
     publications: tuple[Publication, ...]
     window: tuple[int, int]
     window_excluded: int
@@ -127,8 +146,14 @@ class Corpus:
     _years_by_journal: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # derived views per home country, built on first use by collabmap.views;
+    # excluded from equality, and empty again in a dataclasses.replace copy
+    _views: dict[str, Views] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
+        _read_only(self, "organizations", "journals", "researchers")
         by_journal: dict[str, list[int]] = {}
         for jid, year in self.journals:
             by_journal.setdefault(jid, []).append(year)

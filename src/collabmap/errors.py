@@ -143,6 +143,10 @@ class ZeroVariance(StatsError):
     """A test statistic is undefined because the variance term is zero."""
 
 
+class NoConvergence(StatsError):
+    """An iterative evaluation did not reach its tolerance."""
+
+
 class InvalidDf(StatsError):
     """Degrees of freedom must be a positive finite number."""
 

@@ -266,15 +266,9 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
 
 def _read_raw(data_dir: str | Path) -> dict:
     data_dir = Path(data_dir)
-    for name in ("taxonomy.csv", "organizations.csv", "journals.csv", "roster.csv",
-                 "publications.jsonl"):
+    for name in ("organizations.csv", "journals.csv", "roster.csv", "publications.jsonl"):
         if not (data_dir / name).is_file():
             raise MissingFile(str(data_dir / name))
-
-    sds_area = {}
-    with (data_dir / "taxonomy.csv").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            sds_area[row["sds_id"]] = row["uda_id"]
 
     org_kind = {}
     org_country = {}
@@ -307,7 +301,6 @@ def _read_raw(data_dir: str | Path) -> dict:
                 pubs.append(json.loads(line))
 
     return {
-        "sds_area": sds_area,
         "org_kind": org_kind,
         "org_country": org_country,
         "journal_rows": journal_rows,
@@ -466,186 +459,125 @@ def oracle_researcher_fss(
     return totals
 
 
-
 class ComparisonOracle:
     """Naive sector intensity, multidisciplinarity and comparison samples.
 
-    Built once from a data directory: the raw tables are read and every
-    in-window publication is reduced, in pub_id order, to its author sectors
-    and areas, journal categories, impact percentile, linked researchers, and
-    whether it is an extramural collaboration (two or more address
-    organizations, one of them a university) or industry co-authored (a
-    university and a domestic firm). Each query then filters that full list.
+    Reads a data directory once and reduces each in-window publication, in
+    pub_id order, to its author sectors and areas, journal categories, impact
+    percentile, linked researchers, and two flags: extramural (two or more
+    address organizations, one a university) and industry (a university and
+    a domestic firm). Every query filters that full list scope by scope.
     """
 
-    def __init__(
-        self,
-        data_dir: str | Path,
-        window: tuple[int, int] = DEFAULT_WINDOW,
-        home_country: str = "IT",
-    ):
+    def __init__(self, data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW,
+                 home_country: str = "IT"):
+        self._data_dir, self._window = data_dir, window
         raw = _read_raw(data_dir)
         ifpr = oracle_article_ifpr(data_dir, window)
+        with (Path(data_dir) / "taxonomy.csv").open(newline="", encoding="utf-8") as fh:
+            self._sds_area = {row["sds_id"]: row["uda_id"] for row in csv.DictReader(fh)}
         self._roster = raw["roster"]
-        self._sds_area = raw["sds_area"]
         self._facts = []
         for pub in sorted((p for p in raw["pubs"] if _in_window(p, window)),
                           key=lambda p: p["pub_id"]):
             orgs = set(pub["address_org_ids"])
-            has_university = any(raw["org_kind"][o] == "university" for o in orgs)
-            has_firm = any(
-                raw["org_kind"][o] == "private_firm" and raw["org_country"][o] == home_country
-                for o in orgs
-            )
-            researchers = {a["researcher_id"] for a in pub["authors"]
-                           if a["researcher_id"] is not None}
+            kinds = {raw["org_kind"][o] for o in orgs}
+            domestic_firm = any(raw["org_kind"][o] == "private_firm"
+                                and raw["org_country"][o] == home_country for o in orgs)
+            researchers = {a["researcher_id"] for a in pub["authors"]} - {None}
             sectors = {raw["roster"][r] for r in researchers}
             record = _oracle_journal_record(raw, pub["journal_id"], pub["year"], window)
-            self._facts.append(
-                {
-                    "sds": sectors,
-                    "uda": {raw["sds_area"][s] for s in sectors},
-                    "categories": set(record["categories"]),
-                    "ifpr": ifpr[pub["pub_id"]],
-                    "n_authors": len(pub["authors"]),
-                    "researchers": researchers,
-                    "extramural": len(orgs) >= 2 and has_university,
-                    "industry": has_university and has_firm,
-                }
-            )
+            self._facts.append({
+                "sds": sectors,
+                "uda": {self._sds_area[s] for s in sectors},
+                "categories": set(record["categories"]),
+                "ifpr": ifpr[pub["pub_id"]],
+                "researchers": researchers,
+                "extramural": len(orgs) >= 2 and "university" in kinds,
+                "industry": "university" in kinds and domestic_firm,
+            })
 
     def _scopes(self, key: str) -> list[str]:
         return sorted({s for f in self._facts for s in f[key]})
 
-    def sector_intensity(
-        self, level: str = "sds"
-    ) -> list[tuple[str, int, float | None, float | None, float | None]]:
-        """Per sector (level "sds") or area ("uda"), sorted by id: industry
-        co-authored articles and their share of all articles, of extramural
-        articles, and per roster researcher. An undefined share is None."""
-        headcount: dict[str, int] = {}
+    def sector_intensity(self, level: str = "sds") -> list[tuple]:
+        """(sector, industry articles, % of all, % of extramural, per
+        researcher) per sector ("sds") or area ("uda"); undefined is None."""
+        heads: dict[str, int] = {}
         for sds_id in self._roster.values():
             scope = sds_id if level == "sds" else self._sds_area[sds_id]
-            headcount[scope] = headcount.get(scope, 0) + 1
+            heads[scope] = heads.get(scope, 0) + 1
         rows = []
         for scope in self._scopes(level):
             members = [f for f in self._facts if scope in f[level]]
-            n_extramural = len([f for f in members if f["extramural"]])
-            n_industry = len([f for f in members if f["industry"]])
-            heads = headcount.get(scope, 0)
-            rows.append(
-                (
-                    scope,
-                    n_industry,
-                    100.0 * n_industry / len(members),
-                    100.0 * n_industry / n_extramural if n_extramural else None,
-                    n_industry / heads if heads else None,
-                )
-            )
+            n_extramural = sum(1 for f in members if f["extramural"])
+            n_industry = sum(1 for f in members if f["industry"])
+            rows.append((scope, n_industry, 100.0 * n_industry / len(members),
+                         100.0 * n_industry / n_extramural if n_extramural else None,
+                         n_industry / heads[scope] if heads.get(scope) else None))
         return rows
 
-    def multidisc_by_scope(
-        self, selector: str
-    ) -> list[tuple[str, float | None, float | None, int]]:
-        """(scope, mean author sectors, mean journal categories, n) per scope.
-
-        Sectors come first with the author-sector mean, then journal
-        categories with the category mean, each sorted by id. Only articles
-        the selector ("all", "extramural_collab", "industry_coauthored") keeps
-        count, and scopes with none of them are left out.
-        """
-        chosen = self._facts
-        if selector != "all":
-            flag = "extramural" if selector == "extramural_collab" else "industry"
-            chosen = [f for f in self._facts if f[flag]]
+    def multidisc_by_scope(self, selector: str) -> list[tuple]:
+        """(scope, mean sectors, mean categories, n) over the articles the
+        selector keeps: sectors first, then categories, empty scopes left out."""
+        flag = {"extramural_collab": "extramural", "industry_coauthored": "industry"}
+        chosen = [f for f in self._facts if selector == "all" or f[flag[selector]]]
         rows = []
-        for scope in self._scopes("sds"):
-            members = [f for f in chosen if scope in f["sds"]]
-            if members:
-                rows.append((scope, _oracle_mean([len(f["sds"]) for f in members]),
-                             None, len(members)))
-        for scope in self._scopes("categories"):
-            members = [f for f in chosen if scope in f["categories"]]
-            if members:
-                rows.append((scope, None,
-                             _oracle_mean([len(f["categories"]) for f in members]),
-                             len(members)))
+        for key in ("sds", "categories"):
+            for scope in self._scopes(key):
+                counts = [len(f[key]) for f in chosen if scope in f[key]]
+                if counts:
+                    mean = sum(counts) / len(counts)
+                    rows.append((scope, mean, None, len(counts)) if key == "sds"
+                                else (scope, None, mean, len(counts)))
         return rows
 
-    def paired_samples(
-        self, grouping: str, indicator: str, min_collab_pubs: int = 7
-    ) -> tuple[list[float], list[float], int]:
-        """The aligned per-scope means of a paired comparison, and its exclusions.
+    def paired_samples(self, grouping: str, indicator: str,
+                       min_collab_pubs: int = 7) -> tuple[list[float], list[float], int]:
+        """Aligned per-scope means of a paired comparison, and its exclusions.
 
-        Scopes are sectors, or journal categories for ``ii_sci``. Side a is
-        all of a scope's articles, or its extramural ones for
-        ``multidisc_collab_vs_industry``; side b is its industry co-authored
-        articles, or its extramural ones for ``sds_all_vs_collab``. A scope
-        with an empty side a is skipped. ``sds_all_vs_collab`` also skips a
+        Scopes are sectors, or categories for ``ii_sci``. Side a is a scope's
+        articles (its extramural ones for ``multidisc_collab_vs_industry``),
+        side b its industry ones (extramural for ``sds_all_vs_collab``). An
+        empty side a skips the scope. ``sds_all_vs_collab`` also skips a
         scope with no extramural article and excludes one with fewer than
-        ``min_collab_pubs``; the other groupings exclude a scope with no
-        industry co-authored article.
+        ``min_collab_pubs``; the others exclude an empty side b.
         """
-        scope_key = "categories" if indicator == "ii_sci" else "sds"
-
-        def value(f: dict) -> float:
-            if indicator == "ifpr":
-                return f["ifpr"]
-            return float(len(f[scope_key]))
-
+        key = "categories" if indicator == "ii_sci" else "sds"
         xs: list[float] = []
         ys: list[float] = []
         excluded = 0
-        for scope in self._scopes(scope_key):
-            members = [f for f in self._facts if scope in f[scope_key]]
-            side_a = members
+        for scope in self._scopes(key):
+            side_a = [f for f in self._facts if scope in f[key]]
             if grouping == "multidisc_collab_vs_industry":
-                side_a = [f for f in members if f["extramural"]]
-            if grouping == "sds_all_vs_collab":
-                side_b = [f for f in members if f["extramural"]]
-            else:
-                side_b = [f for f in members if f["industry"]]
-            if not side_a:
+                side_a = [f for f in side_a if f["extramural"]]
+            side_b = [f for f in self._facts if scope in f[key]
+                      and f["extramural" if grouping == "sds_all_vs_collab" else "industry"]]
+            if not side_a or (grouping == "sds_all_vs_collab" and not side_b):
                 continue
-            if grouping == "sds_all_vs_collab":
-                if not side_b:
-                    continue
-                if len(side_b) < min_collab_pubs:
-                    excluded += 1
-                    continue
-            elif not side_b:
+            if len(side_b) < (min_collab_pubs if grouping == "sds_all_vs_collab" else 1):
                 excluded += 1
                 continue
-            xs.append(_oracle_mean([value(f) for f in side_a]))
-            ys.append(_oracle_mean([value(f) for f in side_b]))
+            for side, out in ((side_a, xs), (side_b, ys)):
+                values = [f["ifpr"] if indicator == "ifpr" else len(f[key]) for f in side]
+                out.append(sum(values) / len(values))
         return xs, ys, excluded
 
     def researcher_groups(self, indicator: str) -> tuple[list[float], list[float], int]:
-        """Within-sector percentile ranks of output ("o") or fss, split into
-        industry collaborators and the rest, in researcher id order, and the
-        number of researchers excluded because their sector has no article."""
-        values = {r: 0.0 for r in self._roster}
-        for f in self._facts:
-            for rid in sorted(f["researchers"]):
-                if indicator == "o":
-                    values[rid] += 1.0
-                else:
-                    values[rid] += (f["ifpr"] / 100.0) / f["n_authors"]
+        """Within-sector percentile ranks of output ("o") or fss of the
+        industry collaborators and of the rest, in researcher id order, and
+        the count of researchers whose sector has no article."""
+        if indicator == "o":
+            values = oracle_researcher_outputs(self._data_dir, self._window)
+        else:
+            values = oracle_researcher_fss(self._data_dir, self._window)
         active = set(self._scopes("sds"))
         population = sorted(r for r, s in self._roster.items() if s in active)
         ranks = {}
-        for sector in sorted(active):
+        for sector in active:
             members = [r for r in population if self._roster[r] == sector]
-            for rid, pct in zip(members, oracle_percentiles([values[r] for r in members])):
-                ranks[rid] = pct
+            ranks.update(zip(members, oracle_percentiles([values[r] for r in members])))
         collaborators = {r for f in self._facts if f["industry"] for r in f["researchers"]}
         group_a = [ranks[r] for r in population if r in collaborators]
         group_b = [ranks[r] for r in population if r not in collaborators]
         return group_a, group_b, len(self._roster) - len(population)
-
-
-def _oracle_mean(values: list[float]) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import collab
+from . import collab, views
 from .corpus import Corpus, Publication
 from .errors import (
     EmptySample,
@@ -118,13 +118,10 @@ def article_ifpr(pub: Publication, ranks: YearRanks) -> float:
     return total / len(cats)
 
 
-def ifpr_by_publication(
-    corpus: Corpus, index: Mapping[int, YearRanks] | None = None
-) -> dict[str, float]:
+def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
     """Article-level impact percentile for every publication."""
-    if index is None:
-        index = build_rank_index(corpus)
-    return {pub.pub_id: article_ifpr(pub, index[pub.year]) for pub in corpus.publications}
+    ifpr = views.of(corpus, collab.HOME_COUNTRY).ifpr
+    return {pub.pub_id: value for pub, value in zip(corpus.publications, ifpr)}
 
 
 # -- sector attribution ---------------------------------------------------------
@@ -138,33 +135,28 @@ def sectors_of_publication(corpus: Corpus, pub: Publication) -> frozenset[str]:
     )
 
 
+def _by_scope(index: views.Views, level: str) -> dict[str, int]:
+    if level == LEVEL_SDS:
+        return index.by_sds
+    if level == LEVEL_UDA:
+        return index.by_uda
+    raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
+
+
 def publications_by_sector(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, frozenset[str]]:
     """Publication ids attributed to each sector via its roster authors.
 
     An article whose authors span several sectors is attributed to each of
     them, once; at area level, sectors collapse onto their areas.
     """
-    if level not in (LEVEL_SDS, LEVEL_UDA):
-        raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
-    acc: dict[str, set[str]] = {}
-    for pub in corpus.publications:
-        scopes = sectors_of_publication(corpus, pub)
-        if level == LEVEL_UDA:
-            scopes = frozenset(corpus.taxonomy.uda_of(s) for s in scopes)
-        for scope in scopes:
-            acc.setdefault(scope, set()).add(pub.pub_id)
-    return {scope: frozenset(ids) for scope, ids in acc.items()}
+    index = views.of(corpus, collab.HOME_COUNTRY)
+    return {scope: index.pub_ids(mask) for scope, mask in _by_scope(index, level).items()}
 
 
 def publications_by_category(corpus: Corpus) -> dict[str, frozenset[str]]:
     """Publication ids falling in each journal category."""
-    acc: dict[str, set[str]] = {}
-    for pub in corpus.publications:
-        record = corpus.effective_journal(pub.journal_id, pub.year)
-        assert record is not None  # loaded corpora are closed
-        for cat in record.sci_categories:
-            acc.setdefault(cat, set()).add(pub.pub_id)
-    return {cat: frozenset(ids) for cat, ids in acc.items()}
+    index = views.of(corpus, collab.HOME_COUNTRY)
+    return {cat: index.pub_ids(mask) for cat, mask in index.by_category.items()}
 
 
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
@@ -197,25 +189,21 @@ def sector_intensity(
     corpus: Corpus,
     level: str = LEVEL_SDS,
     home_country: str = collab.HOME_COUNTRY,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
 ) -> list[SectorIntensityRow]:
     """The four intensity indicators per sector, sorted by sector id.
 
     Sectors with no attributed articles are omitted entirely.
     """
-    if profiles is None:
-        profiles = collab.classify_corpus(corpus, home_country)
-    attributed = publications_by_sector(corpus, level)
-    extramural = collab.subset(corpus, collab.SELECTOR_EXTRAMURAL, home_country, profiles)
-    industry = collab.subset(corpus, collab.SELECTOR_INDUSTRY, home_country, profiles)
+    index = views.of(corpus, home_country)
+    attributed = _by_scope(index, level)
     headcounts = sector_headcounts(corpus, level)
 
     rows = []
     for sector_id in sorted(attributed):
         pubs = attributed[sector_id]
-        n_all = len(pubs)
-        n_extramural = len(pubs & extramural)
-        n_industry = len(pubs & industry)
+        n_all = pubs.bit_count()
+        n_extramural = (pubs & index.extramural).bit_count()
+        n_industry = (pubs & index.industry).bit_count()
         headcount = headcounts.get(sector_id, 0)
         rows.append(
             SectorIntensityRow(
@@ -238,66 +226,30 @@ class ResearcherPerformance:
     fss: float
 
 
-def _authored_publications(corpus: Corpus) -> dict[str, list[Publication]]:
-    """Publications per roster researcher (distinct per publication)."""
-    authored: dict[str, list[Publication]] = {r: [] for r in corpus.researchers}
-    for pub in corpus.publications:
-        seen = set()
-        for author in pub.authors:
-            rid = author.researcher_id
-            if rid is not None and rid not in seen:
-                authored[rid].append(pub)
-                seen.add(rid)
-    return authored
-
-
 def researcher_output(corpus: Corpus, researcher_id: str) -> int:
     """Number of publications the researcher authored."""
-    if researcher_id not in corpus.researchers:
-        raise UnknownResearcher(f"researcher {researcher_id!r} is not on the roster")
-    count = 0
-    for pub in corpus.publications:
-        if any(a.researcher_id == researcher_id for a in pub.authors):
-            count += 1
-    return count
+    return _performance_of(corpus, researcher_id).output
 
 
-def researcher_fss(
-    corpus: Corpus,
-    researcher_id: str,
-    ifpr: Mapping[str, float] | None = None,
-) -> float:
+def researcher_fss(corpus: Corpus, researcher_id: str) -> float:
     """Fractional scientific strength: impact-weighted, co-author-fractioned.
 
     Each authored publication contributes (article_ifpr / 100) * (1 / number
     of byline authors). Always <= the researcher's output count.
     """
-    if researcher_id not in corpus.researchers:
+    return _performance_of(corpus, researcher_id).fss
+
+
+def _performance_of(corpus: Corpus, researcher_id: str) -> ResearcherPerformance:
+    performance = views.of(corpus, collab.HOME_COUNTRY).performance
+    if researcher_id not in performance:
         raise UnknownResearcher(f"researcher {researcher_id!r} is not on the roster")
-    if ifpr is None:
-        ifpr = ifpr_by_publication(corpus)
-    total = 0.0
-    for pub in corpus.publications:
-        if any(a.researcher_id == researcher_id for a in pub.authors):
-            total += (ifpr[pub.pub_id] / 100.0) / len(pub.authors)
-    return total
+    return performance[researcher_id]
 
 
-def researcher_performance(
-    corpus: Corpus, ifpr: Mapping[str, float] | None = None
-) -> dict[str, ResearcherPerformance]:
-    """Output and FSS for every roster researcher in one pass."""
-    if ifpr is None:
-        ifpr = ifpr_by_publication(corpus)
-    authored = _authored_publications(corpus)
-    result = {}
-    for researcher_id in sorted(corpus.researchers):
-        pubs = authored[researcher_id]
-        fss = 0.0
-        for pub in pubs:
-            fss += (ifpr[pub.pub_id] / 100.0) / len(pub.authors)
-        result[researcher_id] = ResearcherPerformance(researcher_id, len(pubs), fss)
-    return result
+def researcher_performance(corpus: Corpus) -> dict[str, ResearcherPerformance]:
+    """Output and FSS for every roster researcher, sorted by researcher id."""
+    return dict(views.of(corpus, collab.HOME_COUNTRY).performance)
 
 
 def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str, float]:
@@ -339,55 +291,40 @@ class MultidiscIndex:
 
 def sector_counts_by_publication(corpus: Corpus) -> dict[str, int]:
     """Distinct author-sector count per publication (0 if no roster author)."""
-    return {
-        pub.pub_id: len(sectors_of_publication(corpus, pub)) for pub in corpus.publications
-    }
+    counts = views.of(corpus, collab.HOME_COUNTRY).sector_counts
+    return {pub.pub_id: n for pub, n in zip(corpus.publications, counts)}
 
 
 def category_counts_by_publication(corpus: Corpus) -> dict[str, int]:
     """Journal category count per publication."""
-    counts = {}
-    for pub in corpus.publications:
-        record = corpus.effective_journal(pub.journal_id, pub.year)
-        assert record is not None  # loaded corpora are closed
-        counts[pub.pub_id] = len(record.sci_categories)
-    return counts
+    counts = views.of(corpus, collab.HOME_COUNTRY).category_counts
+    return {pub.pub_id: n for pub, n in zip(corpus.publications, counts)}
 
 
-def multidisc_sds(
-    corpus: Corpus,
-    pub_ids: Iterable[str],
-    counts: Mapping[str, int] | None = None,
-) -> float:
+def multidisc_sds(corpus: Corpus, pub_ids: Iterable[str]) -> float:
     """Mean number of distinct author sectors per publication."""
     ids = sorted(pub_ids)
     if not ids:
         raise EmptySet("cannot average over an empty publication set")
-    if counts is None:
-        counts = sector_counts_by_publication(corpus)
+    index = views.of(corpus, collab.HOME_COUNTRY)
     total = 0
     for pub_id in ids:
-        count = counts[pub_id]
+        count = index.sector_counts[index.position[pub_id]]
         if count == 0:
             raise NoAcademicAuthors(pub_id)
         total += count
     return total / len(ids)
 
 
-def multidisc_sci(
-    corpus: Corpus,
-    pub_ids: Iterable[str],
-    counts: Mapping[str, int] | None = None,
-) -> float:
+def multidisc_sci(corpus: Corpus, pub_ids: Iterable[str]) -> float:
     """Mean number of journal categories per publication."""
     ids = sorted(pub_ids)
     if not ids:
         raise EmptySet("cannot average over an empty publication set")
-    if counts is None:
-        counts = category_counts_by_publication(corpus)
+    index = views.of(corpus, collab.HOME_COUNTRY)
     total = 0
     for pub_id in ids:
-        total += counts[pub_id]
+        total += index.category_counts[index.position[pub_id]]
     return total / len(ids)
 
 
@@ -395,46 +332,40 @@ def multidisc_by_scope(
     corpus: Corpus,
     selector: str,
     home_country: str = collab.HOME_COUNTRY,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
 ) -> list[MultidiscIndex]:
     """Multidisciplinarity per scope, restricted to a publication subset.
 
     Sector scopes carry the author-sector index, category scopes the journal
     category index; scopes with no publication in the subset are omitted.
     """
-    if profiles is None:
-        profiles = collab.classify_corpus(corpus, home_country)
-    chosen = collab.subset(corpus, selector, home_country, profiles)
-    sds_counts = sector_counts_by_publication(corpus)
-    cat_counts = category_counts_by_publication(corpus)
+    chosen = collab.subset_mask(corpus, selector, home_country)
+    index = views.of(corpus, home_country)
 
     rows = []
-    by_sector = publications_by_sector(corpus, LEVEL_SDS)
-    for sector_id in sorted(by_sector):
-        ids = by_sector[sector_id] & chosen
-        if not ids:
+    for sector_id in sorted(index.by_sds):
+        pubs = index.by_sds[sector_id] & chosen
+        if not pubs:
             continue
         rows.append(
             MultidiscIndex(
                 scope_id=sector_id,
                 subset=selector,
-                ii_sds=multidisc_sds(corpus, ids, sds_counts),
+                ii_sds=views.mean_over(pubs, index.sector_counts),
                 ii_sci=None,
-                n_pubs=len(ids),
+                n_pubs=pubs.bit_count(),
             )
         )
-    by_category = publications_by_category(corpus)
-    for cat in sorted(by_category):
-        ids = by_category[cat] & chosen
-        if not ids:
+    for cat in sorted(index.by_category):
+        pubs = index.by_category[cat] & chosen
+        if not pubs:
             continue
         rows.append(
             MultidiscIndex(
                 scope_id=cat,
                 subset=selector,
                 ii_sds=None,
-                ii_sci=multidisc_sci(corpus, ids, cat_counts),
-                n_pubs=len(ids),
+                ii_sci=views.mean_over(pubs, index.category_counts),
+                n_pubs=pubs.bit_count(),
             )
         )
     return rows

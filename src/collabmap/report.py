@@ -14,7 +14,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import collab, indicators, stats
 from .corpus import Corpus
@@ -75,7 +74,6 @@ def build_rank_table(
     metric: str = "count",
     k: int = 10,
     home_country: str = collab.HOME_COUNTRY,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
 ) -> RankTable:
     """Rank sectors by one intensity metric, keeping the top k.
 
@@ -84,7 +82,7 @@ def build_rank_table(
     """
     if metric not in METRICS:
         raise UnknownMetric(f"unknown metric {metric!r}; expected one of {METRICS}")
-    intensity = indicators.sector_intensity(corpus, level, home_country, profiles)
+    intensity = indicators.sector_intensity(corpus, level, home_country)
     field = _METRIC_FIELD[metric]
     context_names = tuple(m for m in METRICS if m != metric)
 
@@ -148,8 +146,6 @@ def build_comparison_table(
     *,
     home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
-    ifpr: Mapping[str, float] | None = None,
 ) -> ComparisonTable:
     comparison = stats.compare(
         corpus,
@@ -157,8 +153,6 @@ def build_comparison_table(
         indicator,
         home_country=home_country,
         min_collab_pubs=min_collab_pubs,
-        profiles=profiles,
-        ifpr=ifpr,
     )
     return ComparisonTable(
         title=_COMPARISON_TITLES[(grouping, indicator)],
@@ -171,9 +165,8 @@ def build_multidisc_table(
     corpus: Corpus,
     selector: str,
     home_country: str = collab.HOME_COUNTRY,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
 ) -> MultidiscTable:
-    rows = indicators.multidisc_by_scope(corpus, selector, home_country, profiles)
+    rows = indicators.multidisc_by_scope(corpus, selector, home_country)
     return MultidiscTable(
         title=f"Multidisciplinarity by scope, subset: {selector}",
         subset=selector,
@@ -355,14 +348,10 @@ def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv"
     raise TypeError(f"cannot render {type(table).__name__}")
 
 
-def edges_csv(
-    corpus: Corpus,
-    home_country: str = collab.HOME_COUNTRY,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
-) -> str:
+def edges_csv(corpus: Corpus, home_country: str = collab.HOME_COUNTRY) -> str:
     """The collaboration edge list as CSV."""
     rows = [["pub_id", "university_org_id", "firm_org_id"]]
-    for edge in collab.extract_edges(corpus, home_country, profiles):
+    for edge in collab.extract_edges(corpus, home_country):
         rows.append([edge.pub_id, edge.university_org_id, edge.firm_org_id])
     return _csv_lines(rows)
 
@@ -372,29 +361,23 @@ def render_all(
     *,
     home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
-    workers: int = 1,
     k_sds: int = 10,
     k_uda: int = 4,
 ) -> dict[str, str]:
     """Every standard render of one corpus, keyed by output name.
 
-    One classification and one impact-percentile pass are shared by all
-    tables, and every aggregation iterates in sorted order, so the result is
-    byte-identical across runs and worker counts.
+    All tables read the views cached on the corpus, so each view is computed
+    once across tables and across calls; every aggregation iterates in sorted
+    order, so the result is byte-identical across runs.
     """
-    profiles = collab.classify_corpus(corpus, home_country, workers)
-    ifpr = indicators.ifpr_by_publication(corpus)
     out: dict[str, str] = {}
-
-    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", k_uda,
-                             home_country, profiles)
+    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", k_uda, home_country)
     out["rank_uda_count.md"] = render(table, "md")
     for metric in METRICS:
-        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, k_sds,
-                                 home_country, profiles)
+        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, k_sds, home_country)
         out[f"rank_sds_{metric}.csv"] = render(table, "csv")
 
-    out["edges.csv"] = edges_csv(corpus, home_country, profiles)
+    out["edges.csv"] = edges_csv(corpus, home_country)
 
     for grouping in stats.GROUPINGS:
         for indicator in stats.INDICATORS_BY_GROUPING[grouping]:
@@ -404,8 +387,6 @@ def render_all(
                 indicator,
                 home_country=home_country,
                 min_collab_pubs=min_collab_pubs,
-                profiles=profiles,
-                ifpr=ifpr,
             )
             out[f"compare_{grouping}_{indicator}.json"] = render(table, "json")
     return out

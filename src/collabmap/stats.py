@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import exp, isfinite, isnan, lgamma, log, log1p, sqrt
 from typing import Mapping, Sequence
 
-from . import collab, indicators
+from . import collab, indicators, views
 from .corpus import Corpus
 from .errors import (
     EmptySample,
@@ -21,6 +21,7 @@ from .errors import (
     InsufficientSectors,
     InvalidDf,
     LengthMismatch,
+    NoConvergence,
     UnknownGrouping,
     UnknownIndicator,
     ZeroVariance,
@@ -138,8 +139,8 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < eps:
-            break
-    return h
+            return h
+    raise NoConvergence(f"incomplete beta fraction for a={a!r}, b={b!r}, x={x!r}")
 
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -168,19 +169,25 @@ def t_cdf(t: float, df: float) -> float:
         raise ValueError("t must be a number")
     if not isfinite(t):
         return 1.0 if t > 0 else 0.0
-    x = df / (df + t * t)
-    ib = _reg_inc_beta(0.5 * df, 0.5, x)
+    tail = _tail(t, df)
     if t >= 0:
-        return 1.0 - 0.5 * ib
-    return 0.5 * ib
+        return 1.0 - tail
+    return tail
+
+
+def _tail(t: float, df: float) -> float:
+    """P(T > |t|) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
 
 
 def _p_values(t: float, df: float) -> tuple[float, float]:
-    """One-tail p on the observed side, and the symmetric two-tail p."""
-    cdf = t_cdf(t, df)
-    p_one = cdf if t < 0 else 1.0 - cdf
-    p_two = 2.0 * min(p_one, 1.0 - p_one)
-    return p_one, p_two
+    """One-tail p on the observed side, and the symmetric two-tail p.
+
+    Both come from the tail itself, never from 1 - cdf, so they keep full
+    relative precision however small they get.
+    """
+    p_one = _tail(t, df)
+    return p_one, 2.0 * p_one
 
 
 def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
@@ -219,40 +226,34 @@ def welch_t(a: Sample, b: Sample) -> TestResult:
 
 # -- comparison assembly ----------------------------------------------------------
 
-def _mean_over(pub_ids: frozenset[str], per_pub: Mapping[str, float]) -> float:
-    ids = sorted(pub_ids)
-    return sum(per_pub[i] for i in ids) / len(ids)
-
-
 def _paired_scope_samples(
-    scopes: Mapping[str, frozenset[str]],
-    set_a: frozenset[str] | None,
-    set_b: frozenset[str],
-    per_pub: Mapping[str, float],
-    floor_on_a: int,
-) -> tuple[list[float], list[float], int, int]:
-    """Per-scope means of ``per_pub`` over two nested publication subsets.
+    scopes: Mapping[str, int],
+    base: int,
+    set_a: int,
+    set_b: int,
+    per_pub: Sequence[float],
+    floor: int,
+) -> tuple[list[float], list[float], int]:
+    """Per-scope means of ``per_pub`` over sides a and b of each scope.
 
-    set_a of None means "all publications of the scope". Scopes whose side-a
-    set is smaller than ``floor_on_a`` or whose side-b set is empty are
-    excluded; the exclusion count covers scopes that had a non-empty side-a
-    base but were dropped.
+    Scopes with no publication in ``base`` are skipped; scopes with fewer
+    than ``floor`` publications on side b are excluded and counted. Sets are
+    bitmasks (see :mod:`.views`).
     """
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
     for scope_id in sorted(scopes):
-        scope_pubs = scopes[scope_id]
-        a_ids = scope_pubs if set_a is None else scope_pubs & set_a
-        b_ids = scope_pubs & set_b
-        if not a_ids:
+        scope_ids = scopes[scope_id]
+        b_ids = scope_ids & set_b
+        if not scope_ids & base:
             continue
-        if len(a_ids) < floor_on_a or not b_ids:
+        if b_ids.bit_count() < floor:
             excluded += 1
             continue
-        xs.append(_mean_over(a_ids, per_pub))
-        ys.append(_mean_over(b_ids, per_pub))
-    return xs, ys, len(xs), excluded
+        xs.append(views.mean_over(scope_ids & set_a, per_pub))
+        ys.append(views.mean_over(b_ids, per_pub))
+    return xs, ys, excluded
 
 
 def compare(
@@ -262,8 +263,6 @@ def compare(
     *,
     home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
-    profiles: Mapping[str, collab.CollaborationProfile] | None = None,
-    ifpr: Mapping[str, float] | None = None,
 ) -> Comparison:
     """Assemble the aligned samples for a named comparison and test them.
 
@@ -278,59 +277,14 @@ def compare(
             f"indicator {indicator!r} is not valid for {grouping!r}; "
             f"expected one of {INDICATORS_BY_GROUPING[grouping]}"
         )
-    if profiles is None:
-        profiles = collab.classify_corpus(corpus, home_country)
-    industry = collab.subset(corpus, collab.SELECTOR_INDUSTRY, home_country, profiles)
-    extramural = collab.subset(corpus, collab.SELECTOR_EXTRAMURAL, home_country, profiles)
-
-    if grouping in (GROUPING_SDS_ALL_VS_COLLAB, GROUPING_SDS_ALL_VS_INDUSTRY):
-        if ifpr is None:
-            ifpr = indicators.ifpr_by_publication(corpus)
-        scopes = indicators.publications_by_sector(corpus, indicators.LEVEL_SDS)
-        if grouping == GROUPING_SDS_ALL_VS_COLLAB:
-            # scopes qualify by their extramural output, with the count floor
-            narrowed = {
-                s: ids & extramural for s, ids in scopes.items() if ids & extramural
-            }
-            xs, ys, n_units, excluded = [], [], 0, 0
-            for scope_id in sorted(narrowed):
-                collab_ids = narrowed[scope_id]
-                if len(collab_ids) < min_collab_pubs:
-                    excluded += 1
-                    continue
-                xs.append(_mean_over(scopes[scope_id], ifpr))
-                ys.append(_mean_over(collab_ids, ifpr))
-                n_units += 1
-            label_b = "extramural collaborations"
-        else:
-            xs, ys, excluded = [], [], 0
-            for scope_id in sorted(scopes):
-                industry_ids = scopes[scope_id] & industry
-                if not industry_ids:
-                    excluded += 1
-                    continue
-                xs.append(_mean_over(scopes[scope_id], ifpr))
-                ys.append(_mean_over(industry_ids, ifpr))
-            n_units = len(xs)
-            label_b = "industry co-authored"
-        if n_units < 2:
-            raise InsufficientSectors(
-                f"only {n_units} sectors survive the exclusion thresholds"
-            )
-        sample_a = descriptive(xs, "all publications")
-        sample_b = descriptive(ys, label_b)
-        result = paired_t(xs, ys)
-        return Comparison(grouping, indicator, sample_a, sample_b, result, n_units, excluded)
+    index = views.of(corpus, home_country)
 
     if grouping == GROUPING_RESEARCHERS:
-        if ifpr is None:
-            ifpr = indicators.ifpr_by_publication(corpus)
-        perf = indicators.researcher_performance(corpus, ifpr)
-        active = set(indicators.publications_by_sector(corpus, indicators.LEVEL_SDS))
+        perf = index.performance
         population = [
             rid
             for rid in sorted(corpus.researchers)
-            if corpus.researchers[rid].sds_id in active
+            if corpus.researchers[rid].sds_id in index.by_sds
         ]
         excluded = len(corpus.researchers) - len(population)
         values = {
@@ -338,14 +292,8 @@ def compare(
             for rid in population
         }
         ranks = indicators.rank_within_sector(corpus, values)
-        collaborators: set[str] = set()
-        for pub in corpus.publications:
-            if pub.pub_id in industry:
-                for author in pub.authors:
-                    if author.researcher_id is not None:
-                        collaborators.add(author.researcher_id)
-        group_a = [ranks[r] for r in population if r in collaborators]
-        group_b = [ranks[r] for r in population if r not in collaborators]
+        group_a = [ranks[r] for r in population if r in index.collaborators]
+        group_b = [ranks[r] for r in population if r not in index.collaborators]
         if not group_a or not group_b:
             raise InsufficientSectors("one of the researcher groups is empty")
         sample_a = descriptive(group_a, "industry collaborators")
@@ -355,27 +303,31 @@ def compare(
             grouping, indicator, sample_a, sample_b, result, len(population), excluded
         )
 
-    # multidisciplinarity groupings
-    if indicator == "ii_sds":
-        scopes = indicators.publications_by_sector(corpus, indicators.LEVEL_SDS)
-        per_pub = {
-            k: float(v) for k, v in indicators.sector_counts_by_publication(corpus).items()
-        }
+    label_a, label_b, unit = "all publications", "industry co-authored", "sectors"
+    if indicator == "ifpr":
+        scopes, per_pub = index.by_sds, index.ifpr
+    elif indicator == "ii_sds":
+        scopes, per_pub, unit = index.by_sds, index.sector_counts, "scopes"
     else:
-        scopes = indicators.publications_by_category(corpus)
-        per_pub = {
-            k: float(v) for k, v in indicators.category_counts_by_publication(corpus).items()
-        }
-    if grouping == GROUPING_MULTIDISC_ALL:
-        set_a = None
-        label_a = "all publications"
+        scopes, per_pub, unit = index.by_category, index.category_counts, "scopes"
+    base = set_a = index.everything
+    if grouping == GROUPING_SDS_ALL_VS_COLLAB:
+        # sectors qualify by their extramural output, with the count floor;
+        # a sector with no extramural output is skipped, not excluded
+        label_b = "extramural collaborations"
+        base = set_b = index.extramural
+        floor = min_collab_pubs
     else:
-        set_a = extramural
-        label_a = "extramural collaborations"
-    xs, ys, n_units, excluded = _paired_scope_samples(scopes, set_a, industry, per_pub, 1)
+        set_b, floor = index.industry, 1
+        if grouping == GROUPING_MULTIDISC_COLLAB:
+            label_a = "extramural collaborations"
+            base = set_a = index.extramural
+    xs, ys, excluded = _paired_scope_samples(scopes, base, set_a, set_b, per_pub, floor)
+
+    n_units = len(xs)
     if n_units < 2:
-        raise InsufficientSectors(f"only {n_units} scopes survive the exclusion thresholds")
+        raise InsufficientSectors(f"only {n_units} {unit} survive the exclusion thresholds")
     sample_a = descriptive(xs, label_a)
-    sample_b = descriptive(ys, "industry co-authored")
+    sample_b = descriptive(ys, label_b)
     result = paired_t(xs, ys)
     return Comparison(grouping, indicator, sample_a, sample_b, result, n_units, excluded)

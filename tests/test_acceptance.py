@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines
 alongside the pytest outcomes.
 """
 
+import dataclasses
 import functools
 import time
 
@@ -48,6 +49,7 @@ from collabmap.resolve import (
 from collabmap.stats import (
     GROUPING_RESEARCHERS,
     INDICATORS_BY_GROUPING,
+    _p_values,
     compare,
     descriptive,
     paired_t,
@@ -252,7 +254,8 @@ def test_sector_share_ordering(tmp_path, corpus40):
     return f"{rows} sector rows ordered"
 
 
-@criterion("t distribution versus 30-digit reference, grid 1e-10, fixture 1e-9, paired 1e-12")
+@criterion("t distribution versus 30-digit reference, grid 1e-10, fixture 1e-9, paired 1e-12, "
+           "tails to 1e-100 at relative 1e-12")
 def test_t_distribution_accuracy():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
@@ -281,7 +284,24 @@ def test_t_distribution_accuracy():
             assert abs(got - want) <= 1e-9, (kind, xs, ys)
     r = paired_t([1.0, 2.0, 3.0], [1.0, 3.0, 5.0])
     assert abs(r.t - (-(3.0 ** 0.5))) <= 1e-12
-    return f"{grid_points} grid points, 50+50 frozen cases"
+
+    # p-values keep their relative precision in both tails down to 1e-100
+    tail_points = 0
+    for df in (1.0, 5.0, 30.0, 200.0):
+        t = 1.0
+        while True:
+            tm, dfm = mpmath.mpf(t), mpmath.mpf(df)
+            x = dfm / (dfm + tm * tm)
+            tail = mpmath.betainc(dfm / 2, mpmath.mpf("0.5"), 0, x, regularized=True) / 2
+            if tail < mpmath.mpf("1e-100"):
+                break
+            for signed in (t, -t):
+                p_one, p_two = _p_values(signed, df)
+                assert abs(p_one - tail) <= 1e-12 * tail, (signed, df)
+                assert abs(p_two - 2 * tail) <= 2e-12 * tail, (signed, df)
+            tail_points += 1
+            t *= 4.0
+    return f"{grid_points} grid points, 50+50 frozen cases, {tail_points} tail points"
 
 
 @criterion("rendered tables byte-identical to frozen goldens")
@@ -294,18 +314,18 @@ def test_report_goldens(corpus40):
     return f"{len(golden_names)} tables"
 
 
-@criterion("50000-publication run under 10s, stable across repeats and worker counts")
+@criterion("50000-publication run under 10s, stable across repeats and fresh loads")
 def test_large_corpus_fast_and_stable(tmp_path):
     out = generate(SynthConfig(seed=1234, n_pubs=50_000, n_researchers=6000,
                                n_journals=60, industry_rate=0.05), tmp_path)
     start = time.perf_counter()
     corpus = load_corpus(out)
-    first = render_all(corpus, workers=1)
+    first = render_all(corpus)
     elapsed = time.perf_counter() - start
-    assert render_all(corpus, workers=1) == first
-    assert render_all(corpus, workers=4) == first
+    assert render_all(corpus) == first
+    assert render_all(dataclasses.replace(corpus)) == first
     corpus_again = load_corpus(out)
-    assert render_all(corpus_again, workers=4) == first
+    assert render_all(corpus_again) == first
     assert elapsed < 10.0, f"load+render took {elapsed:.1f}s"
     return f"load+render {elapsed:.1f}s, {len(first)} tables stable"
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from collabmap import errors
@@ -17,7 +19,9 @@ from collabmap.collab import (
     extract_edges,
     subset,
 )
-from collabmap.corpus import AuthorRef, Organization, Publication
+from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+
+from conftest import FIXTURE40
 
 EXPECTED_EDGES = [
     ("P01", "UNI-A", "FRM-X"),
@@ -166,15 +170,20 @@ def test_subset_unknown_selector(corpus40):
         subset(corpus40, "everything")
 
 
-def test_subset_accepts_precomputed_profiles(corpus40):
-    profiles = classify_corpus(corpus40)
-    assert subset(corpus40, SELECTOR_INDUSTRY, profiles=profiles) == subset(
-        corpus40, SELECTOR_INDUSTRY
-    )
+def test_classify_corpus_is_repeatable(corpus40):
+    first = classify_corpus(corpus40)
+    assert classify_corpus(corpus40) == first
+    assert classify_corpus(load_corpus(FIXTURE40)) == first
 
 
-def test_worker_count_does_not_change_results(corpus40):
-    assert classify_corpus(corpus40, workers=1) == classify_corpus(corpus40, workers=4)
+def test_replaced_corpus_gets_its_own_views(corpus40):
+    full = count_collaborations(corpus40)
+    head = dataclasses.replace(corpus40, publications=corpus40.publications[:3])
+    assert subset(head, SELECTOR_ALL) == {"P01", "P02", "P03"}
+    assert subset(head, SELECTOR_INDUSTRY) == {"P01", "P02", "P03"}
+    assert count_collaborations(head).total_collaborations == 1 + 2 + 3
+    assert [e.pub_id for e in extract_edges(head)] == ["P01", "P02", "P02", "P03", "P03", "P03"]
+    assert count_collaborations(corpus40) == full
 
 
 def test_count_with_foreign_home_country(corpus40):

@@ -326,3 +326,27 @@ def test_corpus_is_frozen(corpus40):
     with pytest.raises(dataclasses.FrozenInstanceError):
         corpus40.window = (1990, 1999)
     assert isinstance(corpus40, Corpus)
+
+
+def test_corpus_mappings_are_read_only(corpus40):
+    org = corpus40.organizations["UNI-A"]
+    targets = (
+        corpus40.organizations,
+        corpus40.journals,
+        corpus40.researchers,
+        corpus40.taxonomy.sectors,
+        corpus40.taxonomy.uda_names,
+    )
+    for mapping in targets:
+        with pytest.raises(TypeError):
+            mapping["X"] = org
+    # read-only copies still compare by content
+    assert corpus40.organizations == dict(corpus40.organizations)
+    assert load_corpus(FIXTURE40) == corpus40
+
+
+def test_corpus_copies_the_mappings_it_is_given(corpus40):
+    organizations = dict(corpus40.organizations)
+    copy = dataclasses.replace(corpus40, organizations=organizations)
+    del organizations["UNI-A"]
+    assert "UNI-A" in copy.organizations

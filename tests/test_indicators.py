@@ -171,10 +171,11 @@ def test_ifpr_by_publication(corpus40):
         assert ifpr[pub.pub_id] == pytest.approx(expected[pub.journal_id], abs=1e-12)
 
 
-def test_ifpr_accepts_prebuilt_index(corpus40):
+def test_ifpr_follows_rank_index(corpus40):
     index = build_rank_index(corpus40)
     assert set(index) == {2001, 2002, 2003}
-    assert ifpr_by_publication(corpus40, index) == ifpr_by_publication(corpus40)
+    assert ifpr_by_publication(corpus40) == {
+        p.pub_id: article_ifpr(p, index[p.year]) for p in corpus40.publications}
 
 
 def test_publications_by_sector(corpus40):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from collabmap import errors
+from collabmap.corpus import load_corpus
 from collabmap.report import (
     METRICS,
     build_comparison_table,
@@ -15,7 +16,7 @@ from collabmap.report import (
     render_all,
 )
 
-from conftest import GOLDEN
+from conftest import FIXTURE40, GOLDEN
 
 GOLDEN_NAMES = (
     "compare_multidisc_all_vs_industry_ii_sci.json",
@@ -54,8 +55,8 @@ def test_render_all_deterministic(corpus40, rendered):
     assert again == rendered
 
 
-def test_render_all_worker_invariant(corpus40, rendered):
-    assert render_all(corpus40, min_collab_pubs=3, workers=4) == rendered
+def test_render_all_fresh_load_matches(rendered):
+    assert render_all(load_corpus(FIXTURE40), min_collab_pubs=3) == rendered
 
 
 def test_no_carriage_returns(rendered):

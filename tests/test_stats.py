@@ -9,6 +9,8 @@ from collabmap.stats import (
     GROUPINGS,
     INDICATORS_BY_GROUPING,
     Sample,
+    _beta_contfrac,
+    _p_values,
     compare,
     descriptive,
     paired_t,
@@ -102,6 +104,21 @@ def test_t_cdf_rejects_bad_df():
     for df in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(errors.InvalidDf):
             t_cdf(1.0, df)
+
+
+def test_p_values_equal_in_both_tails():
+    # the upper tail used to be 1 - cdf, off by 3e-7 relative at this point
+    assert _p_values(200.0, 5.0) == _p_values(-200.0, 5.0)
+    p_one, p_two = _p_values(-200.0, 5.0)
+    assert abs(p_one - 2.964883041e-11) <= 1e-19
+    assert p_two == 2 * p_one
+
+
+def test_beta_fraction_reports_non_convergence():
+    # at the crossover point with both shapes large, the fraction needs far
+    # more terms than its iteration cap
+    with pytest.raises(errors.NoConvergence):
+        _beta_contfrac(1e6, 1e6, 0.5)
 
 
 def test_t_cdf_rejects_nan_t():
