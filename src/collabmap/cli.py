@@ -22,6 +22,13 @@ _SUBSETS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-dir", required=True, help="directory with the corpus files")
     parser.add_argument("--year-min", type=int, default=DEFAULT_WINDOW[0],
@@ -141,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--level", choices=(LEVEL_SDS, LEVEL_UDA), default=LEVEL_SDS)
     p.add_argument("--metric", choices=report.METRICS, default="count")
-    p.add_argument("--top", type=int, default=10, help="number of rows to keep")
+    p.add_argument("--top", type=_positive_int, default=10, help="number of rows to keep")
     _add_output_options(p)
     p.set_defaults(func=_cmd_map)
 
@@ -153,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run one of the standard comparisons")
     _add_corpus_options(p)
     p.add_argument("--grouping", choices=stats.GROUPINGS, required=True)
-    p.add_argument("--indicator", choices=("ifpr", "o", "fss", "ii_sds", "ii_sci"),
-                   required=True)
+    p.add_argument("--indicator", required=True,
+                   choices=tuple(dict.fromkeys(i for _, i in stats.COMPARISONS)))
     p.add_argument("--min-collab-pubs", type=int, default=7,
-                   help="minimum extramural publications for a sector to qualify")
+                   help="sds_all_vs_collab only: minimum extramural publications "
+                        "for a sector to qualify")
     p.add_argument("--format", choices=("csv", "json", "md"), default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=_cmd_compare)

@@ -88,15 +88,6 @@ class UnknownSelector(CollabmapError):
 
 # -- indicators ----------------------------------------------------------------
 
-class MissingIF(CollabmapError):
-    """A journal has no usable impact factor for the requested year."""
-
-    def __init__(self, journal_id: str, year: int):
-        self.journal_id = journal_id
-        self.year = year
-        super().__init__(f"journal {journal_id!r} has no impact factor usable for {year}")
-
-
 class UnrankedJournal(CollabmapError):
     """A publication's journal is absent from the percentile-rank index."""
 
@@ -107,18 +98,6 @@ class UnknownResearcher(CollabmapError):
 
 class EmptySector(CollabmapError):
     """A ranking was requested over an empty population."""
-
-
-class EmptySet(CollabmapError):
-    """An aggregate was requested over an empty publication set."""
-
-
-class NoAcademicAuthors(CollabmapError):
-    """A publication has no roster-linked author where one is required."""
-
-    def __init__(self, pub_id: str):
-        self.pub_id = pub_id
-        super().__init__(f"publication {pub_id!r} has no roster-linked author")
 
 
 # -- statistics ----------------------------------------------------------------

@@ -9,16 +9,13 @@ so all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import collab, views
 from .corpus import Corpus, Publication
 from .errors import (
     EmptySample,
     EmptySector,
-    EmptySet,
-    MissingIF,
-    NoAcademicAuthors,
     UnknownResearcher,
     UnrankedJournal,
 )
@@ -73,14 +70,14 @@ def if_percentile_ranks(corpus: Corpus, year: int) -> YearRanks:
 
     A journal's record for the year follows the same resolution rule articles
     use (exact year, else nearest in the window); a journal with no usable
-    record raises MissingIF.
+    record, such as one whose rows all fall outside the window, is left out
+    of that year's ranking.
     """
     effective = {}
     for journal_id in sorted(corpus.journal_ids):
         record = corpus.effective_journal(journal_id, year)
-        if record is None:
-            raise MissingIF(journal_id, year)
-        effective[journal_id] = record
+        if record is not None:
+            effective[journal_id] = record
 
     by_category: dict[str, list[str]] = {}
     for journal_id, record in effective.items():
@@ -221,30 +218,15 @@ def sector_intensity(
 
 @dataclass(frozen=True)
 class ResearcherPerformance:
+    """Output (publications authored) and fractional scientific strength.
+
+    Each authored publication adds (article_ifpr / 100) / (number of byline
+    authors) to ``fss``, so ``fss`` never exceeds ``output``.
+    """
+
     researcher_id: str
     output: int
     fss: float
-
-
-def researcher_output(corpus: Corpus, researcher_id: str) -> int:
-    """Number of publications the researcher authored."""
-    return _performance_of(corpus, researcher_id).output
-
-
-def researcher_fss(corpus: Corpus, researcher_id: str) -> float:
-    """Fractional scientific strength: impact-weighted, co-author-fractioned.
-
-    Each authored publication contributes (article_ifpr / 100) * (1 / number
-    of byline authors). Always <= the researcher's output count.
-    """
-    return _performance_of(corpus, researcher_id).fss
-
-
-def _performance_of(corpus: Corpus, researcher_id: str) -> ResearcherPerformance:
-    performance = views.of(corpus, collab.HOME_COUNTRY).performance
-    if researcher_id not in performance:
-        raise UnknownResearcher(f"researcher {researcher_id!r} is not on the roster")
-    return performance[researcher_id]
 
 
 def researcher_performance(corpus: Corpus) -> dict[str, ResearcherPerformance]:
@@ -287,45 +269,6 @@ class MultidiscIndex:
     ii_sds: float | None
     ii_sci: float | None
     n_pubs: int
-
-
-def sector_counts_by_publication(corpus: Corpus) -> dict[str, int]:
-    """Distinct author-sector count per publication (0 if no roster author)."""
-    counts = views.of(corpus, collab.HOME_COUNTRY).sector_counts
-    return {pub.pub_id: n for pub, n in zip(corpus.publications, counts)}
-
-
-def category_counts_by_publication(corpus: Corpus) -> dict[str, int]:
-    """Journal category count per publication."""
-    counts = views.of(corpus, collab.HOME_COUNTRY).category_counts
-    return {pub.pub_id: n for pub, n in zip(corpus.publications, counts)}
-
-
-def multidisc_sds(corpus: Corpus, pub_ids: Iterable[str]) -> float:
-    """Mean number of distinct author sectors per publication."""
-    ids = sorted(pub_ids)
-    if not ids:
-        raise EmptySet("cannot average over an empty publication set")
-    index = views.of(corpus, collab.HOME_COUNTRY)
-    total = 0
-    for pub_id in ids:
-        count = index.sector_counts[index.position[pub_id]]
-        if count == 0:
-            raise NoAcademicAuthors(pub_id)
-        total += count
-    return total / len(ids)
-
-
-def multidisc_sci(corpus: Corpus, pub_ids: Iterable[str]) -> float:
-    """Mean number of journal categories per publication."""
-    ids = sorted(pub_ids)
-    if not ids:
-        raise EmptySet("cannot average over an empty publication set")
-    index = views.of(corpus, collab.HOME_COUNTRY)
-    total = 0
-    for pub_id in ids:
-        total += index.category_counts[index.position[pub_id]]
-    return total / len(ids)
 
 
 def multidisc_by_scope(

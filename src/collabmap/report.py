@@ -37,6 +37,10 @@ _METRIC_TITLE = {
 
 _LEVEL_WORD = {indicators.LEVEL_SDS: "sectors", indicators.LEVEL_UDA: "areas"}
 
+# rows kept in render_all's sector and area rankings
+TOP_SDS = 10
+TOP_UDA = 4
+
 
 @dataclass(frozen=True)
 class RankRow:
@@ -82,6 +86,8 @@ def build_rank_table(
     """
     if metric not in METRICS:
         raise UnknownMetric(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     intensity = indicators.sector_intensity(corpus, level, home_country)
     field = _METRIC_FIELD[metric]
     context_names = tuple(m for m in METRICS if m != metric)
@@ -101,44 +107,6 @@ def build_rank_table(
     return RankTable(title=title, level=level, metric=metric, k=k, rows=tuple(scored[:k]))
 
 
-_COMPARISON_TITLES = {
-    (stats.GROUPING_SDS_ALL_VS_COLLAB, "ifpr"):
-        "Journal impact percentile: all output vs extramural collaborations, by sector",
-    (stats.GROUPING_SDS_ALL_VS_INDUSTRY, "ifpr"):
-        "Journal impact percentile: all output vs industry co-authored output, by sector",
-    (stats.GROUPING_RESEARCHERS, "o"):
-        "Output percentile ranks: industry collaborators vs rest",
-    (stats.GROUPING_RESEARCHERS, "fss"):
-        "Fractional scientific strength percentile ranks: industry collaborators vs rest",
-    (stats.GROUPING_MULTIDISC_ALL, "ii_sds"):
-        "Author-sector multidisciplinarity: all output vs industry co-authored, by sector",
-    (stats.GROUPING_MULTIDISC_ALL, "ii_sci"):
-        "Journal-category multidisciplinarity: all output vs industry co-authored, by category",
-    (stats.GROUPING_MULTIDISC_COLLAB, "ii_sds"):
-        "Author-sector multidisciplinarity: extramural vs industry co-authored, by sector",
-    (stats.GROUPING_MULTIDISC_COLLAB, "ii_sci"):
-        "Journal-category multidisciplinarity: extramural vs industry co-authored, by category",
-}
-
-
-def _exclusion_note(comparison: stats.Comparison, min_collab_pubs: int) -> str:
-    grouping = comparison.grouping
-    if grouping == stats.GROUPING_SDS_ALL_VS_COLLAB:
-        return (
-            f"sectors with fewer than {min_collab_pubs} extramural publications "
-            f"excluded: {comparison.excluded}"
-        )
-    if grouping == stats.GROUPING_RESEARCHERS:
-        return (
-            f"researchers in sectors with no publications excluded: {comparison.excluded}"
-        )
-    scope_word = "categories" if comparison.indicator == "ii_sci" else "sectors"
-    return (
-        f"{scope_word} with no industry co-authored publications "
-        f"excluded: {comparison.excluded}"
-    )
-
-
 def build_comparison_table(
     corpus: Corpus,
     grouping: str,
@@ -154,11 +122,9 @@ def build_comparison_table(
         home_country=home_country,
         min_collab_pubs=min_collab_pubs,
     )
-    return ComparisonTable(
-        title=_COMPARISON_TITLES[(grouping, indicator)],
-        comparison=comparison,
-        exclusion_note=_exclusion_note(comparison, min_collab_pubs),
-    )
+    spec = stats.COMPARISONS[(grouping, indicator)]
+    note = spec.note.format(excluded=comparison.excluded, min_collab_pubs=min_collab_pubs)
+    return ComparisonTable(title=spec.title, comparison=comparison, exclusion_note=note)
 
 
 def build_multidisc_table(
@@ -361,8 +327,6 @@ def render_all(
     *,
     home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
-    k_sds: int = 10,
-    k_uda: int = 4,
 ) -> dict[str, str]:
     """Every standard render of one corpus, keyed by output name.
 
@@ -371,22 +335,16 @@ def render_all(
     order, so the result is byte-identical across runs.
     """
     out: dict[str, str] = {}
-    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", k_uda, home_country)
+    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", TOP_UDA, home_country)
     out["rank_uda_count.md"] = render(table, "md")
     for metric in METRICS:
-        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, k_sds, home_country)
+        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, TOP_SDS, home_country)
         out[f"rank_sds_{metric}.csv"] = render(table, "csv")
 
     out["edges.csv"] = edges_csv(corpus, home_country)
 
-    for grouping in stats.GROUPINGS:
-        for indicator in stats.INDICATORS_BY_GROUPING[grouping]:
-            table = build_comparison_table(
-                corpus,
-                grouping,
-                indicator,
-                home_country=home_country,
-                min_collab_pubs=min_collab_pubs,
-            )
-            out[f"compare_{grouping}_{indicator}.json"] = render(table, "json")
+    for grouping, indicator in stats.COMPARISONS:
+        table = build_comparison_table(corpus, grouping, indicator, home_country=home_country,
+                                       min_collab_pubs=min_collab_pubs)
+        out[f"compare_{grouping}_{indicator}.json"] = render(table, "json")
     return out

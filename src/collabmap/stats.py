@@ -3,8 +3,8 @@
 The kernel is self-contained: descriptive statistics, the paired t-test, the
 Welch two-sample t-test, and the t-distribution CDF evaluated through the
 regularized incomplete beta function (Lentz continued fraction). On top of it,
-:func:`compare` assembles the aligned samples for each supported corpus
-comparison and runs the appropriate test.
+:func:`compare` assembles the aligned samples for each corpus comparison
+listed in :data:`COMPARISONS` and runs the appropriate test.
 """
 
 from __future__ import annotations
@@ -27,26 +27,80 @@ from .errors import (
     ZeroVariance,
 )
 
-GROUPING_SDS_ALL_VS_COLLAB = "sds_all_vs_collab"
-GROUPING_SDS_ALL_VS_INDUSTRY = "sds_all_vs_industry"
-GROUPING_RESEARCHERS = "researchers_industry_vs_rest"
-GROUPING_MULTIDISC_ALL = "multidisc_all_vs_industry"
-GROUPING_MULTIDISC_COLLAB = "multidisc_collab_vs_industry"
 
-GROUPINGS = (
-    GROUPING_SDS_ALL_VS_COLLAB,
-    GROUPING_SDS_ALL_VS_INDUSTRY,
-    GROUPING_RESEARCHERS,
-    GROUPING_MULTIDISC_ALL,
-    GROUPING_MULTIDISC_COLLAB,
-)
+@dataclass(frozen=True)
+class ComparisonSpec:
+    """One standard comparison: how its samples are drawn and reported.
+
+    ``scopes``, ``base``, ``side_a``, ``side_b`` and ``value`` name
+    attributes of :class:`views.Views`. A paired comparison takes each scope
+    with a publication in ``base``, excludes it when side b has fewer than
+    ``floor`` publications (None: the caller's ``min_collab_pubs``), and
+    pairs the mean ``value`` over side a with the mean over side b. The
+    researcher comparison has no ``scopes``; its ``value`` names a
+    :class:`indicators.ResearcherPerformance` field. ``note`` is formatted
+    with ``excluded`` and ``min_collab_pubs``.
+    """
+
+    title: str
+    note: str
+    label_a: str
+    label_b: str
+    value: str
+    scopes: str | None = None
+    base: str = "everything"
+    side_a: str = "everything"
+    side_b: str = "industry"
+    floor: int | None = 1
+    unit: str = "scopes"
+
+
+_ALL, _EXTRAMURAL = "all publications", "extramural collaborations"
+_INDUSTRY = "industry co-authored"
+_NO_INDUSTRY_SECTORS = "sectors with no industry co-authored publications excluded: {excluded}"
+_NO_INDUSTRY_CATEGORIES = (
+    "categories with no industry co-authored publications excluded: {excluded}")
+_RESEARCHERS_NOTE = "researchers in sectors with no publications excluded: {excluded}"
+
+COMPARISONS: dict[tuple[str, str], ComparisonSpec] = {
+    # a sector with no extramural output is skipped, not excluded
+    ("sds_all_vs_collab", "ifpr"): ComparisonSpec(
+        "Journal impact percentile: all output vs extramural collaborations, by sector",
+        "sectors with fewer than {min_collab_pubs} extramural publications excluded: "
+        "{excluded}",
+        _ALL, _EXTRAMURAL, "ifpr", "by_sds", base="extramural", side_b="extramural",
+        floor=None, unit="sectors"),
+    ("sds_all_vs_industry", "ifpr"): ComparisonSpec(
+        "Journal impact percentile: all output vs industry co-authored output, by sector",
+        _NO_INDUSTRY_SECTORS, _ALL, _INDUSTRY, "ifpr", "by_sds", unit="sectors"),
+    ("researchers_industry_vs_rest", "o"): ComparisonSpec(
+        "Output percentile ranks: industry collaborators vs rest",
+        _RESEARCHERS_NOTE, "industry collaborators", "non-collaborators", "output"),
+    ("researchers_industry_vs_rest", "fss"): ComparisonSpec(
+        "Fractional scientific strength percentile ranks: industry collaborators vs rest",
+        _RESEARCHERS_NOTE, "industry collaborators", "non-collaborators", "fss"),
+    ("multidisc_all_vs_industry", "ii_sds"): ComparisonSpec(
+        "Author-sector multidisciplinarity: all output vs industry co-authored, by sector",
+        _NO_INDUSTRY_SECTORS, _ALL, _INDUSTRY, "sector_counts", "by_sds"),
+    ("multidisc_all_vs_industry", "ii_sci"): ComparisonSpec(
+        "Journal-category multidisciplinarity: all output vs industry co-authored, "
+        "by category",
+        _NO_INDUSTRY_CATEGORIES, _ALL, _INDUSTRY, "category_counts", "by_category"),
+    ("multidisc_collab_vs_industry", "ii_sds"): ComparisonSpec(
+        "Author-sector multidisciplinarity: extramural vs industry co-authored, by sector",
+        _NO_INDUSTRY_SECTORS, _EXTRAMURAL, _INDUSTRY, "sector_counts", "by_sds",
+        base="extramural", side_a="extramural"),
+    ("multidisc_collab_vs_industry", "ii_sci"): ComparisonSpec(
+        "Journal-category multidisciplinarity: extramural vs industry co-authored, "
+        "by category",
+        _NO_INDUSTRY_CATEGORIES, _EXTRAMURAL, _INDUSTRY, "category_counts",
+        "by_category", base="extramural", side_a="extramural"),
+}
+
+GROUPINGS = tuple(dict.fromkeys(grouping for grouping, _ in COMPARISONS))
 
 INDICATORS_BY_GROUPING: dict[str, tuple[str, ...]] = {
-    GROUPING_SDS_ALL_VS_COLLAB: ("ifpr",),
-    GROUPING_SDS_ALL_VS_INDUSTRY: ("ifpr",),
-    GROUPING_RESEARCHERS: ("o", "fss"),
-    GROUPING_MULTIDISC_ALL: ("ii_sds", "ii_sci"),
-    GROUPING_MULTIDISC_COLLAB: ("ii_sds", "ii_sci"),
+    grouping: tuple(i for g, i in COMPARISONS if g == grouping) for grouping in GROUPINGS
 }
 
 
@@ -277,9 +331,10 @@ def compare(
             f"indicator {indicator!r} is not valid for {grouping!r}; "
             f"expected one of {INDICATORS_BY_GROUPING[grouping]}"
         )
+    spec = COMPARISONS[(grouping, indicator)]
     index = views.of(corpus, home_country)
 
-    if grouping == GROUPING_RESEARCHERS:
+    if spec.scopes is None:
         perf = index.performance
         population = [
             rid
@@ -287,47 +342,31 @@ def compare(
             if corpus.researchers[rid].sds_id in index.by_sds
         ]
         excluded = len(corpus.researchers) - len(population)
-        values = {
-            rid: (perf[rid].fss if indicator == "fss" else float(perf[rid].output))
-            for rid in population
-        }
+        values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
         ranks = indicators.rank_within_sector(corpus, values)
         group_a = [ranks[r] for r in population if r in index.collaborators]
         group_b = [ranks[r] for r in population if r not in index.collaborators]
         if not group_a or not group_b:
             raise InsufficientSectors("one of the researcher groups is empty")
-        sample_a = descriptive(group_a, "industry collaborators")
-        sample_b = descriptive(group_b, "non-collaborators")
+        sample_a = descriptive(group_a, spec.label_a)
+        sample_b = descriptive(group_b, spec.label_b)
         result = welch_t(sample_a, sample_b)
         return Comparison(
             grouping, indicator, sample_a, sample_b, result, len(population), excluded
         )
 
-    label_a, label_b, unit = "all publications", "industry co-authored", "sectors"
-    if indicator == "ifpr":
-        scopes, per_pub = index.by_sds, index.ifpr
-    elif indicator == "ii_sds":
-        scopes, per_pub, unit = index.by_sds, index.sector_counts, "scopes"
-    else:
-        scopes, per_pub, unit = index.by_category, index.category_counts, "scopes"
-    base = set_a = index.everything
-    if grouping == GROUPING_SDS_ALL_VS_COLLAB:
-        # sectors qualify by their extramural output, with the count floor;
-        # a sector with no extramural output is skipped, not excluded
-        label_b = "extramural collaborations"
-        base = set_b = index.extramural
-        floor = min_collab_pubs
-    else:
-        set_b, floor = index.industry, 1
-        if grouping == GROUPING_MULTIDISC_COLLAB:
-            label_a = "extramural collaborations"
-            base = set_a = index.extramural
-    xs, ys, excluded = _paired_scope_samples(scopes, base, set_a, set_b, per_pub, floor)
-
+    xs, ys, excluded = _paired_scope_samples(
+        getattr(index, spec.scopes),
+        getattr(index, spec.base),
+        getattr(index, spec.side_a),
+        getattr(index, spec.side_b),
+        getattr(index, spec.value),
+        min_collab_pubs if spec.floor is None else spec.floor,
+    )
     n_units = len(xs)
     if n_units < 2:
-        raise InsufficientSectors(f"only {n_units} {unit} survive the exclusion thresholds")
-    sample_a = descriptive(xs, label_a)
-    sample_b = descriptive(ys, label_b)
+        raise InsufficientSectors(f"only {n_units} {spec.unit} survive the exclusion thresholds")
+    sample_a = descriptive(xs, spec.label_a)
+    sample_b = descriptive(ys, spec.label_b)
     result = paired_t(xs, ys)
     return Comparison(grouping, indicator, sample_a, sample_b, result, n_units, excluded)

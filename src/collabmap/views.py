@@ -88,10 +88,6 @@ class Views:
         return frozenset(pubs[i].pub_id for i in members(mask))
 
     @cached_property
-    def position(self) -> dict[str, int]:
-        return {pub.pub_id: i for i, pub in enumerate(self.corpus.publications)}
-
-    @cached_property
     def profiles(self) -> dict[str, CollaborationProfile]:
         """The collaboration profile of every publication, by pub_id."""
         from . import collab

@@ -47,7 +47,6 @@ from collabmap.resolve import (
     suggest_aliases,
 )
 from collabmap.stats import (
-    GROUPING_RESEARCHERS,
     INDICATORS_BY_GROUPING,
     _p_values,
     compare,
@@ -116,6 +115,9 @@ def _assert_close(got, want, context):
             assert g == w, (context, g, w)
 
 
+RESEARCHERS = "researchers_industry_vs_rest"
+
+
 def _assert_comparison_layer(corpus, out, min_collab_pubs, seed):
     oracle = ComparisonOracle(out)
     for level in (LEVEL_SDS, LEVEL_UDA):
@@ -129,7 +131,7 @@ def _assert_comparison_layer(corpus, out, min_collab_pubs, seed):
     for grouping, indicators in INDICATORS_BY_GROUPING.items():
         for indicator in indicators:
             context = (seed, grouping, indicator)
-            if grouping == GROUPING_RESEARCHERS:
+            if grouping == RESEARCHERS:
                 xs, ys, excluded = oracle.researcher_groups(indicator)
                 n_units = len(xs) + len(ys)
             else:
@@ -142,7 +144,7 @@ def _assert_comparison_layer(corpus, out, min_collab_pubs, seed):
                 assert min(len(xs), len(ys)) < 2, context
                 continue
             except ZeroVariance:
-                if grouping == GROUPING_RESEARCHERS:
+                if grouping == RESEARCHERS:
                     constant = (xs, ys)
                 else:
                     constant = ([x - y for x, y in zip(xs, ys)],)

@@ -114,6 +114,9 @@ def test_missing_data_dir_is_reported(capsys):
     ["compare", "--data-dir", "x", "--grouping", "bogus", "--indicator", "ifpr"],
     ["map", "--data-dir", "x", "--metric", "bogus"],
     ["nonsense"],
+    ["compare", "--data-dir", "x", "--grouping", "sds_all_vs_collab", "--indicator", "bogus"],
+    ["map", "--data-dir", "x", "--top", "-1"],
+    ["map", "--data-dir", "x", "--top", "0"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

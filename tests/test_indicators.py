@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from collabmap import errors
 from collabmap.corpus import load_corpus
+from collabmap.harness import oracle_article_ifpr
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
@@ -16,18 +17,15 @@ from collabmap.indicators import (
     ifpr_by_publication,
     midrank_percentiles,
     multidisc_by_scope,
-    multidisc_sci,
-    multidisc_sds,
     publications_by_category,
     publications_by_sector,
     rank_within_sector,
-    researcher_fss,
-    researcher_output,
     researcher_performance,
     sector_headcounts,
     sector_intensity,
     sectors_of_publication,
 )
+from collabmap.report import render_all
 
 A = Fraction(1, 6)
 B = Fraction(3, 8)
@@ -149,12 +147,16 @@ def test_if_percentile_ranks(corpus40):
         assert ranks.categories["JRN-G"] == ("CAT-A", "CAT-B", "CAT-C")
 
 
-def test_if_percentile_ranks_requires_coverage(fixture_copy):
+def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40):
+    # a journal whose only row precedes the window has no record to rank
     with (fixture_copy / "journals.csv").open("a", encoding="utf-8") as fh:
-        fh.write("JRN-Q,Quaderni Storici,1998,1.500,CAT-A\n")
+        fh.write("JRN-OLD,Old Journal,1995,1.0,CAT-X\n")
     c = load_corpus(fixture_copy)
-    with pytest.raises(errors.MissingIF):
-        if_percentile_ranks(c, 2002)
+    assert "JRN-OLD" in c.journal_ids
+    for year in (2001, 2002, 2003):
+        assert if_percentile_ranks(c, year) == if_percentile_ranks(corpus40, year)
+    assert render_all(c, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
+    assert ifpr_by_publication(c) == pytest.approx(oracle_article_ifpr(fixture_copy), abs=1e-12)
 
 
 def test_article_ifpr_unranked_journal(corpus40):
@@ -238,20 +240,6 @@ def test_sector_intensity_zero_denominator(tmp_path):
     assert row.per_researcher == 0.0
 
 
-def test_researcher_output(corpus40):
-    for rid, n in OUTPUT_EXPECTED.items():
-        assert researcher_output(corpus40, rid) == n
-    with pytest.raises(errors.UnknownResearcher):
-        researcher_output(corpus40, "RES-NOPE")
-
-
-def test_researcher_fss(corpus40):
-    for rid, expected in FSS_EXPECTED.items():
-        assert researcher_fss(corpus40, rid) == pytest.approx(float(expected), abs=1e-12)
-    with pytest.raises(errors.UnknownResearcher):
-        researcher_fss(corpus40, "RES-NOPE")
-
-
 def test_researcher_performance_bulk(corpus40):
     perf = researcher_performance(corpus40)
     assert set(perf) == set(corpus40.researchers)
@@ -276,32 +264,38 @@ def test_rank_within_sector_errors(corpus40):
         rank_within_sector(corpus40, {"RES-NOPE": 1.0})
 
 
+def _multidisc(corpus, selector, column):
+    return {r.scope_id: (getattr(r, column), r.n_pubs)
+            for r in multidisc_by_scope(corpus, selector) if getattr(r, column) is not None}
+
+
 def test_multidisc_sds(corpus40):
-    assert multidisc_sds(corpus40, {"P04"}) == 2.0
-    assert multidisc_sds(corpus40, {"P01", "P02", "P03"}) == 1.0
-    assert multidisc_sds(corpus40, {"P04", "P18", "P19", "P20", "P21", "P31", "P34", "P40"}) \
-        == pytest.approx(1.375, abs=1e-12)
-    with pytest.raises(errors.EmptySet):
-        multidisc_sds(corpus40, set())
+    # BIO1 on each subset: P04, its one industry article, spans two sectors
+    assert _multidisc(corpus40, "all", "ii_sds")["BIO1"] == (1.375, 8)
+    assert _multidisc(corpus40, "extramural_collab", "ii_sds") == {
+        "BIO1": (1.5, 4), "BIO2": (pytest.approx(4.0 / 3, abs=1e-12), 3),
+        "CHIM1": (pytest.approx(5.0 / 3, abs=1e-12), 3), "CHIM2": (1.5, 2),
+        "ELEC": (1.0, 6), "MECH": (1.0, 3)}
+    assert _multidisc(corpus40, "industry_coauthored", "ii_sds")["BIO1"] == (2.0, 1)
 
 
 def test_multidisc_sci(corpus40):
-    assert multidisc_sci(corpus40, {"P03"}) == 3.0
-    assert multidisc_sci(corpus40, {"P01"}) == 1.0
-    assert multidisc_sci(corpus40, {"P02", "P03", "P04"}) == pytest.approx(7.0 / 3, abs=1e-12)
-    with pytest.raises(errors.EmptySet):
-        multidisc_sci(corpus40, set())
+    assert _multidisc(corpus40, "extramural_collab", "ii_sci") == {
+        "CAT-A": (pytest.approx(37.0 / 18, abs=1e-12), 18),
+        "CAT-B": (pytest.approx(32.0 / 13, abs=1e-12), 13), "CAT-C": (3.0, 6)}
+    assert _multidisc(corpus40, "industry_coauthored", "ii_sci")["CAT-A"] == (2.0, 4)
 
 
 def test_multidisc_requires_academic_author(tmp_path):
+    # an article with no roster-linked author counts for its category only
     extra = (
         '{"pub_id": "T2", "year": 2002, "journal_id": "JRN-A", '
         '"authors": [{"raw_name": "Solo F.", "researcher_id": null, "org_id": "FRM-X"}], '
         '"address_org_ids": ["FRM-X"]}',
     )
     c = _tiny_corpus(tmp_path, extra)
-    with pytest.raises(errors.NoAcademicAuthors):
-        multidisc_sds(c, {"T2"})
+    assert _multidisc(c, "all", "ii_sds") == {"SDS1": (1.0, 1)}
+    assert _multidisc(c, "all", "ii_sci") == {"CAT-A": (1.0, 2)}
 
 
 def test_multidisc_by_scope_industry(corpus40):

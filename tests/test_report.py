@@ -81,6 +81,12 @@ def test_rank_table_sorts_by_value_then_id(corpus40):
         "ELEC", "BIO1", "CHIM1", "BIO2", "CHIM2", "MECH"]
 
 
+def test_rank_table_rejects_k_below_one(corpus40):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_rank_table(corpus40, k=k)
+
+
 def test_rank_table_unknown_metric(corpus40):
     with pytest.raises(errors.UnknownMetric):
         build_rank_table(corpus40, metric="magic")
