@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import collab, report, stats
-from .corpus import DEFAULT_WINDOW, load_corpus, validate_corpus
+from .corpus import DEFAULT_WINDOW, HOME_COUNTRY, is_alpha2, load_corpus, validate_corpus
 from .errors import CollabmapError
 from .harness import SynthConfig, generate
 from .indicators import LEVEL_SDS, LEVEL_UDA
@@ -22,11 +23,20 @@ _SUBSETS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(floor: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``floor``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return integer
+
+
+def _country_code(text: str) -> str:
+    if not is_alpha2(text):
+        raise argparse.ArgumentTypeError(f"must be an upper-case alpha-2 code, got {text!r}")
+    return text
 
 
 def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
@@ -35,8 +45,8 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
                         help="first year of the observation window")
     parser.add_argument("--year-max", type=int, default=DEFAULT_WINDOW[1],
                         help="last year of the observation window")
-    parser.add_argument("--home-country", default=collab.HOME_COUNTRY,
-                        help="country code a firm must have to count as industry")
+    parser.add_argument("--home-country", type=_country_code, default=HOME_COUNTRY,
+                        help="alpha-2 country code a firm must have to count as industry")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -45,7 +55,8 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace):
-    return load_corpus(args.data_dir, window=(args.year_min, args.year_max))
+    return load_corpus(args.data_dir, window=(args.year_min, args.year_max),
+                       home_country=args.home_country)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -61,6 +72,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     lo, hi = corpus.window
     print(f"publications: {len(corpus.publications)} "
           f"({corpus.window_excluded} excluded by window {lo}-{hi})")
+    print(f"home country: {corpus.home_country}")
     print(f"organizations: {len(corpus.organizations)}")
     print(f"journals: {len(corpus.journal_ids)}")
     print(f"researchers: {len(corpus.researchers)}")
@@ -75,31 +87,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    table = report.build_rank_table(
-        corpus,
-        level=args.level,
-        metric=args.metric,
-        k=args.top,
-        home_country=args.home_country,
-    )
+    table = report.build_rank_table(corpus, level=args.level, metric=args.metric, k=args.top)
     _emit(report.render(table, args.format), args.out)
     return 0
 
 
 def _cmd_edges(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    _emit(report.edges_csv(corpus, home_country=args.home_country), args.out)
+    _emit(report.edges_csv(corpus), args.out)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     corpus = _load(args)
     table = report.build_comparison_table(
-        corpus,
-        args.grouping,
-        args.indicator,
-        home_country=args.home_country,
-        min_collab_pubs=args.min_collab_pubs,
+        corpus, args.grouping, args.indicator, min_collab_pubs=args.min_collab_pubs
     )
     _emit(report.render(table, args.format), args.out)
     return 0
@@ -107,9 +109,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_multidisc(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    table = report.build_multidisc_table(
-        corpus, _SUBSETS[args.subset], home_country=args.home_country
-    )
+    table = report.build_multidisc_table(corpus, _SUBSETS[args.subset])
     _emit(report.render(table, args.format), args.out)
     return 0
 
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--level", choices=(LEVEL_SDS, LEVEL_UDA), default=LEVEL_SDS)
     p.add_argument("--metric", choices=report.METRICS, default="count")
-    p.add_argument("--top", type=_positive_int, default=10, help="number of rows to keep")
+    p.add_argument("--top", type=_int_at_least(1), default=10, help="number of rows to keep")
     _add_output_options(p)
     p.set_defaults(func=_cmd_map)
 
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grouping", choices=stats.GROUPINGS, required=True)
     p.add_argument("--indicator", required=True,
                    choices=tuple(dict.fromkeys(i for _, i in stats.COMPARISONS)))
-    p.add_argument("--min-collab-pubs", type=int, default=7,
+    p.add_argument("--min-collab-pubs", type=_int_at_least(0), default=7,
                    help="sds_all_vs_collab only: minimum extramural publications "
                         "for a sector to qualify")
     p.add_argument("--format", choices=("csv", "json", "md"), default="json")

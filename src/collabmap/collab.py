@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import views
-from .corpus import Corpus, Organization, Publication
+from .corpus import HOME_COUNTRY, Corpus, Organization, Publication
 from .errors import UnknownSelector
-
-HOME_COUNTRY = "IT"
 
 CASE_NONE = "none"
 CASE_ONE_ONE = "one_one"
@@ -108,20 +106,18 @@ def classify_publication(
     )
 
 
-def classify_corpus(
-    corpus: Corpus, home_country: str = HOME_COUNTRY
-) -> dict[str, CollaborationProfile]:
-    """Profiles for every publication, keyed by pub_id."""
-    registry = corpus.organizations
+def classify_corpus(corpus: Corpus) -> dict[str, CollaborationProfile]:
+    """Profiles for every publication against the corpus's home country, by pub_id."""
+    registry, home_country = corpus.organizations, corpus.home_country
     return {
         pub.pub_id: classify_publication(pub, registry, home_country)
         for pub in corpus.publications
     }
 
 
-def count_collaborations(corpus: Corpus, home_country: str = HOME_COUNTRY) -> CollabSummary:
+def count_collaborations(corpus: Corpus) -> CollabSummary:
     """Total collaborations and the article/collaboration split by case."""
-    profiles = views.of(corpus, home_country).profiles
+    profiles = views.of(corpus).profiles
     articles_by_case = {case: 0 for case in COLLAB_CASES}
     collaborations_by_case = {case: 0 for case in COLLAB_CASES}
     for pub in corpus.publications:
@@ -138,9 +134,9 @@ def count_collaborations(corpus: Corpus, home_country: str = HOME_COUNTRY) -> Co
     )
 
 
-def extract_edges(corpus: Corpus, home_country: str = HOME_COUNTRY) -> list[CollabEdge]:
+def extract_edges(corpus: Corpus) -> list[CollabEdge]:
     """Every (publication, university, firm) pair, deterministically sorted."""
-    profiles = views.of(corpus, home_country).profiles
+    profiles = views.of(corpus).profiles
     edges: list[CollabEdge] = []
     for pub in corpus.publications:
         profile = profiles[pub.pub_id]
@@ -151,7 +147,7 @@ def extract_edges(corpus: Corpus, home_country: str = HOME_COUNTRY) -> list[Coll
     return edges
 
 
-def subset_mask(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY) -> int:
+def subset_mask(corpus: Corpus, selector: str) -> int:
     """The publications a selector keeps, as a bitmask (see :mod:`.views`).
 
     ``all`` is everything; ``extramural_collab`` requires at least two
@@ -161,7 +157,7 @@ def subset_mask(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY)
     """
     if selector not in SELECTORS:
         raise UnknownSelector(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    index = views.of(corpus, home_country)
+    index = views.of(corpus)
     if selector == SELECTOR_ALL:
         return index.everything
     if selector == SELECTOR_EXTRAMURAL:
@@ -169,7 +165,6 @@ def subset_mask(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY)
     return index.industry
 
 
-def subset(corpus: Corpus, selector: str, home_country: str = HOME_COUNTRY) -> frozenset[str]:
+def subset(corpus: Corpus, selector: str) -> frozenset[str]:
     """Publication ids matching a selector; see :func:`subset_mask`."""
-    mask = subset_mask(corpus, selector, home_country)
-    return views.of(corpus, home_country).pub_ids(mask)
+    return views.of(corpus).pub_ids(subset_mask(corpus, selector))

@@ -35,11 +35,17 @@ ORG_KINDS = frozenset(
 )
 
 DEFAULT_WINDOW = (2001, 2003)
+HOME_COUNTRY = "IT"
 
 TAXONOMY_FIELDS = ["sds_id", "sds_name", "uda_id", "uda_name"]
 ORGANIZATION_FIELDS = ["org_id", "canonical_name", "kind", "country"]
 JOURNAL_FIELDS = ["journal_id", "name", "year", "impact_factor", "sci_categories"]
 ROSTER_FIELDS = ["researcher_id", "full_name", "university_org_id", "sds_id"]
+
+
+def is_alpha2(code: str) -> bool:
+    """Whether ``code`` is an ISO 3166 alpha-2 country code: two upper-case letters."""
+    return len(code) == 2 and code.isascii() and code.isalpha() and code.isupper()
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ class Corpus:
     ``publications`` is sorted by pub_id, and address lists are sorted sets,
     so two corpora loaded from row-permuted copies of the same files compare
     equal. ``window_excluded`` counts publications dropped by the year filter.
+    ``home_country`` is the alpha-2 code a private firm must carry to count
+    as domestic industry; like the window, it is fixed for the whole corpus.
     The corpus is immutable all the way down: its mappings are read-only
     copies, which lets the derived views cached on it never go stale.
     """
@@ -142,17 +150,19 @@ class Corpus:
     publications: tuple[Publication, ...]
     window: tuple[int, int]
     window_excluded: int
+    home_country: str = HOME_COUNTRY
     # derived lookup, excluded from equality
     _years_by_journal: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # derived views per home country, built on first use by collabmap.views;
-    # excluded from equality, and empty again in a dataclasses.replace copy
-    _views: dict[str, Views] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    # derived views, built on first use by collabmap.views; excluded from
+    # equality, and unset again in a dataclasses.replace copy
+    _views: Views | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        if not is_alpha2(self.home_country):
+            raise ValueError(
+                f"home country must be an alpha-2 code, got {self.home_country!r}")
         _read_only(self, "organizations", "journals", "researchers")
         by_journal: dict[str, list[int]] = {}
         for jid, year in self.journals:
@@ -261,7 +271,7 @@ def _load_organizations(path: Path) -> dict[str, Organization]:
             raise ParseError(str(path), lineno, "org_id and canonical_name must be non-empty")
         if kind not in ORG_KINDS:
             raise ParseError(str(path), lineno, f"unknown organization kind {kind!r}")
-        if len(country) != 2 or not country.isalpha() or not country.isupper():
+        if not is_alpha2(country):
             raise ParseError(str(path), lineno, f"country must be an alpha-2 code, got {country!r}")
         if org_id in orgs:
             raise DuplicateId("org_id", org_id)
@@ -432,11 +442,17 @@ def _hard_errors(corpus: Corpus) -> Iterator[CollabmapError]:
                 )
 
 
-def load_corpus(data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW) -> Corpus:
+def load_corpus(
+    data_dir: str | Path,
+    window: tuple[int, int] = DEFAULT_WINDOW,
+    home_country: str = HOME_COUNTRY,
+) -> Corpus:
     """Load a corpus from a data directory and enforce its invariants.
 
     Publications with years outside ``window`` are dropped before any
     referential check; the number dropped is recorded on the corpus.
+    ``home_country`` is recorded on the corpus, and every analysis of it
+    classifies firms against that country.
     """
     lo, hi = window
     if lo > hi:
@@ -471,6 +487,7 @@ def load_corpus(data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW) 
         publications=tuple(retained),
         window=(lo, hi),
         window_excluded=len(all_pubs) - len(retained),
+        home_country=home_country,
     )
     for error in _hard_errors(corpus):
         raise error

@@ -117,7 +117,7 @@ def article_ifpr(pub: Publication, ranks: YearRanks) -> float:
 
 def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
     """Article-level impact percentile for every publication."""
-    ifpr = views.of(corpus, collab.HOME_COUNTRY).ifpr
+    ifpr = views.of(corpus).ifpr
     return {pub.pub_id: value for pub, value in zip(corpus.publications, ifpr)}
 
 
@@ -146,13 +146,13 @@ def publications_by_sector(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, 
     An article whose authors span several sectors is attributed to each of
     them, once; at area level, sectors collapse onto their areas.
     """
-    index = views.of(corpus, collab.HOME_COUNTRY)
+    index = views.of(corpus)
     return {scope: index.pub_ids(mask) for scope, mask in _by_scope(index, level).items()}
 
 
 def publications_by_category(corpus: Corpus) -> dict[str, frozenset[str]]:
     """Publication ids falling in each journal category."""
-    index = views.of(corpus, collab.HOME_COUNTRY)
+    index = views.of(corpus)
     return {cat: index.pub_ids(mask) for cat, mask in index.by_category.items()}
 
 
@@ -182,16 +182,12 @@ class SectorIntensityRow:
     per_researcher: float | None
 
 
-def sector_intensity(
-    corpus: Corpus,
-    level: str = LEVEL_SDS,
-    home_country: str = collab.HOME_COUNTRY,
-) -> list[SectorIntensityRow]:
+def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorIntensityRow]:
     """The four intensity indicators per sector, sorted by sector id.
 
     Sectors with no attributed articles are omitted entirely.
     """
-    index = views.of(corpus, home_country)
+    index = views.of(corpus)
     attributed = _by_scope(index, level)
     headcounts = sector_headcounts(corpus, level)
 
@@ -231,7 +227,7 @@ class ResearcherPerformance:
 
 def researcher_performance(corpus: Corpus) -> dict[str, ResearcherPerformance]:
     """Output and FSS for every roster researcher, sorted by researcher id."""
-    return dict(views.of(corpus, collab.HOME_COUNTRY).performance)
+    return dict(views.of(corpus).performance)
 
 
 def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str, float]:
@@ -271,18 +267,14 @@ class MultidiscIndex:
     n_pubs: int
 
 
-def multidisc_by_scope(
-    corpus: Corpus,
-    selector: str,
-    home_country: str = collab.HOME_COUNTRY,
-) -> list[MultidiscIndex]:
+def multidisc_by_scope(corpus: Corpus, selector: str) -> list[MultidiscIndex]:
     """Multidisciplinarity per scope, restricted to a publication subset.
 
     Sector scopes carry the author-sector index, category scopes the journal
     category index; scopes with no publication in the subset are omitted.
     """
-    chosen = collab.subset_mask(corpus, selector, home_country)
-    index = views.of(corpus, home_country)
+    chosen = collab.subset_mask(corpus, selector)
+    index = views.of(corpus)
 
     rows = []
     for sector_id in sorted(index.by_sds):

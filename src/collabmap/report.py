@@ -77,7 +77,6 @@ def build_rank_table(
     level: str = indicators.LEVEL_SDS,
     metric: str = "count",
     k: int = 10,
-    home_country: str = collab.HOME_COUNTRY,
 ) -> RankTable:
     """Rank sectors by one intensity metric, keeping the top k.
 
@@ -88,7 +87,7 @@ def build_rank_table(
         raise UnknownMetric(f"unknown metric {metric!r}; expected one of {METRICS}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    intensity = indicators.sector_intensity(corpus, level, home_country)
+    intensity = indicators.sector_intensity(corpus, level)
     field = _METRIC_FIELD[metric]
     context_names = tuple(m for m in METRICS if m != metric)
 
@@ -112,27 +111,16 @@ def build_comparison_table(
     grouping: str,
     indicator: str,
     *,
-    home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
 ) -> ComparisonTable:
-    comparison = stats.compare(
-        corpus,
-        grouping,
-        indicator,
-        home_country=home_country,
-        min_collab_pubs=min_collab_pubs,
-    )
+    comparison = stats.compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
     spec = stats.COMPARISONS[(grouping, indicator)]
     note = spec.note.format(excluded=comparison.excluded, min_collab_pubs=min_collab_pubs)
     return ComparisonTable(title=spec.title, comparison=comparison, exclusion_note=note)
 
 
-def build_multidisc_table(
-    corpus: Corpus,
-    selector: str,
-    home_country: str = collab.HOME_COUNTRY,
-) -> MultidiscTable:
-    rows = indicators.multidisc_by_scope(corpus, selector, home_country)
+def build_multidisc_table(corpus: Corpus, selector: str) -> MultidiscTable:
+    rows = indicators.multidisc_by_scope(corpus, selector)
     return MultidiscTable(
         title=f"Multidisciplinarity by scope, subset: {selector}",
         subset=selector,
@@ -314,20 +302,15 @@ def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv"
     raise TypeError(f"cannot render {type(table).__name__}")
 
 
-def edges_csv(corpus: Corpus, home_country: str = collab.HOME_COUNTRY) -> str:
+def edges_csv(corpus: Corpus) -> str:
     """The collaboration edge list as CSV."""
     rows = [["pub_id", "university_org_id", "firm_org_id"]]
-    for edge in collab.extract_edges(corpus, home_country):
+    for edge in collab.extract_edges(corpus):
         rows.append([edge.pub_id, edge.university_org_id, edge.firm_org_id])
     return _csv_lines(rows)
 
 
-def render_all(
-    corpus: Corpus,
-    *,
-    home_country: str = collab.HOME_COUNTRY,
-    min_collab_pubs: int = 7,
-) -> dict[str, str]:
+def render_all(corpus: Corpus, *, min_collab_pubs: int = 7) -> dict[str, str]:
     """Every standard render of one corpus, keyed by output name.
 
     All tables read the views cached on the corpus, so each view is computed
@@ -335,16 +318,16 @@ def render_all(
     order, so the result is byte-identical across runs.
     """
     out: dict[str, str] = {}
-    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", TOP_UDA, home_country)
+    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", TOP_UDA)
     out["rank_uda_count.md"] = render(table, "md")
     for metric in METRICS:
-        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, TOP_SDS, home_country)
+        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, TOP_SDS)
         out[f"rank_sds_{metric}.csv"] = render(table, "csv")
 
-    out["edges.csv"] = edges_csv(corpus, home_country)
+    out["edges.csv"] = edges_csv(corpus)
 
     for grouping, indicator in stats.COMPARISONS:
-        table = build_comparison_table(corpus, grouping, indicator, home_country=home_country,
+        table = build_comparison_table(corpus, grouping, indicator,
                                        min_collab_pubs=min_collab_pubs)
         out[f"compare_{grouping}_{indicator}.json"] = render(table, "json")
     return out

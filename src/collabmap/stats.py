@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import exp, isfinite, isnan, lgamma, log, log1p, sqrt
 from typing import Mapping, Sequence
 
-from . import collab, indicators, views
+from . import indicators, views
 from .corpus import Corpus
 from .errors import (
     EmptySample,
@@ -117,10 +117,6 @@ class Sample:
     n: int
     mean: float
     variance: float | None
-
-    @classmethod
-    def from_stats(cls, label: str, n: int, mean: float, variance: float | None) -> Sample:
-        return cls(label=label, values=(), n=n, mean=mean, variance=variance)
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,6 @@ def compare(
     grouping: str,
     indicator: str,
     *,
-    home_country: str = collab.HOME_COUNTRY,
     min_collab_pubs: int = 7,
 ) -> Comparison:
     """Assemble the aligned samples for a named comparison and test them.
@@ -331,8 +326,10 @@ def compare(
             f"indicator {indicator!r} is not valid for {grouping!r}; "
             f"expected one of {INDICATORS_BY_GROUPING[grouping]}"
         )
+    if min_collab_pubs < 0:
+        raise ValueError(f"min_collab_pubs must be at least 0, got {min_collab_pubs}")
     spec = COMPARISONS[(grouping, indicator)]
-    index = views.of(corpus, home_country)
+    index = views.of(corpus)
 
     if spec.scopes is None:
         perf = index.performance

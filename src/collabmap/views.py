@@ -1,9 +1,11 @@
-"""Derived views of a corpus, built once per (corpus, home country).
+"""Derived views of a corpus, built once per corpus.
 
-Every analysis reads its inputs through one :class:`Views` object cached on
-the corpus. Each view is computed on first use and kept, so a bundle of
-tables computes it once, and a command that needs only the classification
-builds nothing else.
+Every analysis reads its inputs through the one :class:`Views` object cached
+on the corpus. The corpus fixes the home country the classification uses;
+a corpus for another country, from ``load_corpus(..., home_country=)`` or
+``dataclasses.replace``, is a new corpus with views of its own. Each view is
+computed on first use and kept, so a bundle of tables computes it once, and
+a command that needs only the classification builds nothing else.
 
 Publications are interned to their position in ``corpus.publications``,
 which is sorted by pub_id. A set of publications is an ``int`` bitmask over
@@ -28,11 +30,12 @@ if TYPE_CHECKING:
     from .indicators import ResearcherPerformance
 
 
-def of(corpus: Corpus, home_country: str) -> Views:
-    """The views of ``corpus`` for ``home_country``, created on first use."""
-    views = corpus._views.get(home_country)
+def of(corpus: Corpus) -> Views:
+    """The views of ``corpus``, created on first use."""
+    views = corpus._views
     if views is None:
-        views = corpus._views[home_country] = Views(corpus, home_country)
+        views = Views(corpus)
+        object.__setattr__(corpus, "_views", views)
     return views
 
 
@@ -69,7 +72,7 @@ def _group(scopes_per_pub: Iterable[Iterable[str]], size: int) -> dict[str, int]
 
 
 class Views:
-    """Derived views of one corpus for one home country.
+    """Derived views of one corpus.
 
     Publication sets are bitmasks over positions in ``corpus.publications``;
     per-publication values are lists indexed by position. Only the
@@ -77,9 +80,8 @@ class Views:
     country.
     """
 
-    def __init__(self, corpus: Corpus, home_country: str) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self.home_country = home_country
         self.size = len(corpus.publications)
         self.everything = (1 << self.size) - 1
 
@@ -92,7 +94,7 @@ class Views:
         """The collaboration profile of every publication, by pub_id."""
         from . import collab
 
-        return collab.classify_corpus(self.corpus, self.home_country)
+        return collab.classify_corpus(self.corpus)
 
     @cached_property
     def extramural(self) -> int:

@@ -10,7 +10,7 @@ from conftest import FIXTURE40, GOLDEN
 def test_validate_summarizes_clean_corpus(capsys):
     assert main(["validate", "--data-dir", str(FIXTURE40)]) == 0
     out = capsys.readouterr().out
-    assert "publications: 40 (1 excluded by window 2001-2003)" in out
+    assert "publications: 40 (1 excluded by window 2001-2003)\nhome country: IT\n" in out
     assert "errors: 0" in out
     assert "UnreferencedOrganization UNI-D" in out
 
@@ -117,6 +117,10 @@ def test_missing_data_dir_is_reported(capsys):
     ["compare", "--data-dir", "x", "--grouping", "sds_all_vs_collab", "--indicator", "bogus"],
     ["map", "--data-dir", "x", "--top", "-1"],
     ["map", "--data-dir", "x", "--top", "0"],
+    ["map", "--data-dir", "x", "--home-country", "it"],
+    ["map", "--data-dir", "x", "--home-country", ""],
+    ["compare", "--data-dir", "x", "--grouping", "sds_all_vs_collab", "--indicator", "ifpr",
+     "--min-collab-pubs", "-3"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from collabmap import errors
+from collabmap import errors, views
 from collabmap.collab import (
     CASE_M_N,
     CASE_M_ONE,
@@ -20,6 +20,7 @@ from collabmap.collab import (
     subset,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+from collabmap.report import edges_csv
 
 from conftest import FIXTURE40
 
@@ -187,8 +188,16 @@ def test_replaced_corpus_gets_its_own_views(corpus40):
 
 
 def test_count_with_foreign_home_country(corpus40):
-    s = count_collaborations(corpus40, home_country="DE")
-    # only the German-firm article counts now
-    assert s.industry_articles == 1
-    assert s.total_collaborations == 1
-    assert s.articles_by_case == {"one_one": 1, "m_one": 0, "one_n": 0, "m_n": 0}
+    loaded = load_corpus(FIXTURE40, home_country="DE")
+    replaced = dataclasses.replace(corpus40, home_country="DE")
+    italian = count_collaborations(corpus40)
+    for german in (loaded, replaced):
+        assert german.home_country == "DE"
+        s = count_collaborations(german)
+        # only the German-firm article counts now
+        assert s.industry_articles == 1
+        assert s.total_collaborations == 1
+        assert s.articles_by_case == {"one_one": 1, "m_one": 0, "one_n": 0, "m_n": 0}
+        assert views.of(german) is not views.of(corpus40)
+        assert edges_csv(german) == "pub_id,university_org_id,firm_org_id\nP13,UNI-C,FRM-DE\n"
+    assert count_collaborations(corpus40) == italian

@@ -345,6 +345,14 @@ def test_corpus_mappings_are_read_only(corpus40):
     assert load_corpus(FIXTURE40) == corpus40
 
 
+@pytest.mark.parametrize("code", ["it", "", "ITA", "I1", "ÄÖ"])
+def test_home_country_must_be_alpha2(corpus40, code):
+    with pytest.raises(ValueError):
+        load_corpus(FIXTURE40, home_country=code)
+    with pytest.raises(ValueError):
+        dataclasses.replace(corpus40, home_country=code)
+
+
 def test_corpus_copies_the_mappings_it_is_given(corpus40):
     organizations = dict(corpus40.organizations)
     copy = dataclasses.replace(corpus40, organizations=organizations)

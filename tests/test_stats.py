@@ -160,12 +160,6 @@ def test_descriptive_empty():
         descriptive([])
 
 
-def test_sample_from_stats():
-    s = Sample.from_stats("x", 100, 10.0, 4.0)
-    assert (s.n, s.mean, s.variance) == (100, 10.0, 4.0)
-    assert s.values == ()
-
-
 def test_paired_t_exact():
     r = paired_t([1.0, 2.0, 3.0], [1.0, 3.0, 5.0])
     assert abs(r.t - (-math.sqrt(3.0))) <= 1e-12
@@ -190,8 +184,8 @@ def test_paired_t_errors():
 
 
 def test_welch_frozen():
-    a = Sample.from_stats("a", 100, 10.0, 4.0)
-    b = Sample.from_stats("b", 100, 9.0, 4.0)
+    a = Sample("a", (), 100, 10.0, 4.0)
+    b = Sample("b", (), 100, 9.0, 4.0)
     r = welch_t(a, b)
     assert abs(r.t - 1.0 / math.sqrt(0.08)) <= 1e-12
     assert abs(r.df - 198.0) <= 1e-9
@@ -199,16 +193,16 @@ def test_welch_frozen():
 
 
 def test_welch_identical_samples_center():
-    a = Sample.from_stats("a", 30, 5.0, 2.0)
-    r = welch_t(a, Sample.from_stats("b", 30, 5.0, 2.0))
+    a = Sample("a", (), 30, 5.0, 2.0)
+    r = welch_t(a, Sample("b", (), 30, 5.0, 2.0))
     assert r.t == 0.0
     assert r.p_one == 0.5
     assert r.p_two == 1.0
 
 
 def test_welch_satterthwaite_df():
-    a = Sample.from_stats("a", 10, 0.0, 9.0)
-    b = Sample.from_stats("b", 20, 0.0, 1.0)
+    a = Sample("a", (), 10, 0.0, 9.0)
+    b = Sample("b", (), 20, 0.0, 1.0)
     r = welch_t(a, b)
     se_a, se_b = 9.0 / 10, 1.0 / 20
     expected_df = (se_a + se_b) ** 2 / (se_a**2 / 9 + se_b**2 / 19)
@@ -216,12 +210,12 @@ def test_welch_satterthwaite_df():
 
 
 def test_welch_errors():
-    ok = Sample.from_stats("ok", 10, 1.0, 1.0)
+    ok = Sample("ok", (), 10, 1.0, 1.0)
     with pytest.raises(errors.InsufficientData):
-        welch_t(Sample.from_stats("tiny", 1, 1.0, None), ok)
+        welch_t(Sample("tiny", (), 1, 1.0, None), ok)
     with pytest.raises(errors.ZeroVariance):
-        welch_t(Sample.from_stats("flat", 10, 1.0, 0.0),
-                Sample.from_stats("flat2", 10, 2.0, 0.0))
+        welch_t(Sample("flat", (), 10, 1.0, 0.0),
+                Sample("flat2", (), 10, 2.0, 0.0))
 
 
 @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=3, max_size=40),
@@ -411,6 +405,12 @@ def test_compare_floor_can_exhaust_sectors(corpus40):
     # default floor of 7 leaves too few paired sectors in the small corpus
     with pytest.raises(errors.InsufficientSectors):
         compare(corpus40, "sds_all_vs_collab", "ifpr")
+
+
+def test_compare_rejects_negative_floor(corpus40):
+    with pytest.raises(ValueError):
+        compare(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=-1)
+    assert compare(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=0).excluded == 0
 
 
 def test_compare_rejects_unknown_names(corpus40):

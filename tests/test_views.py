@@ -15,16 +15,17 @@ def test_members_ascend_and_mean_sums_in_position_order():
     assert views.mean_over(mask, values) == expected
 
 
-def test_views_cached_per_home_country(corpus40):
+def test_views_cached_per_corpus(corpus40):
     fresh = dataclasses.replace(corpus40)
-    italian = views.of(fresh, "IT")
-    assert views.of(fresh, "IT") is italian
-    assert views.of(fresh, "DE") is not italian
-    assert views.of(corpus40, "IT") is not italian
+    italian = views.of(fresh)
+    assert views.of(fresh) is italian
+    assert views.of(dataclasses.replace(fresh, home_country="DE")) is not italian
+    assert views.of(corpus40) is not italian
+    assert views.of(fresh) is italian
 
 
 def test_masks_match_id_sets(corpus40):
-    index = views.of(corpus40, "IT")
+    index = views.of(corpus40)
     by_sector = publications_by_sector(corpus40)
     assert set(by_sector) == set(index.by_sds)
     for sector_id, ids in by_sector.items():
