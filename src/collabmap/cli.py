@@ -68,7 +68,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = _load(args)
-    rep = validate_corpus(corpus)
+    warnings = validate_corpus(corpus)
     lo, hi = corpus.window
     print(f"publications: {len(corpus.publications)} "
           f"({corpus.window_excluded} excluded by window {lo}-{hi})")
@@ -76,13 +76,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"organizations: {len(corpus.organizations)}")
     print(f"journals: {len(corpus.journal_ids)}")
     print(f"researchers: {len(corpus.researchers)}")
-    print(f"errors: {len(rep.errors)}")
-    for issue in rep.errors:
+    print(f"warnings: {len(warnings)}")
+    for issue in warnings:
         print(f"  {issue.code} {issue.subject}")
-    print(f"warnings: {len(rep.warnings)}")
-    for issue in rep.warnings:
-        print(f"  {issue.code} {issue.subject}")
-    return 0 if rep.ok else 1
+    return 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -148,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--level", choices=(LEVEL_SDS, LEVEL_UDA), default=LEVEL_SDS)
     p.add_argument("--metric", choices=report.METRICS, default="count")
-    p.add_argument("--top", type=_int_at_least(1), default=10, help="number of rows to keep")
+    p.add_argument("--top", type=_int_at_least(1), default=report.TOP_SDS,
+                   help="number of rows to keep")
     _add_output_options(p)
     p.set_defaults(func=_cmd_map)
 
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grouping", choices=stats.GROUPINGS, required=True)
     p.add_argument("--indicator", required=True,
                    choices=tuple(dict.fromkeys(i for _, i in stats.COMPARISONS)))
-    p.add_argument("--min-collab-pubs", type=_int_at_least(0), default=7,
+    p.add_argument("--min-collab-pubs", type=_int_at_least(0), default=stats.MIN_COLLAB_PUBS,
                    help="sds_all_vs_collab only: minimum extramural publications "
                         "for a sector to qualify")
     p.add_argument("--format", choices=("csv", "json", "md"), default="json")
@@ -198,10 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CollabmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CollabmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -135,7 +135,7 @@ def count_collaborations(corpus: Corpus) -> CollabSummary:
 
 
 def extract_edges(corpus: Corpus) -> list[CollabEdge]:
-    """Every (publication, university, firm) pair, deterministically sorted."""
+    """Every (publication, university, firm) triple, sorted in that order."""
     profiles = views.of(corpus).profiles
     edges: list[CollabEdge] = []
     for pub in corpus.publications:
@@ -143,7 +143,6 @@ def extract_edges(corpus: Corpus) -> list[CollabEdge]:
         for univ in sorted(profile.universities):
             for firm in sorted(profile.domestic_firms):
                 edges.append(CollabEdge(pub.pub_id, univ, firm))
-    edges.sort(key=lambda e: (e.pub_id, e.university_org_id, e.firm_org_id))
     return edges
 
 

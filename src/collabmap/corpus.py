@@ -1,10 +1,11 @@
 """Domain model and loaders for the publication corpus.
 
 A data directory holds five files: ``taxonomy.csv``, ``organizations.csv``,
-``journals.csv``, ``roster.csv`` and ``publications.jsonl``. Loading applies
-the observation-window filter first, then enforces referential integrity on
-the retained publications, so the returned corpus is closed: every identifier
-it mentions resolves.
+``journals.csv``, ``roster.csv`` and ``publications.jsonl``. Loading reads
+the publications in one pass and drops those outside the observation window
+as it reads them. Every :class:`Corpus`, loaded or constructed, is sorted by
+pub_id and closed: every identifier it mentions resolves, or construction
+raises the error the loader would.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import (
-    CollabmapError,
     DanglingReference,
     DanglingUda,
     DuplicateId,
@@ -132,11 +133,17 @@ class Publication:
 
 @dataclass(frozen=True)
 class Corpus:
-    """A loaded, referentially closed publication corpus.
+    """A referentially closed publication corpus, sorted by pub_id.
 
-    ``publications`` is sorted by pub_id, and address lists are sorted sets,
-    so two corpora loaded from row-permuted copies of the same files compare
-    equal. ``window_excluded`` counts publications dropped by the year filter.
+    Construction sorts ``publications`` by pub_id and raises the first
+    reference that does not resolve, scanning in that order: an unknown
+    journal, organization or researcher (:class:`DanglingReference`), a
+    journal with no usable year, or a roster author whose university is not
+    in the address list (:class:`InvariantViolation`). This holds for a
+    loaded corpus, a constructed one and a ``dataclasses.replace`` copy
+    alike. Address lists are sorted sets, so two corpora loaded from
+    row-permuted copies of the same files compare equal.
+    ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
     The corpus is immutable all the way down: its mappings are read-only
@@ -164,6 +171,8 @@ class Corpus:
             raise ValueError(
                 f"home country must be an alpha-2 code, got {self.home_country!r}")
         _read_only(self, "organizations", "journals", "researchers")
+        object.__setattr__(
+            self, "publications", tuple(sorted(self.publications, key=attrgetter("pub_id"))))
         by_journal: dict[str, list[int]] = {}
         for jid, year in self.journals:
             by_journal.setdefault(jid, []).append(year)
@@ -172,6 +181,37 @@ class Corpus:
             "_years_by_journal",
             {jid: tuple(sorted(years)) for jid, years in by_journal.items()},
         )
+        self._check_closed()
+
+    def _check_closed(self) -> None:
+        """Raise the first reference that does not resolve, in pub_id order."""
+        organizations, researchers = self.organizations, self.researchers
+        for pub in self.publications:
+            where = f"publication {pub.pub_id}"
+            if pub.journal_id not in self._years_by_journal:
+                raise DanglingReference("journal", pub.journal_id, where)
+            if self.effective_journal(pub.journal_id, pub.year) is None:
+                raise DanglingReference(
+                    "journal_year", f"{pub.journal_id}@{pub.year}", where)
+            for org_id in pub.address_org_ids:
+                if org_id not in organizations:
+                    raise DanglingReference("organization", org_id, where)
+            for author in pub.authors:
+                if author.org_id not in organizations:
+                    raise DanglingReference(
+                        "organization", author.org_id,
+                        f"author {author.raw_name!r} of {pub.pub_id}",
+                    )
+                if author.researcher_id is None:
+                    continue
+                researcher = researchers.get(author.researcher_id)
+                if researcher is None:
+                    raise DanglingReference("researcher", author.researcher_id, where)
+                if researcher.university_org_id not in pub.address_org_ids:
+                    raise InvariantViolation(
+                        f"publication {pub.pub_id}: author {author.researcher_id} belongs to "
+                        f"{researcher.university_org_id!r}, which is not in the address list"
+                    )
 
     @property
     def journal_ids(self) -> frozenset[str]:
@@ -204,18 +244,12 @@ class ValidationIssue:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[ValidationIssue, ...]
-    warnings: tuple[ValidationIssue, ...]
+def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line_number, values) from a strict-header CSV file.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield (line_number, row) from a strict-header CSV file."""
+    Values come in header order, stripped of surrounding whitespace. The
+    first two fields are a row's id and name, which must be non-empty.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -228,7 +262,11 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, dict[st
         for row in reader:
             if None in row or any(v is None for v in row.values()):
                 raise ParseError(str(path), reader.line_num, "wrong number of fields")
-            yield reader.line_num, row
+            values = tuple(value.strip() for value in row.values())
+            if not values[0] or not values[1]:
+                raise ParseError(
+                    str(path), reader.line_num, f"{fields[0]} and {fields[1]} must be non-empty")
+            yield reader.line_num, values
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -238,13 +276,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         raise MissingFile(str(path))
     sectors: dict[str, SectorEntry] = {}
     uda_names: dict[str, str] = {}
-    for lineno, row in _read_csv_rows(path, TAXONOMY_FIELDS):
-        sds_id = row["sds_id"].strip()
-        sds_name = row["sds_name"].strip()
-        if not sds_id or not sds_name:
-            raise ParseError(str(path), lineno, "sds_id and sds_name must be non-empty")
-        uda_id = row["uda_id"].strip()
-        uda_name = row["uda_name"].strip()
+    for _, (sds_id, sds_name, uda_id, uda_name) in _read_csv_rows(path, TAXONOMY_FIELDS):
         if not uda_id or not uda_name:
             raise DanglingUda(sds_id, "missing area id or name")
         if sds_id in sectors:
@@ -262,13 +294,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 def _load_organizations(path: Path) -> dict[str, Organization]:
     orgs: dict[str, Organization] = {}
-    for lineno, row in _read_csv_rows(path, ORGANIZATION_FIELDS):
-        org_id = row["org_id"].strip()
-        name = row["canonical_name"].strip()
-        kind = row["kind"].strip()
-        country = row["country"].strip()
-        if not org_id or not name:
-            raise ParseError(str(path), lineno, "org_id and canonical_name must be non-empty")
+    for lineno, (org_id, name, kind, country) in _read_csv_rows(path, ORGANIZATION_FIELDS):
         if kind not in ORG_KINDS:
             raise ParseError(str(path), lineno, f"unknown organization kind {kind!r}")
         if not is_alpha2(country):
@@ -282,23 +308,20 @@ def _load_organizations(path: Path) -> dict[str, Organization]:
 def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
     journals: dict[tuple[str, int], JournalYear] = {}
     for lineno, row in _read_csv_rows(path, JOURNAL_FIELDS):
-        journal_id = row["journal_id"].strip()
-        name = row["name"].strip()
-        if not journal_id or not name:
-            raise ParseError(str(path), lineno, "journal_id and name must be non-empty")
+        journal_id, name, year_text, impact_text, categories = row
         try:
-            year = int(row["year"])
+            year = int(year_text)
         except ValueError:
-            raise ParseError(str(path), lineno, f"year must be an integer, got {row['year']!r}")
+            raise ParseError(str(path), lineno, f"year must be an integer, got {year_text!r}")
         try:
-            impact_factor = float(row["impact_factor"])
+            impact_factor = float(impact_text)
         except ValueError:
             raise ParseError(
-                str(path), lineno, f"impact_factor must be a number, got {row['impact_factor']!r}"
+                str(path), lineno, f"impact_factor must be a number, got {impact_text!r}"
             )
         if not impact_factor >= 0:
             raise ParseError(str(path), lineno, "impact_factor must be >= 0")
-        cats = [c.strip() for c in row["sci_categories"].split(";") if c.strip()]
+        cats = [c.strip() for c in categories.split(";") if c.strip()]
         if not cats:
             raise ParseError(str(path), lineno, "sci_categories must list at least one code")
         if len(set(cats)) != len(cats):
@@ -314,13 +337,8 @@ def _load_roster(
     path: Path, organizations: dict[str, Organization], taxonomy: Taxonomy
 ) -> dict[str, Researcher]:
     roster: dict[str, Researcher] = {}
-    for lineno, row in _read_csv_rows(path, ROSTER_FIELDS):
-        researcher_id = row["researcher_id"].strip()
-        full_name = row["full_name"].strip()
-        university_org_id = row["university_org_id"].strip()
-        sds_id = row["sds_id"].strip()
-        if not researcher_id or not full_name:
-            raise ParseError(str(path), lineno, "researcher_id and full_name must be non-empty")
+    rows = _read_csv_rows(path, ROSTER_FIELDS)
+    for _, (researcher_id, full_name, university_org_id, sds_id) in rows:
         if researcher_id in roster:
             raise DuplicateId("researcher_id", researcher_id)
         org = organizations.get(university_org_id)
@@ -390,8 +408,14 @@ def _parse_publication(path: Path, lineno: int, line: str) -> Publication:
     )
 
 
-def _load_publications(path: Path) -> list[Publication]:
-    pubs: list[Publication] = []
+def _load_publications(path: Path, window: tuple[int, int]) -> tuple[list[Publication], int]:
+    """The publications inside ``window``, and how many others the file holds.
+
+    Every line is parsed and its pub_id checked for duplicates; a publication
+    outside the window is dropped as soon as it is read.
+    """
+    lo, hi = window
+    kept: list[Publication] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -401,45 +425,9 @@ def _load_publications(path: Path) -> list[Publication]:
             if pub.pub_id in seen:
                 raise DuplicateId("pub_id", pub.pub_id)
             seen.add(pub.pub_id)
-            pubs.append(pub)
-    return pubs
-
-
-def _hard_errors(corpus: Corpus) -> Iterator[CollabmapError]:
-    """Referential-integrity violations, in deterministic order.
-
-    Publications are scanned in pub_id order; a loaded corpus yields nothing.
-    """
-    known_journals = corpus.journal_ids
-    for pub in corpus.publications:
-        if pub.journal_id not in known_journals:
-            yield DanglingReference("journal", pub.journal_id, f"publication {pub.pub_id}")
-        elif corpus.effective_journal(pub.journal_id, pub.year) is None:
-            yield DanglingReference(
-                "journal_year", f"{pub.journal_id}@{pub.year}", f"publication {pub.pub_id}"
-            )
-        for org_id in pub.address_org_ids:
-            if org_id not in corpus.organizations:
-                yield DanglingReference("organization", org_id, f"publication {pub.pub_id}")
-        address_set = set(pub.address_org_ids)
-        for author in pub.authors:
-            if author.org_id not in corpus.organizations:
-                yield DanglingReference(
-                    "organization", author.org_id,
-                    f"author {author.raw_name!r} of {pub.pub_id}",
-                )
-            if author.researcher_id is None:
-                continue
-            researcher = corpus.researchers.get(author.researcher_id)
-            if researcher is None:
-                yield DanglingReference(
-                    "researcher", author.researcher_id, f"publication {pub.pub_id}"
-                )
-            elif researcher.university_org_id not in address_set:
-                yield InvariantViolation(
-                    f"publication {pub.pub_id}: author {author.researcher_id} belongs to "
-                    f"{researcher.university_org_id!r}, which is not in the address list"
-                )
+            if lo <= pub.year <= hi:
+                kept.append(pub)
+    return kept, len(seen) - len(kept)
 
 
 def load_corpus(
@@ -449,10 +437,10 @@ def load_corpus(
 ) -> Corpus:
     """Load a corpus from a data directory and enforce its invariants.
 
-    Publications with years outside ``window`` are dropped before any
-    referential check; the number dropped is recorded on the corpus.
-    ``home_country`` is recorded on the corpus, and every analysis of it
-    classifies firms against that country.
+    Publications with years outside ``window`` are dropped as they are read,
+    before any referential check; the number dropped is recorded on the
+    corpus. ``home_country`` is recorded on the corpus, and every analysis of
+    it classifies firms against that country.
     """
     lo, hi = window
     if lo > hi:
@@ -473,42 +461,28 @@ def load_corpus(
     organizations = _load_organizations(paths["organizations.csv"])
     journals = _load_journals(paths["journals.csv"])
     researchers = _load_roster(paths["roster.csv"], organizations, taxonomy)
-
-    all_pubs = _load_publications(paths["publications.jsonl"])
-    retained = sorted((p for p in all_pubs if lo <= p.year <= hi), key=lambda p: p.pub_id)
-    if not retained:
+    publications, excluded = _load_publications(paths["publications.jsonl"], (lo, hi))
+    if not publications:
         raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")
-
-    corpus = Corpus(
+    return Corpus(
         taxonomy=taxonomy,
         organizations=organizations,
         journals=journals,
         researchers=researchers,
-        publications=tuple(retained),
+        publications=tuple(publications),
         window=(lo, hi),
-        window_excluded=len(all_pubs) - len(retained),
+        window_excluded=excluded,
         home_country=home_country,
     )
-    for error in _hard_errors(corpus):
-        raise error
-    return corpus
 
 
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Re-check corpus invariants and collect advisory warnings.
+def validate_corpus(corpus: Corpus) -> tuple[ValidationIssue, ...]:
+    """Advisory warnings: authors with no roster link, unreferenced organizations.
 
-    The result is deterministic (issues sorted by code, then subject) and
-    running it twice yields equal reports. A corpus produced by
-    :func:`load_corpus` has no errors; warnings flag unlinked authors and
-    organizations nothing references.
+    A corpus is closed by construction, so there is nothing else to report.
+    The warnings are sorted by code, then subject, so the result is
+    deterministic.
     """
-    errors = []
-    for exc in _hard_errors(corpus):
-        entity = getattr(exc, "entity", "")
-        ref_id = getattr(exc, "ref_id", "")
-        subject = f"{entity}:{ref_id}" if entity else str(exc)
-        errors.append(ValidationIssue(type(exc).__name__, subject, str(exc)))
-
     warnings = []
     referenced: set[str] = set()
     for pub in corpus.publications:
@@ -534,8 +508,4 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                     f"organization {org_id!r} is never referenced",
                 )
             )
-
-    return ValidationReport(
-        errors=tuple(sorted(errors, key=lambda i: (i.code, i.subject, i.detail))),
-        warnings=tuple(sorted(warnings, key=lambda i: (i.code, i.subject, i.detail))),
-    )
+    return tuple(sorted(warnings, key=lambda i: (i.code, i.subject, i.detail)))

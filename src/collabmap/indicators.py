@@ -275,32 +275,13 @@ def multidisc_by_scope(corpus: Corpus, selector: str) -> list[MultidiscIndex]:
     """
     chosen = collab.subset_mask(corpus, selector)
     index = views.of(corpus)
-
     rows = []
-    for sector_id in sorted(index.by_sds):
-        pubs = index.by_sds[sector_id] & chosen
-        if not pubs:
-            continue
-        rows.append(
-            MultidiscIndex(
-                scope_id=sector_id,
-                subset=selector,
-                ii_sds=views.mean_over(pubs, index.sector_counts),
-                ii_sci=None,
-                n_pubs=pubs.bit_count(),
-            )
-        )
-    for cat in sorted(index.by_category):
-        pubs = index.by_category[cat] & chosen
-        if not pubs:
-            continue
-        rows.append(
-            MultidiscIndex(
-                scope_id=cat,
-                subset=selector,
-                ii_sds=None,
-                ii_sci=views.mean_over(pubs, index.category_counts),
-                n_pubs=pubs.bit_count(),
-            )
-        )
+    for groups, counts, field in ((index.by_sds, index.sector_counts, "ii_sds"),
+                                  (index.by_category, index.category_counts, "ii_sci")):
+        for scope_id in sorted(groups):
+            pubs = groups[scope_id] & chosen
+            if not pubs:
+                continue
+            values = {"ii_sds": None, "ii_sci": None, field: views.mean_over(pubs, counts)}
+            rows.append(MultidiscIndex(scope_id, selector, n_pubs=pubs.bit_count(), **values))
     return rows

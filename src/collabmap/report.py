@@ -37,7 +37,8 @@ _METRIC_TITLE = {
 
 _LEVEL_WORD = {indicators.LEVEL_SDS: "sectors", indicators.LEVEL_UDA: "areas"}
 
-# rows kept in render_all's sector and area rankings
+# rows kept in the sector and area rankings of render_all; TOP_SDS is also
+# build_rank_table's and `map --top`'s default
 TOP_SDS = 10
 TOP_UDA = 4
 
@@ -76,7 +77,7 @@ def build_rank_table(
     corpus: Corpus,
     level: str = indicators.LEVEL_SDS,
     metric: str = "count",
-    k: int = 10,
+    k: int = TOP_SDS,
 ) -> RankTable:
     """Rank sectors by one intensity metric, keeping the top k.
 
@@ -111,7 +112,7 @@ def build_comparison_table(
     grouping: str,
     indicator: str,
     *,
-    min_collab_pubs: int = 7,
+    min_collab_pubs: int = stats.MIN_COLLAB_PUBS,
 ) -> ComparisonTable:
     comparison = stats.compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
     spec = stats.COMPARISONS[(grouping, indicator)]
@@ -310,7 +311,9 @@ def edges_csv(corpus: Corpus) -> str:
     return _csv_lines(rows)
 
 
-def render_all(corpus: Corpus, *, min_collab_pubs: int = 7) -> dict[str, str]:
+def render_all(
+    corpus: Corpus, *, min_collab_pubs: int = stats.MIN_COLLAB_PUBS
+) -> dict[str, str]:
     """Every standard render of one corpus, keyed by output name.
 
     All tables read the views cached on the corpus, so each view is computed

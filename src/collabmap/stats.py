@@ -27,6 +27,9 @@ from .errors import (
     ZeroVariance,
 )
 
+# default floor on a sector's extramural publications in sds_all_vs_collab
+MIN_COLLAB_PUBS = 7
+
 
 @dataclass(frozen=True)
 class ComparisonSpec:
@@ -311,7 +314,7 @@ def compare(
     grouping: str,
     indicator: str,
     *,
-    min_collab_pubs: int = 7,
+    min_collab_pubs: int = MIN_COLLAB_PUBS,
 ) -> Comparison:
     """Assemble the aligned samples for a named comparison and test them.
 

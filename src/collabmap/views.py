@@ -7,11 +7,13 @@ a corpus for another country, from ``load_corpus(..., home_country=)`` or
 computed on first use and kept, so a bundle of tables computes it once, and
 a command that needs only the classification builds nothing else.
 
-Publications are interned to their position in ``corpus.publications``,
-which is sorted by pub_id. A set of publications is an ``int`` bitmask over
-those positions: intersection is ``&`` and size is ``int.bit_count()``.
-Members come out in ascending position, which is pub_id order, so a sum over
-a set adds its terms in the same order as a sum over its sorted ids.
+Every corpus is sorted by pub_id and closed by construction, so each
+organization, journal record and researcher a view looks up exists.
+Publications are interned to their position in ``corpus.publications``. A
+set of publications is an ``int`` bitmask over those positions:
+intersection is ``&`` and size is ``int.bit_count()``. Members come out in
+ascending position, which is pub_id order, so a sum over a set adds its
+terms in the same order as a sum over its sorted ids.
 
 ``collab`` and ``indicators`` read their views from here, so the views that
 need their primitives import them when first built.
@@ -151,7 +153,7 @@ class Views:
     def categories(self) -> list[tuple[str, ...]]:
         """Categories of the journal record each publication uses."""
         effective = self.corpus.effective_journal
-        # loaded corpora are closed, so every publication has a record
+        # every corpus is closed by construction, so every publication has one
         return [effective(p.journal_id, p.year).sci_categories  # type: ignore[union-attr]
                 for p in self.corpus.publications]
 

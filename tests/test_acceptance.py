@@ -11,15 +11,12 @@ import time
 import pytest
 
 from collabmap.collab import (
-    SELECTORS,
     classify_publication,
     count_collaborations,
     extract_edges,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
-from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
 from collabmap.harness import (
-    ComparisonOracle,
     SplitMix64,
     SynthConfig,
     generate,
@@ -34,7 +31,6 @@ from collabmap.indicators import (
     if_percentile_ranks,
     ifpr_by_publication,
     midrank_percentiles,
-    multidisc_by_scope,
     researcher_performance,
     sector_intensity,
 )
@@ -47,16 +43,14 @@ from collabmap.resolve import (
     suggest_aliases,
 )
 from collabmap.stats import (
-    INDICATORS_BY_GROUPING,
     _p_values,
-    compare,
     descriptive,
     paired_t,
     t_cdf,
     welch_t,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, assert_comparison_layer
 from test_collab import _expected_case
 from test_resolve import JW_CASES, reference_jaro_winkler
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
@@ -103,58 +97,6 @@ def test_case_grid_complete_and_fast():
     return "25 cells exact"
 
 
-def _assert_close(got, want, context):
-    """Equal sequences of rows or numbers; floats may differ by 1e-9."""
-    assert len(got) == len(want), context
-    for g, w in zip(got, want):
-        if isinstance(w, (tuple, list)):
-            _assert_close(g, w, context)
-        elif isinstance(w, float):
-            assert g is not None and abs(g - w) <= 1e-9, (context, g, w)
-        else:
-            assert g == w, (context, g, w)
-
-
-RESEARCHERS = "researchers_industry_vs_rest"
-
-
-def _assert_comparison_layer(corpus, out, min_collab_pubs, seed):
-    oracle = ComparisonOracle(out)
-    for level in (LEVEL_SDS, LEVEL_UDA):
-        rows = [(r.sector_id, r.n_industry_coauth, r.pct_of_all, r.pct_of_coauth,
-                 r.per_researcher) for r in sector_intensity(corpus, level)]
-        _assert_close(rows, oracle.sector_intensity(level), (seed, level))
-    for selector in SELECTORS:
-        rows = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs)
-                for r in multidisc_by_scope(corpus, selector)]
-        _assert_close(rows, oracle.multidisc_by_scope(selector), (seed, selector))
-    for grouping, indicators in INDICATORS_BY_GROUPING.items():
-        for indicator in indicators:
-            context = (seed, grouping, indicator)
-            if grouping == RESEARCHERS:
-                xs, ys, excluded = oracle.researcher_groups(indicator)
-                n_units = len(xs) + len(ys)
-            else:
-                xs, ys, excluded = oracle.paired_samples(grouping, indicator,
-                                                         min_collab_pubs)
-                n_units = len(xs)
-            try:
-                c = compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
-            except (InsufficientData, InsufficientSectors):
-                assert min(len(xs), len(ys)) < 2, context
-                continue
-            except ZeroVariance:
-                if grouping == RESEARCHERS:
-                    constant = (xs, ys)
-                else:
-                    constant = ([x - y for x, y in zip(xs, ys)],)
-                assert all(max(v) - min(v) <= 1e-9 for v in constant), context
-                continue
-            _assert_close(c.sample_a.values, xs, context)
-            _assert_close(c.sample_b.values, ys, context)
-            assert (c.n_units, c.excluded) == (n_units, excluded), context
-
-
 @criterion("synthetic corpora match raw-file oracles over 100 seeds, budget 60s")
 def test_engine_matches_oracles_over_seeds(tmp_path):
     start = time.perf_counter()
@@ -187,7 +129,7 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
                         n_journals=12, industry_rate=0.02 * (seed % 8),
                         max_authors=1 + seed % 5),
             tmp_path / f"c{seed}")
-        _assert_comparison_layer(load_corpus(shaped), shaped, 2 * (seed % 16), seed)
+        assert_comparison_layer(load_corpus(shaped), shaped, 2 * (seed % 16), seed)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
     return "counts and outputs exact, fss, impact ranks and comparison samples at 1e-9"

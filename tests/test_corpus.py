@@ -5,7 +5,9 @@ import pytest
 
 from collabmap import errors
 from collabmap.corpus import (
+    AuthorRef,
     Corpus,
+    Publication,
     load_corpus,
     load_taxonomy,
     validate_corpus,
@@ -272,25 +274,81 @@ def test_blank_jsonl_lines_skipped(fixture_copy):
 
 
 def test_validate_clean_corpus(corpus40):
-    report = validate_corpus(corpus40)
-    assert report.ok
-    assert report.errors == ()
-    codes = [w.code for w in report.warnings]
+    warnings = validate_corpus(corpus40)
+    codes = [w.code for w in warnings]
+    assert len(codes) == 11
     assert codes.count("UnlinkedAuthor") == 10
     assert codes.count("UnreferencedOrganization") == 1
-    subjects = [w.subject for w in report.warnings if w.code == "UnreferencedOrganization"]
+    subjects = [w.subject for w in warnings if w.code == "UnreferencedOrganization"]
     assert subjects == ["UNI-D"]
     # deterministic ordering
-    keys = [(w.code, w.subject, w.detail) for w in report.warnings]
+    keys = [(w.code, w.subject, w.detail) for w in warnings]
     assert keys == sorted(keys)
+    assert validate_corpus(corpus40) == warnings
 
 
-def test_validate_reports_dangling(corpus40):
+def test_construction_rejects_dangling(corpus40):
     bad_pub = dataclasses.replace(corpus40.publications[0], journal_id="JRN-NOPE")
-    broken = dataclasses.replace(corpus40, publications=(bad_pub,) + corpus40.publications[1:])
-    report = validate_corpus(broken)
-    assert not report.ok
-    assert any(i.code == "DanglingReference" for i in report.errors)
+    with pytest.raises(errors.DanglingReference) as exc:
+        dataclasses.replace(corpus40, publications=(bad_pub,) + corpus40.publications[1:])
+    assert exc.value.entity == "journal"
+    assert str(exc.value) == "unknown journal: 'JRN-NOPE' (publication P01)"
+
+
+def _publication(record):
+    return Publication(
+        record["pub_id"], record["year"], record["journal_id"],
+        tuple(AuthorRef(a["raw_name"], a["researcher_id"], a["org_id"])
+              for a in record["authors"]),
+        tuple(sorted(set(record["address_org_ids"]))),
+    )
+
+
+def _p99(journal_id="JRN-A", researcher_id="RES-E1", org_id="UNI-A", addresses=("UNI-A",)):
+    return {
+        "pub_id": "P99", "year": 2002, "journal_id": journal_id,
+        "authors": [{"raw_name": "Martorana E.", "researcher_id": researcher_id,
+                     "org_id": org_id}],
+        "address_org_ids": list(addresses),
+    }
+
+
+@pytest.mark.parametrize("record, error, entity", [
+    (_p99(addresses=("UNI-A", "ORG-NOPE")), errors.DanglingReference, "organization"),
+    (_p99(org_id="ORG-NOPE"), errors.DanglingReference, "organization"),
+    (_p99(journal_id="JRN-Q"), errors.DanglingReference, "journal"),
+    (_p99(journal_id="JRN-OLD"), errors.DanglingReference, "journal_year"),
+    (_p99(researcher_id="RES-NOPE"), errors.DanglingReference, "researcher"),
+    (_p99(addresses=("UNI-B",)), errors.InvariantViolation, None),
+], ids=["address", "author_org", "journal", "journal_year", "researcher", "university"])
+def test_construction_raises_what_load_raises(fixture_copy, record, error, entity):
+    # JRN-OLD has a row outside the window only, so no year of it is usable
+    with (fixture_copy / "journals.csv").open("a", encoding="utf-8") as fh:
+        fh.write("JRN-OLD,Old Journal,1995,1.0,CAT-X\n")
+    clean = load_corpus(fixture_copy)
+    _append_pub(fixture_copy, record)
+    with pytest.raises(error) as loaded:
+        load_corpus(fixture_copy)
+    with pytest.raises(error) as built:
+        dataclasses.replace(clean, publications=clean.publications + (_publication(record),))
+    assert getattr(built.value, "entity", None) == getattr(loaded.value, "entity", None) == entity
+    assert str(built.value) == str(loaded.value)
+
+
+def test_construction_sorts_publications(corpus40):
+    reversed_copy = dataclasses.replace(corpus40, publications=corpus40.publications[::-1])
+    assert reversed_copy.publications == corpus40.publications
+    assert reversed_copy == corpus40
+
+
+def test_first_violation_in_pub_id_order(fixture_copy):
+    # file order puts the unknown journal first; pub_id order puts P98 first
+    _append_pub(fixture_copy, _p99(journal_id="JRN-Q"))
+    _append_pub(fixture_copy, dict(_p99(researcher_id="RES-NOPE"), pub_id="P98"))
+    with pytest.raises(errors.DanglingReference) as exc:
+        load_corpus(fixture_copy)
+    assert exc.value.entity == "researcher"
+    assert "publication P98" in str(exc.value)
 
 
 def test_effective_journal_exact_and_fallback(fixture_copy):

@@ -17,6 +17,8 @@ from collabmap.harness import (
 )
 from collabmap.indicators import ifpr_by_publication, midrank_percentiles, researcher_performance
 
+from conftest import assert_comparison_layer
+
 
 def reference_splitmix64(seed, count):
     """Direct transcription of the published mixing constants."""
@@ -104,10 +106,11 @@ def test_generate_seed_changes_output(tmp_path):
 
 def test_generated_corpus_is_valid(tmp_path):
     out = generate(SynthConfig(seed=5, n_pubs=400), tmp_path)
+    # loading checks closure; what validate adds are advisory warnings only
     corpus = load_corpus(out)
     assert len(corpus.publications) == 400
-    report = validate_corpus(corpus)
-    assert report.ok, report.errors
+    codes = {w.code for w in validate_corpus(corpus)}
+    assert codes <= {"UnlinkedAuthor", "UnreferencedOrganization"}
 
 
 def test_generated_corpus_matches_oracles(tmp_path):
@@ -141,3 +144,17 @@ def test_oracle_sees_window(tmp_path):
     corpus = load_corpus(out, window=narrow)
     assert count_collaborations(corpus) == oracle_collab_counts(out, window=narrow)
     assert corpus.window_excluded > 0
+
+    engine_ifpr = ifpr_by_publication(corpus)
+    oracle_ifpr = oracle_article_ifpr(out, window=narrow)
+    assert engine_ifpr.keys() == oracle_ifpr.keys()
+    for pub_id, value in oracle_ifpr.items():
+        assert abs(engine_ifpr[pub_id] - value) <= 1e-9, pub_id
+
+    perf = researcher_performance(corpus)
+    assert oracle_researcher_outputs(out, window=narrow) == {
+        r: p.output for r, p in perf.items()}
+    for rid, fss in oracle_researcher_fss(out, window=narrow).items():
+        assert abs(perf[rid].fss - fss) <= 1e-9, rid
+
+    assert_comparison_layer(corpus, out, 3, "window")

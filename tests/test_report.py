@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -55,8 +56,11 @@ def test_render_all_deterministic(corpus40, rendered):
     assert again == rendered
 
 
-def test_render_all_fresh_load_matches(rendered):
+def test_render_all_fresh_load_matches(corpus40, rendered):
     assert render_all(load_corpus(FIXTURE40), min_collab_pubs=3) == rendered
+    # construction sorts by pub_id, so the input order of publications is moot
+    reversed_copy = dataclasses.replace(corpus40, publications=corpus40.publications[::-1])
+    assert render_all(reversed_copy, min_collab_pubs=3) == rendered
 
 
 def test_no_carriage_returns(rendered):
