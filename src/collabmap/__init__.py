@@ -31,28 +31,16 @@ from .indicators import (
     rank_within_sector,
     sector_intensity,
 )
-from .resolve import (
-    AliasMap,
-    MatchSuggestion,
-    Unresolved,
-    build_alias_map,
-    jaro_winkler,
-    normalize_org_name,
-    resolve_org,
-    suggest_aliases,
-)
 from .stats import Comparison, Sample, TestResult, compare, descriptive, paired_t, t_cdf, welch_t
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasMap",
     "CollabEdge",
     "CollabSummary",
     "CollaborationProfile",
     "Comparison",
     "Corpus",
-    "MatchSuggestion",
     "MultidiscIndex",
     "Organization",
     "PercentileRanked",
@@ -63,9 +51,7 @@ __all__ = [
     "SectorIntensityRow",
     "Taxonomy",
     "TestResult",
-    "Unresolved",
     "article_ifpr",
-    "build_alias_map",
     "classify_corpus",
     "classify_publication",
     "compare",
@@ -73,17 +59,13 @@ __all__ = [
     "descriptive",
     "extract_edges",
     "if_percentile_ranks",
-    "jaro_winkler",
     "load_corpus",
     "load_taxonomy",
     "midrank_percentiles",
-    "normalize_org_name",
     "paired_t",
     "rank_within_sector",
-    "resolve_org",
     "sector_intensity",
     "subset",
-    "suggest_aliases",
     "t_cdf",
     "validate_corpus",
     "welch_t",

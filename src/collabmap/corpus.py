@@ -135,11 +135,12 @@ class Publication:
 class Corpus:
     """A referentially closed publication corpus, sorted by pub_id.
 
-    Construction sorts ``publications`` by pub_id and raises the first
-    reference that does not resolve, scanning in that order: an unknown
-    journal, organization or researcher (:class:`DanglingReference`), a
-    journal with no usable year, or a roster author whose university is not
-    in the address list (:class:`InvariantViolation`). This holds for a
+    Construction sorts ``publications`` by pub_id, rejects a repeated
+    pub_id (:class:`DuplicateId`) and raises the first reference that does
+    not resolve, scanning in that order: an unknown journal, organization or
+    researcher (:class:`DanglingReference`), a journal with no usable year,
+    or a roster author whose university is not in the address list
+    (:class:`InvariantViolation`). This holds for a
     loaded corpus, a constructed one and a ``dataclasses.replace`` copy
     alike. Address lists are sorted sets, so two corpora loaded from
     row-permuted copies of the same files compare equal.
@@ -173,6 +174,9 @@ class Corpus:
         _read_only(self, "organizations", "journals", "researchers")
         object.__setattr__(
             self, "publications", tuple(sorted(self.publications, key=attrgetter("pub_id"))))
+        for before, pub in zip(self.publications, self.publications[1:]):
+            if before.pub_id == pub.pub_id:
+                raise DuplicateId("pub_id", pub.pub_id)
         by_journal: dict[str, list[int]] = {}
         for jid, year in self.journals:
             by_journal.setdefault(jid, []).append(year)
@@ -412,7 +416,8 @@ def _load_publications(path: Path, window: tuple[int, int]) -> tuple[list[Public
     """The publications inside ``window``, and how many others the file holds.
 
     Every line is parsed and its pub_id checked for duplicates; a publication
-    outside the window is dropped as soon as it is read.
+    outside the window is dropped as soon as it is read. The check here also
+    covers the dropped rows, which the Corpus constructor never sees.
     """
     lo, hi = window
     kept: list[Publication] = []

@@ -67,19 +67,6 @@ class InvariantViolation(CollabmapError):
     """Loaded records are individually well-formed but mutually inconsistent."""
 
 
-# -- organization name resolution --------------------------------------------
-
-class AmbiguousAlias(CollabmapError):
-    """One normalized alias maps to more than one organization."""
-
-    def __init__(self, alias: str, org_ids: tuple[str, str]):
-        self.alias = alias
-        self.org_ids = org_ids
-        super().__init__(
-            f"alias {alias!r} maps to both {org_ids[0]!r} and {org_ids[1]!r}"
-        )
-
-
 # -- collaboration analysis ---------------------------------------------------
 
 class UnknownSelector(CollabmapError):

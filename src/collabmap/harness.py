@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .collab import CASE_M_N, CASE_M_ONE, CASE_ONE_N, CASE_ONE_ONE, CollabSummary
-from .corpus import DEFAULT_WINDOW
+from .corpus import DEFAULT_WINDOW, HOME_COUNTRY
 from .errors import EmptySample, InvalidConfig, MissingFile
 
 _MASK64 = (1 << 64) - 1
@@ -316,7 +316,7 @@ def _in_window(pub: dict, window: tuple[int, int]) -> bool:
 def oracle_collab_counts(
     data_dir: str | Path,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    home_country: str = "IT",
+    home_country: str = HOME_COUNTRY,
 ) -> CollabSummary:
     """Brute-force collaboration totals from the raw files.
 
@@ -470,7 +470,7 @@ class ComparisonOracle:
     """
 
     def __init__(self, data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW,
-                 home_country: str = "IT"):
+                 home_country: str = HOME_COUNTRY):
         self._data_dir, self._window = data_dir, window
         raw = _read_raw(data_dir)
         ifpr = oracle_article_ifpr(data_dir, window)

@@ -140,22 +140,6 @@ def _by_scope(index: views.Views, level: str) -> dict[str, int]:
     raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
 
 
-def publications_by_sector(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, frozenset[str]]:
-    """Publication ids attributed to each sector via its roster authors.
-
-    An article whose authors span several sectors is attributed to each of
-    them, once; at area level, sectors collapse onto their areas.
-    """
-    index = views.of(corpus)
-    return {scope: index.pub_ids(mask) for scope, mask in _by_scope(index, level).items()}
-
-
-def publications_by_category(corpus: Corpus) -> dict[str, frozenset[str]]:
-    """Publication ids falling in each journal category."""
-    index = views.of(corpus)
-    return {cat: index.pub_ids(mask) for cat, mask in index.by_category.items()}
-
-
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
     counts: dict[str, int] = {}

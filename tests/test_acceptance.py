@@ -35,13 +35,6 @@ from collabmap.indicators import (
     sector_intensity,
 )
 from collabmap.report import render_all
-from collabmap.resolve import (
-    build_alias_map,
-    jaro_winkler,
-    normalize_org_name,
-    resolve_org,
-    suggest_aliases,
-)
 from collabmap.stats import (
     _p_values,
     descriptive,
@@ -52,7 +45,6 @@ from collabmap.stats import (
 
 from conftest import GOLDEN, assert_comparison_layer
 from test_collab import _expected_case
-from test_resolve import JW_CASES, reference_jaro_winkler
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
 
@@ -273,40 +265,3 @@ def test_large_corpus_fast_and_stable(tmp_path):
     assert elapsed < 10.0, f"load+render took {elapsed:.1f}s"
     return f"load+render {elapsed:.1f}s, {len(first)} tables stable"
 
-
-@criterion("name normalization idempotent on 10000 random strings, matcher at 1e-12")
-def test_normalization_and_matching():
-    pool = (
-        "abcdefghijklmnopqrstuvwxyz"
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        "àèéìòùçÄÖÜßαβγΣ"
-        "0123456789"
-        " .,-—'()&«»/   "
-    )
-    tokens = (" spa", " S.p.A.", " SRL", " GmbH", " s.r.l", "")
-    rng = SplitMix64(77)
-    for i in range(10_000):
-        length = rng.below(40)
-        raw = "".join(pool[rng.below(len(pool))] for _ in range(length))
-        raw += tokens[rng.below(len(tokens))]
-        once = normalize_org_name(raw)
-        assert normalize_org_name(once) == once, raw
-    for s1, s2, expected in JW_CASES:
-        assert abs(jaro_winkler(s1, s2) - expected) <= 1e-12
-        assert abs(reference_jaro_winkler(s1, s2) - expected) <= 1e-12
-
-    # resolution is pure: repeated lookups with the same table agree and
-    # leave the table unchanged
-    registry = {
-        "ORG-1": Organization("ORG-1", "Lavagna Elettronica SpA", "private_firm", "IT"),
-        "ORG-2": Organization("ORG-2", "Officine Brembate Srl", "private_firm", "IT"),
-    }
-    table = build_alias_map(registry)
-    entries_before = dict(table.entries)
-    probes = ["Lavagna Elettronica S.p.A.", "officine brembate", "Nowhere Inc"]
-    first = [resolve_org(raw, registry, table) for raw in probes]
-    for _ in range(3):
-        assert [resolve_org(raw, registry, table) for raw in probes] == first
-        assert suggest_aliases(probes, registry) == suggest_aliases(probes, registry)
-    assert dict(table.entries) == entries_before
-    return "10000 strings, 20 matcher pairs, pure lookups"

@@ -123,6 +123,25 @@ def test_duplicate_publication(fixture_copy):
         load_corpus(fixture_copy)
 
 
+def test_duplicate_publication_outside_window(fixture_copy):
+    # the window drops the 1995 copy before construction, so only the loader sees it
+    _append_pub(fixture_copy, {
+        "pub_id": "P01", "year": 1995, "journal_id": "JRN-A",
+        "authors": [{"raw_name": "X", "researcher_id": None, "org_id": "FRM-X"}],
+        "address_org_ids": ["FRM-X"],
+    })
+    with pytest.raises(errors.DuplicateId) as exc:
+        load_corpus(fixture_copy)
+    assert str(exc.value) == "duplicate pub_id: 'P01'"
+
+
+def test_construction_rejects_duplicate_pub_id(corpus40):
+    with pytest.raises(errors.DuplicateId) as exc:
+        dataclasses.replace(
+            corpus40, publications=corpus40.publications + corpus40.publications[:1])
+    assert (exc.value.kind, exc.value.value) == ("pub_id", "P01")
+
+
 def test_unknown_org_kind(fixture_copy):
     _rewrite(fixture_copy / "organizations.csv", "private_firm", "firm")
     with pytest.raises(errors.ParseError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap import errors
+from collabmap import errors, views
 from collabmap.corpus import load_corpus
 from collabmap.harness import oracle_article_ifpr
 from collabmap.indicators import (
@@ -17,8 +17,6 @@ from collabmap.indicators import (
     ifpr_by_publication,
     midrank_percentiles,
     multidisc_by_scope,
-    publications_by_category,
-    publications_by_sector,
     rank_within_sector,
     researcher_performance,
     sector_headcounts,
@@ -180,17 +178,23 @@ def test_ifpr_follows_rank_index(corpus40):
         p.pub_id: article_ifpr(p, index[p.year]) for p in corpus40.publications}
 
 
-def test_publications_by_sector(corpus40):
-    by_sds = publications_by_sector(corpus40, LEVEL_SDS)
+def _pub_ids(index, groups):
+    return {scope: index.pub_ids(mask) for scope, mask in groups.items()}
+
+
+def test_views_by_sector(corpus40):
+    index = views.of(corpus40)
+    by_sds = _pub_ids(index, index.by_sds)
     assert {k: len(v) for k, v in by_sds.items()} == {
         "BIO1": 8, "BIO2": 6, "CHIM1": 8, "CHIM2": 5, "ELEC": 10, "MECH": 8}
     assert "P04" in by_sds["CHIM1"] and "P04" in by_sds["BIO1"]
-    by_uda = publications_by_sector(corpus40, LEVEL_UDA)
+    by_uda = _pub_ids(index, index.by_uda)
     assert {k: len(v) for k, v in by_uda.items()} == {"BIO": 13, "CHEM": 12, "ENG": 18}
 
 
-def test_publications_by_category(corpus40):
-    by_cat = publications_by_category(corpus40)
+def test_views_by_category(corpus40):
+    index = views.of(corpus40)
+    by_cat = _pub_ids(index, index.by_category)
     assert {k: len(v) for k, v in by_cat.items()} == {"CAT-A": 40, "CAT-B": 26, "CAT-C": 12}
 
 

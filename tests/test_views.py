@@ -1,7 +1,7 @@
 import dataclasses
 
 from collabmap import collab, views
-from collabmap.indicators import publications_by_sector
+from collabmap.indicators import sectors_of_publication
 from collabmap.report import render_all
 
 
@@ -26,7 +26,10 @@ def test_views_cached_per_corpus(corpus40):
 
 def test_masks_match_id_sets(corpus40):
     index = views.of(corpus40)
-    by_sector = publications_by_sector(corpus40)
+    by_sector = {}
+    for pub in corpus40.publications:
+        for sector_id in sectors_of_publication(corpus40, pub):
+            by_sector.setdefault(sector_id, []).append(pub.pub_id)
     assert set(by_sector) == set(index.by_sds)
     for sector_id, ids in by_sector.items():
         positions = views.members(index.by_sds[sector_id])
