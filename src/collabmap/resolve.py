@@ -1,155 +1,11 @@
-"""Organization name normalization, alias resolution and match suggestions.
+"""Jaro-Winkler string similarity.
 
-Raw affiliation strings are noisy: case, punctuation and legal-form suffixes
-("S.p.A.", "GmbH", ...) vary freely. Normalization reduces a raw string to a
-canonical key; an alias map sends keys to organization ids; anything left
-unresolved can be matched fuzzily, but fuzzy candidates are only ever
-*suggested*, never applied automatically.
+This is what is left of organization name resolution: the loader takes
+resolved organization ids, so nothing in the pipeline calls it. The module
+goes once its tests can be retired with it (ROADMAP item 3).
 """
 
 from __future__ import annotations
-
-import csv
-import unicodedata
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping
-
-from .corpus import Organization
-from .errors import AmbiguousAlias, DanglingReference, ParseError
-
-DEFAULT_LEGAL_SUFFIXES = (
-    "spa", "s.p.a", "srl", "s.r.l", "snc", "sas", "inc", "ltd", "gmbh",
-)
-
-
-def _strip_punctuation(text: str) -> str:
-    return "".join(c for c in text if not unicodedata.category(c).startswith("P"))
-
-
-def _suffix_keys(suffixes: Iterable[str]) -> frozenset[str]:
-    # suffix tokens are matched after punctuation stripping, so "s.p.a" and
-    # "spa" collapse to the same key
-    keys = set()
-    for token in suffixes:
-        key = _strip_punctuation(unicodedata.normalize("NFC", token.casefold()))
-        if key:
-            keys.add(key)
-    return frozenset(keys)
-
-
-def normalize_org_name(raw: str, suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES) -> str:
-    """Reduce a raw organization name to its canonical comparison key.
-
-    Pipeline: Unicode NFC, casefold, punctuation removal, trailing
-    legal-suffix tokens dropped, whitespace collapsed. The pass repeats until
-    the string is stable, so the function is idempotent; the result may be
-    empty for degenerate input.
-    """
-    suffix_set = _suffix_keys(suffixes)
-    text = raw
-    for _ in range(8):
-        out = unicodedata.normalize("NFC", text)
-        out = out.casefold()
-        out = _strip_punctuation(out)
-        out = unicodedata.normalize("NFC", out)
-        tokens = out.split()
-        while tokens and tokens[-1] in suffix_set:
-            tokens.pop()
-        out = " ".join(tokens)
-        if out == text:
-            return out
-        text = out
-    return text
-
-
-@dataclass(frozen=True)
-class AliasMap:
-    """Exact-match resolution table: normalized alias -> org_id."""
-
-    entries: Mapping[str, str]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class Unresolved:
-    """A raw name that no alias matched."""
-
-    raw_name: str
-
-
-@dataclass(frozen=True)
-class MatchSuggestion:
-    raw_name: str
-    candidate_org_id: str
-    score: float
-
-
-def load_aliases(path: str | Path) -> list[tuple[str, str]]:
-    """Read (alias, org_id) pairs from a two-column CSV with header."""
-    path = Path(path)
-    pairs: list[tuple[str, str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != ["alias", "org_id"]:
-            raise ParseError(str(path), 1, "expected header alias,org_id")
-        for row in reader:
-            pairs.append((row["alias"], row["org_id"]))
-    return pairs
-
-
-def load_suffixes(path: str | Path) -> tuple[str, ...]:
-    """Read legal-suffix tokens, one per line; blank lines ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return tuple(token.strip() for token in lines if token.strip())
-
-
-def build_alias_map(
-    registry: Mapping[str, Organization],
-    aliases: Iterable[tuple[str, str]] = (),
-    suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES,
-) -> AliasMap:
-    """Build the resolution table from canonical names plus explicit aliases.
-
-    A normalized key claiming two different organizations is a configuration
-    error and raises AmbiguousAlias at build time, not at lookup time.
-    Names that normalize to the empty string are skipped: they can never be
-    looked up, and downstream validation flags them as unresolved.
-    """
-    entries: dict[str, str] = {}
-
-    def add(alias: str, org_id: str) -> None:
-        key = normalize_org_name(alias, suffixes)
-        if not key:
-            return
-        existing = entries.get(key)
-        if existing is not None and existing != org_id:
-            raise AmbiguousAlias(key, (existing, org_id))
-        entries[key] = org_id
-
-    for org_id in sorted(registry):
-        add(registry[org_id].canonical_name, org_id)
-    for alias, org_id in aliases:
-        add(alias, org_id)
-    return AliasMap(entries=entries)
-
-
-def resolve_org(
-    raw: str,
-    registry: Mapping[str, Organization],
-    alias_map: AliasMap,
-    suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES,
-) -> str | Unresolved:
-    """Resolve a raw name to an org_id by exact normalized-alias match."""
-    key = normalize_org_name(raw, suffixes)
-    org_id = alias_map.entries.get(key)
-    if org_id is None:
-        return Unresolved(raw_name=raw)
-    if org_id not in registry:
-        raise DanglingReference("organization", org_id, f"alias {key!r}")
-    return org_id
 
 
 def jaro_winkler(s1: str, s2: str) -> float:
@@ -202,45 +58,3 @@ def jaro_winkler(s1: str, s2: str) -> float:
             break
         prefix += 1
     return jaro + prefix * 0.1 * (1.0 - jaro)
-
-
-def suggest_aliases(
-    unresolved: Iterable[str],
-    registry: Mapping[str, Organization],
-    threshold: float = 0.9,
-    suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES,
-) -> list[MatchSuggestion]:
-    """Fuzzy-match unresolved names against canonical names.
-
-    For each input name, every organization whose normalized canonical name
-    scores at or above ``threshold`` is suggested. Input order is preserved;
-    within one name, candidates sort by score descending, then org_id
-    ascending. Suggestions are advisory output only.
-    """
-    suggestions: list[MatchSuggestion] = []
-    normalized_registry = [
-        (org_id, normalize_org_name(registry[org_id].canonical_name, suffixes))
-        for org_id in sorted(registry)
-    ]
-    for raw in unresolved:
-        key = normalize_org_name(raw, suffixes)
-        scored = []
-        for org_id, canon_key in normalized_registry:
-            score = jaro_winkler(key, canon_key)
-            if score >= threshold:
-                scored.append(MatchSuggestion(raw, org_id, score))
-        scored.sort(key=lambda s: (-s.score, s.candidate_org_id))
-        suggestions.extend(scored)
-    return suggestions
-
-
-def suggestions_to_csv(suggestions: Iterable[MatchSuggestion]) -> str:
-    """Render suggestions as CSV (raw_name,candidate_org_id,score)."""
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["raw_name", "candidate_org_id", "score"])
-    for s in suggestions:
-        writer.writerow([s.raw_name, s.candidate_org_id, f"{s.score:.6f}"])
-    return buf.getvalue()

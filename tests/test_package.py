@@ -22,6 +22,11 @@ def _relative_imports(module):
                 yield node.module.split(".")[0]
 
 
+# resolve.py holds only jaro_winkler, which no command calls; it and this
+# entry go together (ROADMAP item 3).
+KNOWN_UNREACHED = ["resolve"]
+
+
 def test_every_module_reachable_from_cli():
     reached, todo = set(), ["cli"]
     while todo:
@@ -30,4 +35,4 @@ def test_every_module_reachable_from_cli():
             reached.add(module)
             todo.extend(_relative_imports(module))
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
-    assert sorted(modules - reached) == []
+    assert sorted(modules - reached) == KNOWN_UNREACHED

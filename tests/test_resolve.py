@@ -1,24 +1,8 @@
-import unicodedata
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap import errors
-from collabmap.resolve import (
-    DEFAULT_LEGAL_SUFFIXES,
-    Unresolved,
-    build_alias_map,
-    jaro_winkler,
-    load_aliases,
-    load_suffixes,
-    normalize_org_name,
-    resolve_org,
-    suggest_aliases,
-    suggestions_to_csv,
-)
-
-from conftest import FIXTURE40
+from collabmap.resolve import jaro_winkler
 
 # Scores frozen from two independently written implementations of the same
 # matching rule (window max(len)//2 - 1, half transpositions, prefix bonus
@@ -97,132 +81,3 @@ def test_jaro_winkler_symmetric_and_bounded(s1, s2):
     a, b = jaro_winkler(s1, s2), jaro_winkler(s2, s1)
     assert abs(a - b) <= 1e-12
     assert 0.0 <= a <= 1.0
-
-
-@pytest.mark.parametrize("raw,expected", [
-    ("PIRELLI S.p.A.", "pirelli"),
-    ("  Fiat   Auto  S.p.A. ", "fiat auto"),
-    ("Olivetti S.r.l.", "olivetti"),
-    ("Rheinwerk Maschinen GmbH", "rheinwerk maschinen"),
-    ("Brembo S.p.A. S.r.l.", "brembo"),
-    ("Società Metallurgica", "società metallurgica"),
-    ("MÜLLER GMBH", "müller"),
-    ("S.p.A.", ""),
-    ("", ""),
-    ("Telecom-Italia (Mobile)", "telecomitalia mobile"),
-])
-def test_normalize_cases(raw, expected):
-    assert normalize_org_name(raw) == expected
-
-
-def test_normalize_strips_all_unicode_punctuation():
-    assert normalize_org_name("«Edison» — S.p.A.") == "edison"
-
-
-@given(st.text(max_size=64))
-@settings(max_examples=500)
-def test_normalize_idempotent(raw):
-    once = normalize_org_name(raw)
-    assert normalize_org_name(once) == once
-
-
-@given(st.text(max_size=64))
-def test_normalize_output_shape(raw):
-    out = normalize_org_name(raw)
-    assert out == out.strip()
-    assert "  " not in out
-    assert not any(unicodedata.category(ch).startswith("P") for ch in out)
-
-
-def test_suffix_tokens_are_normalized_themselves():
-    # "s.p.a" and "spa" collapse to the same token, so both are stripped
-    assert normalize_org_name("Ansaldo SpA") == "ansaldo"
-    assert normalize_org_name("Ansaldo S.P.A.") == "ansaldo"
-    assert normalize_org_name("Ansaldo", suffixes=("ansaldo",)) == ""
-
-
-def test_default_suffixes_exposed():
-    assert "spa" in DEFAULT_LEGAL_SUFFIXES
-    assert "gmbh" in DEFAULT_LEGAL_SUFFIXES
-
-
-def test_build_alias_map_from_registry(corpus40):
-    amap = build_alias_map(corpus40.organizations)
-    assert amap.entries["lavagna elettronica"] == "FRM-X"
-    assert amap.entries["universita di arquata"] == "UNI-A"
-
-
-def test_build_alias_map_explicit_aliases(corpus40):
-    aliases = load_aliases(FIXTURE40 / "aliases.csv")
-    assert ("LAVAGNA ELETTRONICA", "FRM-X") in aliases
-    amap = build_alias_map(corpus40.organizations, aliases)
-    assert amap.entries["officine brembate"] == "FRM-Y"
-    assert amap.entries["chimica tirrena societa"] == "FRM-Z"
-
-
-def test_build_alias_map_conflict(corpus40):
-    with pytest.raises(errors.AmbiguousAlias):
-        build_alias_map(corpus40.organizations, [("Lavagna Elettronica", "FRM-Y")])
-
-
-def test_build_alias_map_same_target_is_fine(corpus40):
-    amap = build_alias_map(corpus40.organizations, [("Lavagna Elettronica SPA", "FRM-X")])
-    assert amap.entries["lavagna elettronica"] == "FRM-X"
-
-
-def test_load_aliases_rejects_bad_header(tmp_path):
-    p = tmp_path / "aliases.csv"
-    p.write_text("name,org\nfoo,BAR\n", encoding="utf-8")
-    with pytest.raises(errors.ParseError):
-        load_aliases(p)
-
-
-def test_load_suffixes(tmp_path):
-    p = tmp_path / "suffixes.txt"
-    p.write_text("spa\nS.p.A\n\nkk\n", encoding="utf-8")
-    loaded = load_suffixes(p)
-    assert "spa" in loaded and "kk" in loaded
-
-
-def test_resolve_org(corpus40):
-    amap = build_alias_map(corpus40.organizations)
-    assert resolve_org("Lavagna Elettronica S.p.A.", corpus40.organizations, amap) == "FRM-X"
-    assert resolve_org("UNIVERSITA DI BASSANO", corpus40.organizations, amap) == "UNI-B"
-    miss = resolve_org("Unknown Industries", corpus40.organizations, amap)
-    assert isinstance(miss, Unresolved)
-    assert miss.raw_name == "Unknown Industries"
-
-
-def test_resolve_org_rejects_dangling_alias(corpus40):
-    from collabmap.resolve import AliasMap
-    amap = AliasMap({"ghost corp": "ORG-GONE"})
-    with pytest.raises(errors.DanglingReference):
-        resolve_org("Ghost Corp", corpus40.organizations, amap)
-
-
-def test_suggestions_ranked_not_applied(corpus40):
-    amap = build_alias_map(corpus40.organizations)
-    typo = "Lavagna Eletronica SpA"
-    assert isinstance(resolve_org(typo, corpus40.organizations, amap), Unresolved)
-    sugs = suggest_aliases([typo, "Officine Brembati"], corpus40.organizations)
-    assert [s.candidate_org_id for s in sugs if s.raw_name == typo] == ["FRM-X"]
-    assert all(s.score >= 0.9 for s in sugs)
-    # input order first, then score descending
-    names = [s.raw_name for s in sugs]
-    assert names == sorted(names, key=[typo, "Officine Brembati"].index)
-    # suggesting never mutates resolution state
-    assert isinstance(resolve_org(typo, corpus40.organizations, amap), Unresolved)
-
-
-def test_suggestions_threshold(corpus40):
-    none = suggest_aliases(["Zzz Qqq"], corpus40.organizations, threshold=0.99)
-    assert none == []
-
-
-def test_suggestions_csv_format(corpus40):
-    sugs = suggest_aliases(["Lavagna Eletronica SpA"], corpus40.organizations)
-    text = suggestions_to_csv(sugs)
-    lines = text.splitlines()
-    assert lines[0] == "raw_name,candidate_org_id,score"
-    assert lines[1].startswith("Lavagna Eletronica SpA,FRM-X,0.")
-    assert len(lines[1].rsplit(",", 1)[1].split(".")[1]) == 6
