@@ -4,7 +4,6 @@ from .collab import (
     CollabEdge,
     CollabSummary,
     CollaborationProfile,
-    classify_corpus,
     classify_publication,
     count_collaborations,
     extract_edges,
@@ -52,7 +51,6 @@ __all__ = [
     "Taxonomy",
     "TestResult",
     "article_ifpr",
-    "classify_corpus",
     "classify_publication",
     "compare",
     "count_collaborations",

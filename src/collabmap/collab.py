@@ -9,7 +9,7 @@ industry side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import views
 from .corpus import HOME_COUNTRY, Corpus, Organization, Publication
@@ -27,7 +27,17 @@ COLLAB_CASES = (CASE_ONE_ONE, CASE_M_ONE, CASE_ONE_N, CASE_M_N)
 SELECTOR_ALL = "all"
 SELECTOR_EXTRAMURAL = "extramural_collab"
 SELECTOR_INDUSTRY = "industry_coauthored"
-SELECTORS = (SELECTOR_ALL, SELECTOR_EXTRAMURAL, SELECTOR_INDUSTRY)
+# each selector and the Views attribute that holds its publications
+SELECTORS = {
+    SELECTOR_ALL: "everything",
+    SELECTOR_EXTRAMURAL: "extramural",
+    SELECTOR_INDUSTRY: "industry",
+}
+
+# the side of a collaboration an organization is on
+UNIVERSITY = "university"
+FIRM = "firm"
+OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -73,59 +83,60 @@ def _case_for(m: int, n: int) -> str:
     return CASE_M_N
 
 
+def side_of(org: Organization, home_country: str) -> str:
+    """The collaboration side of one organization: UNIVERSITY, FIRM or OTHER.
+
+    Universities count by kind alone; the industry side requires kind
+    private_firm *and* the home country.
+    """
+    if org.kind == "university":
+        return UNIVERSITY
+    if org.kind == "private_firm" and org.country == home_country:
+        return FIRM
+    return OTHER
+
+
 def classify_publication(
     pub: Publication,
     registry: Mapping[str, Organization],
     home_country: str = HOME_COUNTRY,
 ) -> CollaborationProfile:
-    """Partition a publication's addresses and derive its collaboration case.
+    """Partition a publication's addresses by :func:`side_of` and derive its case.
 
-    Universities are counted by kind alone; the industry side requires kind
-    private_firm *and* the home country. Duplicate addresses of one
-    organization collapse (address lists are sets).
+    Duplicate addresses of one organization collapse (address lists are sets).
     """
-    universities = set()
-    firms = set()
-    other = set()
+    sides: dict[str, set[str]] = {UNIVERSITY: set(), FIRM: set(), OTHER: set()}
     for org_id in pub.address_org_ids:
-        org = registry[org_id]
-        if org.kind == "university":
-            universities.add(org_id)
-        elif org.kind == "private_firm" and org.country == home_country:
-            firms.add(org_id)
-        else:
-            other.add(org_id)
-    m, n = len(universities), len(firms)
+        sides[side_of(registry[org_id], home_country)].add(org_id)
+    m, n = len(sides[UNIVERSITY]), len(sides[FIRM])
     return CollaborationProfile(
         pub_id=pub.pub_id,
-        universities=frozenset(universities),
-        domestic_firms=frozenset(firms),
-        other_orgs=frozenset(other),
+        universities=frozenset(sides[UNIVERSITY]),
+        domestic_firms=frozenset(sides[FIRM]),
+        other_orgs=frozenset(sides[OTHER]),
         case=_case_for(m, n),
         collab_count=m * n,
     )
 
 
-def classify_corpus(corpus: Corpus) -> dict[str, CollaborationProfile]:
-    """Profiles for every publication against the corpus's home country, by pub_id."""
-    registry, home_country = corpus.organizations, corpus.home_country
-    return {
-        pub.pub_id: classify_publication(pub, registry, home_country)
-        for pub in corpus.publications
-    }
+def _parties_of(corpus: Corpus) -> Iterator[tuple[Publication, list[str], list[str]]]:
+    """Each industry co-authored publication with its university and firm ids, in order."""
+    index = views.of(corpus)
+    universities, firms = index.parties
+    for i in views.members(index.industry):
+        pub = corpus.publications[i]
+        yield (pub, [o for o in pub.address_org_ids if o in universities],
+               [o for o in pub.address_org_ids if o in firms])
 
 
 def count_collaborations(corpus: Corpus) -> CollabSummary:
     """Total collaborations and the article/collaboration split by case."""
-    profiles = views.of(corpus).profiles
     articles_by_case = {case: 0 for case in COLLAB_CASES}
     collaborations_by_case = {case: 0 for case in COLLAB_CASES}
-    for pub in corpus.publications:
-        profile = profiles[pub.pub_id]
-        if profile.case == CASE_NONE:
-            continue
-        articles_by_case[profile.case] += 1
-        collaborations_by_case[profile.case] += profile.collab_count
+    for _, univs, firms in _parties_of(corpus):
+        case = _case_for(len(univs), len(firms))
+        articles_by_case[case] += 1
+        collaborations_by_case[case] += len(univs) * len(firms)
     return CollabSummary(
         total_collaborations=sum(collaborations_by_case.values()),
         industry_articles=sum(articles_by_case.values()),
@@ -136,14 +147,9 @@ def count_collaborations(corpus: Corpus) -> CollabSummary:
 
 def extract_edges(corpus: Corpus) -> list[CollabEdge]:
     """Every (publication, university, firm) triple, sorted in that order."""
-    profiles = views.of(corpus).profiles
-    edges: list[CollabEdge] = []
-    for pub in corpus.publications:
-        profile = profiles[pub.pub_id]
-        for univ in sorted(profile.universities):
-            for firm in sorted(profile.domestic_firms):
-                edges.append(CollabEdge(pub.pub_id, univ, firm))
-    return edges
+    return [CollabEdge(pub.pub_id, univ, firm)
+            for pub, univs, firms in _parties_of(corpus)
+            for univ in univs for firm in firms]
 
 
 def subset_mask(corpus: Corpus, selector: str) -> int:
@@ -155,13 +161,9 @@ def subset_mask(corpus: Corpus, selector: str) -> int:
     sets nest: industry_coauthored <= extramural_collab <= all.
     """
     if selector not in SELECTORS:
-        raise UnknownSelector(f"unknown selector {selector!r}; expected one of {SELECTORS}")
-    index = views.of(corpus)
-    if selector == SELECTOR_ALL:
-        return index.everything
-    if selector == SELECTOR_EXTRAMURAL:
-        return index.extramural
-    return index.industry
+        raise UnknownSelector(
+            f"unknown selector {selector!r}; expected one of {tuple(SELECTORS)}")
+    return getattr(views.of(corpus), SELECTORS[selector])
 
 
 def subset(corpus: Corpus, selector: str) -> frozenset[str]:

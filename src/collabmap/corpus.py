@@ -139,11 +139,12 @@ class Corpus:
     pub_id (:class:`DuplicateId`) and raises the first reference that does
     not resolve, scanning in that order: an unknown journal, organization or
     researcher (:class:`DanglingReference`), a journal with no usable year,
-    or a roster author whose university is not in the address list
-    (:class:`InvariantViolation`). This holds for a
-    loaded corpus, a constructed one and a ``dataclasses.replace`` copy
-    alike. Address lists are sorted sets, so two corpora loaded from
-    row-permuted copies of the same files compare equal.
+    an address list that is not a sorted set, or a roster author whose
+    university is not in the address list (:class:`InvariantViolation`).
+    This holds for a loaded corpus, a constructed one and a
+    ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
+    address lists, so two corpora loaded from row-permuted copies of the
+    same files compare equal.
     ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
@@ -197,9 +198,12 @@ class Corpus:
             if self.effective_journal(pub.journal_id, pub.year) is None:
                 raise DanglingReference(
                     "journal_year", f"{pub.journal_id}@{pub.year}", where)
-            for org_id in pub.address_org_ids:
+            addresses = pub.address_org_ids
+            for org_id in addresses:
                 if org_id not in organizations:
                     raise DanglingReference("organization", org_id, where)
+            if len(addresses) > 1 and list(addresses) != sorted(set(addresses)):
+                raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")
             for author in pub.authors:
                 if author.org_id not in organizations:
                     raise DanglingReference(

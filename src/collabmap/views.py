@@ -1,11 +1,11 @@
 """Derived views of a corpus, built once per corpus.
 
 Every analysis reads its inputs through the one :class:`Views` object cached
-on the corpus. The corpus fixes the home country the classification uses;
+on the corpus. The corpus fixes the home country that ``parties`` uses;
 a corpus for another country, from ``load_corpus(..., home_country=)`` or
 ``dataclasses.replace``, is a new corpus with views of its own. Each view is
 computed on first use and kept, so a bundle of tables computes it once, and
-a command that needs only the classification builds nothing else.
+a command that needs only ``parties`` builds nothing else.
 
 Every corpus is sorted by pub_id and closed by construction, so each
 organization, journal record and researcher a view looks up exists.
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .corpus import Corpus
 
 if TYPE_CHECKING:
-    from .collab import CollaborationProfile
     from .indicators import ResearcherPerformance
 
 
@@ -77,9 +76,8 @@ class Views:
     """Derived views of one corpus.
 
     Publication sets are bitmasks over positions in ``corpus.publications``;
-    per-publication values are lists indexed by position. Only the
-    classification, the subsets and the collaborators depend on the home
-    country.
+    per-publication values are lists indexed by position. Only ``parties``,
+    the subsets and the collaborators depend on the home country.
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -92,25 +90,31 @@ class Views:
         return frozenset(pubs[i].pub_id for i in members(mask))
 
     @cached_property
-    def profiles(self) -> dict[str, CollaborationProfile]:
-        """The collaboration profile of every publication, by pub_id."""
+    def parties(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The university-side and the domestic-firm org ids, each org classified once."""
         from . import collab
 
-        return collab.classify_corpus(self.corpus)
+        home_country = self.corpus.home_country
+        sides = {org_id: collab.side_of(org, home_country)
+                 for org_id, org in self.corpus.organizations.items()}
+        return (frozenset(o for o, side in sides.items() if side == collab.UNIVERSITY),
+                frozenset(o for o, side in sides.items() if side == collab.FIRM))
 
     @cached_property
     def extramural(self) -> int:
         """Articles with two or more address organizations, one a university."""
-        pubs, profiles = self.corpus.publications, self.profiles
-        return _mask((i for i, pub in enumerate(pubs) if len(pub.address_org_ids) >= 2
-                      and profiles[pub.pub_id].universities), self.size)
+        universities = self.parties[0]
+        return _mask((i for i, pub in enumerate(self.corpus.publications)
+                      if len(pub.address_org_ids) >= 2
+                      and not universities.isdisjoint(pub.address_org_ids)), self.size)
 
     @cached_property
     def industry(self) -> int:
         """Articles with at least one university-firm collaboration."""
-        pubs, profiles = self.corpus.publications, self.profiles
-        return _mask((i for i, pub in enumerate(pubs)
-                      if profiles[pub.pub_id].collab_count >= 1), self.size)
+        universities, firms = self.parties
+        return _mask((i for i, pub in enumerate(self.corpus.publications)
+                      if not universities.isdisjoint(pub.address_org_ids)
+                      and not firms.isdisjoint(pub.address_org_ids)), self.size)
 
     @cached_property
     def collaborators(self) -> frozenset[str]:

@@ -111,6 +111,15 @@ def test_missing_data_dir_is_reported(capsys):
     assert "missing input file" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_reported(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "edges.csv"
+    assert main(["edges", "--data-dir", str(FIXTURE40), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--data-dir", "x", "--grouping", "bogus", "--indicator", "ifpr"],
     ["map", "--data-dir", "x", "--metric", "bogus"],

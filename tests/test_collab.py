@@ -13,13 +13,13 @@ from collabmap.collab import (
     SELECTOR_ALL,
     SELECTOR_EXTRAMURAL,
     SELECTOR_INDUSTRY,
-    classify_corpus,
     classify_publication,
     count_collaborations,
     extract_edges,
     subset,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+from collabmap.harness import SynthConfig, generate
 from collabmap.report import edges_csv
 
 from conftest import FIXTURE40
@@ -122,7 +122,9 @@ def test_home_country_switch():
 
 
 def test_fixture_profiles(corpus40):
-    profiles = classify_corpus(corpus40)
+    profiles = {pub.pub_id: classify_publication(pub, corpus40.organizations,
+                                                 corpus40.home_country)
+                for pub in corpus40.publications}
     assert set(profiles) == {p.pub_id for p in corpus40.publications}
     assert profiles["P01"].case == CASE_ONE_ONE
     assert profiles["P02"].case == CASE_M_ONE
@@ -171,10 +173,38 @@ def test_subset_unknown_selector(corpus40):
         subset(corpus40, "everything")
 
 
-def test_classify_corpus_is_repeatable(corpus40):
-    first = classify_corpus(corpus40)
-    assert classify_corpus(corpus40) == first
-    assert classify_corpus(load_corpus(FIXTURE40)) == first
+def test_parties_and_edges_are_repeatable(corpus40):
+    parties, edges = views.of(corpus40).parties, extract_edges(corpus40)
+    assert parties == (frozenset({"UNI-A", "UNI-B", "UNI-C", "UNI-D"}),
+                       frozenset({"FRM-X", "FRM-Y", "FRM-Z"}))
+    assert views.of(corpus40).parties == parties
+    assert extract_edges(corpus40) == edges
+    fresh = load_corpus(FIXTURE40)
+    assert views.of(fresh).parties == parties
+    assert extract_edges(fresh) == edges
+
+
+def _assert_views_match_reference(corpus):
+    index = views.of(corpus)
+    expected_edges = []
+    for i, pub in enumerate(corpus.publications):
+        profile = classify_publication(pub, corpus.organizations, corpus.home_country)
+        bit = 1 << i
+        assert bool(index.industry & bit) == (profile.collab_count >= 1), pub.pub_id
+        assert bool(index.extramural & bit) == (
+            len(pub.address_org_ids) >= 2 and len(profile.universities) >= 1), pub.pub_id
+        expected_edges += [(pub.pub_id, univ, firm) for univ in sorted(profile.universities)
+                           for firm in sorted(profile.domestic_firms)]
+    assert [(e.pub_id, e.university_org_id, e.firm_org_id)
+            for e in extract_edges(corpus)] == expected_edges
+
+
+def test_views_match_per_article_reference(corpus40, tmp_path):
+    _assert_views_match_reference(corpus40)
+    _assert_views_match_reference(dataclasses.replace(corpus40, home_country="DE"))
+    for seed in range(3):
+        out = generate(SynthConfig(seed=seed, n_pubs=300), tmp_path / f"s{seed}")
+        _assert_views_match_reference(load_corpus(out))
 
 
 def test_replaced_corpus_gets_its_own_views(corpus40):

@@ -142,6 +142,13 @@ def test_construction_rejects_duplicate_pub_id(corpus40):
     assert (exc.value.kind, exc.value.value) == ("pub_id", "P01")
 
 
+@pytest.mark.parametrize("addresses", [("UNI-B", "UNI-A"), ("UNI-A", "UNI-A")])
+def test_construction_rejects_unsorted_address_list(corpus40, addresses):
+    bad_pub = dataclasses.replace(corpus40.publications[0], address_org_ids=addresses)
+    with pytest.raises(errors.InvariantViolation, match="P01: address list"):
+        dataclasses.replace(corpus40, publications=(bad_pub,) + corpus40.publications[1:])
+
+
 def test_unknown_org_kind(fixture_copy):
     _rewrite(fixture_copy / "organizations.csv", "private_firm", "firm")
     with pytest.raises(errors.ParseError):

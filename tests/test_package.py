@@ -22,9 +22,7 @@ def _relative_imports(module):
                 yield node.module.split(".")[0]
 
 
-# resolve.py holds only jaro_winkler, which no command calls; it and this
-# entry go together (ROADMAP item 3).
-KNOWN_UNREACHED = ["resolve"]
+KNOWN_UNREACHED = []
 
 
 def test_every_module_reachable_from_cli():

@@ -38,14 +38,14 @@ def test_masks_match_id_sets(corpus40):
 
 def test_render_all_classifies_once(corpus40, monkeypatch):
     calls = []
-    original = collab.classify_corpus
+    original = collab.side_of
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(collab, "classify_corpus", counting)
+    monkeypatch.setattr(collab, "side_of", counting)
     fresh = dataclasses.replace(corpus40)
     render_all(fresh, min_collab_pubs=3)
     render_all(fresh, min_collab_pubs=4)
-    assert len(calls) == 1
+    assert len(calls) == len(fresh.organizations)
