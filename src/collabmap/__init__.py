@@ -21,10 +21,8 @@ from .corpus import (
 )
 from .indicators import (
     MultidiscIndex,
-    PercentileRanked,
     ResearcherPerformance,
     SectorIntensityRow,
-    article_ifpr,
     if_percentile_ranks,
     midrank_percentiles,
     rank_within_sector,
@@ -42,7 +40,6 @@ __all__ = [
     "Corpus",
     "MultidiscIndex",
     "Organization",
-    "PercentileRanked",
     "Publication",
     "Researcher",
     "ResearcherPerformance",
@@ -50,7 +47,6 @@ __all__ = [
     "SectorIntensityRow",
     "Taxonomy",
     "TestResult",
-    "article_ifpr",
     "classify_publication",
     "compare",
     "count_collaborations",

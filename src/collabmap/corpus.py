@@ -4,8 +4,9 @@ A data directory holds five files: ``taxonomy.csv``, ``organizations.csv``,
 ``journals.csv``, ``roster.csv`` and ``publications.jsonl``. Loading reads
 the publications in one pass and drops those outside the observation window
 as it reads them. Every :class:`Corpus`, loaded or constructed, is sorted by
-pub_id and closed: every identifier it mentions resolves, or construction
-raises the error the loader would.
+pub_id and closed: each roster entry names a known university and a sector
+of the taxonomy, every identifier a publication mentions resolves, or
+construction raises the error the loader would.
 """
 
 from __future__ import annotations
@@ -136,11 +137,15 @@ class Corpus:
     """A referentially closed publication corpus, sorted by pub_id.
 
     Construction sorts ``publications`` by pub_id, rejects a repeated
-    pub_id (:class:`DuplicateId`) and raises the first reference that does
-    not resolve, scanning in that order: an unknown journal, organization or
-    researcher (:class:`DanglingReference`), a journal with no usable year,
-    an address list that is not a sorted set, or a roster author whose
-    university is not in the address list (:class:`InvariantViolation`).
+    pub_id (:class:`DuplicateId`) and raises the first rule broken. It checks
+    the roster first, in its own order: each entry's university must exist
+    (:class:`DanglingReference`) and be a university
+    (:class:`InvariantViolation`), and its sector must be in the taxonomy
+    (:class:`DanglingReference`). Then it scans the publications in pub_id
+    order for an unknown journal, organization or researcher
+    (:class:`DanglingReference`), a journal with no usable year, an address
+    list that is not a sorted set, or a roster author whose university is
+    not in the address list (:class:`InvariantViolation`).
     This holds for a loaded corpus, a constructed one and a
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
@@ -189,8 +194,20 @@ class Corpus:
         self._check_closed()
 
     def _check_closed(self) -> None:
-        """Raise the first reference that does not resolve, in pub_id order."""
+        """Raise the first broken rule: roster order, then pub_id order."""
         organizations, researchers = self.organizations, self.researchers
+        for researcher in researchers.values():
+            where = f"roster entry {researcher.researcher_id}"
+            org = organizations.get(researcher.university_org_id)
+            if org is None:
+                raise DanglingReference("organization", researcher.university_org_id, where)
+            if org.kind != "university":
+                raise InvariantViolation(
+                    f"{where}: organization {researcher.university_org_id!r} "
+                    f"has kind {org.kind!r}, expected 'university'"
+                )
+            if researcher.sds_id not in self.taxonomy.sectors:
+                raise DanglingReference("sds", researcher.sds_id, where)
         for pub in self.publications:
             where = f"publication {pub.pub_id}"
             if pub.journal_id not in self._years_by_journal:
@@ -341,26 +358,12 @@ def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
     return journals
 
 
-def _load_roster(
-    path: Path, organizations: dict[str, Organization], taxonomy: Taxonomy
-) -> dict[str, Researcher]:
+def _load_roster(path: Path) -> dict[str, Researcher]:
     roster: dict[str, Researcher] = {}
     rows = _read_csv_rows(path, ROSTER_FIELDS)
     for _, (researcher_id, full_name, university_org_id, sds_id) in rows:
         if researcher_id in roster:
             raise DuplicateId("researcher_id", researcher_id)
-        org = organizations.get(university_org_id)
-        if org is None:
-            raise DanglingReference(
-                "organization", university_org_id, f"roster entry {researcher_id}"
-            )
-        if org.kind != "university":
-            raise InvariantViolation(
-                f"roster entry {researcher_id}: organization {university_org_id!r} "
-                f"has kind {org.kind!r}, expected 'university'"
-            )
-        if sds_id not in taxonomy.sectors:
-            raise DanglingReference("sds", sds_id, f"roster entry {researcher_id}")
         roster[researcher_id] = Researcher(researcher_id, full_name, university_org_id, sds_id)
     return roster
 
@@ -469,7 +472,7 @@ def load_corpus(
     taxonomy = load_taxonomy(paths["taxonomy.csv"])
     organizations = _load_organizations(paths["organizations.csv"])
     journals = _load_journals(paths["journals.csv"])
-    researchers = _load_roster(paths["roster.csv"], organizations, taxonomy)
+    researchers = _load_roster(paths["roster.csv"])
     publications, excluded = _load_publications(paths["publications.jsonl"], (lo, hi))
     if not publications:
         raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")

@@ -75,10 +75,6 @@ class UnknownSelector(CollabmapError):
 
 # -- indicators ----------------------------------------------------------------
 
-class UnrankedJournal(CollabmapError):
-    """A publication's journal is absent from the percentile-rank index."""
-
-
 class UnknownResearcher(CollabmapError):
     """A researcher identifier is not on the roster."""
 

@@ -395,7 +395,7 @@ def _oracle_journal_record(raw: dict, journal_id: str, year: int,
     return min(in_window, key=lambda r: (abs(r["year"] - year), r["year"]))
 
 
-def oracle_article_ifpr(
+def oracle_ifpr_by_publication(
     data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW
 ) -> dict[str, float]:
     """Per-article impact percentile, recomputed naively per year."""
@@ -448,7 +448,7 @@ def oracle_researcher_fss(
 ) -> dict[str, float]:
     """Fractional scientific strength per researcher, by direct scan."""
     raw = _read_raw(data_dir)
-    ifpr = oracle_article_ifpr(data_dir, window)
+    ifpr = oracle_ifpr_by_publication(data_dir, window)
     totals = {rid: 0.0 for rid in raw["roster"]}
     for pub in raw["pubs"]:
         if not _in_window(pub, window):
@@ -473,7 +473,7 @@ class ComparisonOracle:
                  home_country: str = HOME_COUNTRY):
         self._data_dir, self._window = data_dir, window
         raw = _read_raw(data_dir)
-        ifpr = oracle_article_ifpr(data_dir, window)
+        ifpr = oracle_ifpr_by_publication(data_dir, window)
         with (Path(data_dir) / "taxonomy.csv").open(newline="", encoding="utf-8") as fh:
             self._sds_area = {row["sds_id"]: row["uda_id"] for row in csv.DictReader(fh)}
         self._roster = raw["roster"]

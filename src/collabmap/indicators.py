@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import collab, views
-from .corpus import Corpus, Publication
-from .errors import (
-    EmptySample,
-    EmptySector,
-    UnknownResearcher,
-    UnrankedJournal,
-)
+from .corpus import Corpus, JournalYear, Publication
+from .errors import EmptySample, EmptySector, UnknownResearcher
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
@@ -27,7 +22,7 @@ LEVEL_UDA = "uda"
 def midrank_percentiles(values: Sequence[float]) -> list[float]:
     """Percentile rank of each value in its own distribution, midrank ties.
 
-    rank_pct = 100 * (count_below + 0.5 * count_equal) / n. The group mean is
+    percentile = 100 * (count_below + 0.5 * count_equal) / n. The group mean is
     always 50, and any strictly increasing transform of the values leaves the
     ranks unchanged.
     """
@@ -49,70 +44,29 @@ def midrank_percentiles(values: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class PercentileRanked:
-    subject_id: str
-    value: float
-    rank_pct: float
-
-
-@dataclass(frozen=True)
-class YearRanks:
-    """Per-category journal impact percentile ranks for one year."""
-
-    year: int
-    ranks: dict[tuple[str, str], PercentileRanked]  # (journal_id, category) -> rank
-    categories: dict[str, tuple[str, ...]]  # journal_id -> categories that year
-
-
-def if_percentile_ranks(corpus: Corpus, year: int) -> YearRanks:
-    """Rank every journal's impact factor within each of its categories.
+def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:
+    """Midrank percentile of every journal's impact factor within each of its
+    categories, keyed by (journal_id, category).
 
     A journal's record for the year follows the same resolution rule articles
     use (exact year, else nearest in the window); a journal with no usable
     record, such as one whose rows all fall outside the window, is left out
     of that year's ranking.
     """
-    effective = {}
+    by_category: dict[str, list[JournalYear]] = {}
     for journal_id in sorted(corpus.journal_ids):
         record = corpus.effective_journal(journal_id, year)
         if record is not None:
-            effective[journal_id] = record
+            for cat in record.sci_categories:
+                by_category.setdefault(cat, []).append(record)
 
-    by_category: dict[str, list[str]] = {}
-    for journal_id, record in effective.items():
-        for cat in record.sci_categories:
-            by_category.setdefault(cat, []).append(journal_id)
-
-    ranks: dict[tuple[str, str], PercentileRanked] = {}
+    ranks: dict[tuple[str, str], float] = {}
     for cat in sorted(by_category):
-        members = sorted(by_category[cat])
-        pcts = midrank_percentiles([effective[j].impact_factor for j in members])
-        for journal_id, pct in zip(members, pcts):
-            ranks[(journal_id, cat)] = PercentileRanked(
-                subject_id=journal_id,
-                value=effective[journal_id].impact_factor,
-                rank_pct=pct,
-            )
-    categories = {j: record.sci_categories for j, record in effective.items()}
-    return YearRanks(year=year, ranks=ranks, categories=categories)
-
-
-def build_rank_index(corpus: Corpus) -> dict[int, YearRanks]:
-    """YearRanks for every publication year present in the corpus."""
-    years = sorted({pub.year for pub in corpus.publications})
-    return {year: if_percentile_ranks(corpus, year) for year in years}
-
-
-def article_ifpr(pub: Publication, ranks: YearRanks) -> float:
-    """Mean percentile rank of the publishing journal over its categories."""
-    cats = ranks.categories.get(pub.journal_id)
-    if cats is None:
-        raise UnrankedJournal(f"journal {pub.journal_id!r} is not in the rank index")
-    total = 0.0
-    for cat in cats:
-        total += ranks.ranks[(pub.journal_id, cat)].rank_pct
-    return total / len(cats)
+        members = by_category[cat]
+        pcts = midrank_percentiles([record.impact_factor for record in members])
+        for record, pct in zip(members, pcts):
+            ranks[(record.journal_id, cat)] = pct
+    return ranks
 
 
 def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
@@ -200,7 +154,7 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
 class ResearcherPerformance:
     """Output (publications authored) and fractional scientific strength.
 
-    Each authored publication adds (article_ifpr / 100) / (number of byline
+    Each authored publication adds (its ifpr / 100) / (number of byline
     authors) to ``fss``, so ``fss`` never exceeds ``output``.
     """
 

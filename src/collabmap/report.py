@@ -44,19 +44,12 @@ TOP_UDA = 4
 
 
 @dataclass(frozen=True)
-class RankRow:
-    sector_id: str
-    value: float | int | None
-    context: tuple[tuple[str, float | int | None], ...]
-
-
-@dataclass(frozen=True)
 class RankTable:
     title: str
     level: str
     metric: str
     k: int
-    rows: tuple[RankRow, ...]
+    rows: tuple[indicators.SectorIntensityRow, ...]
 
 
 @dataclass(frozen=True)
@@ -81,8 +74,9 @@ def build_rank_table(
 ) -> RankTable:
     """Rank sectors by one intensity metric, keeping the top k.
 
-    Sectors whose metric is undefined are excluded; ties order by sector id.
-    The other three metrics ride along as context columns.
+    The rows are the sectors' intensity rows: those whose metric is
+    undefined are dropped, and ties order by sector id. Rendering puts the
+    metric in the ``value`` column and the other three after it.
     """
     if metric not in METRICS:
         raise UnknownMetric(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -90,19 +84,8 @@ def build_rank_table(
         raise ValueError(f"k must be at least 1, got {k}")
     intensity = indicators.sector_intensity(corpus, level)
     field = _METRIC_FIELD[metric]
-    context_names = tuple(m for m in METRICS if m != metric)
-
-    scored = []
-    for row in intensity:
-        value = getattr(row, field)
-        if value is None:
-            continue
-        context = tuple(
-            (name, getattr(row, _METRIC_FIELD[name])) for name in context_names
-        )
-        scored.append(RankRow(sector_id=row.sector_id, value=value, context=context))
-    scored.sort(key=lambda r: (-r.value, r.sector_id))
-
+    scored = sorted((row for row in intensity if getattr(row, field) is not None),
+                    key=lambda row: (-getattr(row, field), row.sector_id))
     title = f"Top {k} {_LEVEL_WORD[level]} by {_METRIC_TITLE[metric]}"
     return RankTable(title=title, level=level, metric=metric, k=k, rows=tuple(scored[:k]))
 
@@ -178,24 +161,18 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def _render_rank(table: RankTable, fmt: str) -> str:
-    context_names = [name for name, _ in table.rows[0].context] if table.rows else [
-        m for m in METRICS if m != table.metric
-    ]
-    header = ["sector", "value", *context_names]
-    cells = [
-        [row.sector_id, _fmt_cell(row.value), *(_fmt_cell(v) for _, v in row.context)]
-        for row in table.rows
-    ]
+    # column name -> row field: the ranked metric, then the others in METRICS order
+    columns = {"value": _METRIC_FIELD[table.metric],
+               **{m: _METRIC_FIELD[m] for m in METRICS if m != table.metric}}
+    header = ["sector", *columns]
+    cells = [[row.sector_id, *(_fmt_cell(getattr(row, f)) for f in columns.values())]
+             for row in table.rows]
     if fmt == "csv":
         return _csv_lines([header, *cells])
     if fmt == "md":
         return "\n".join([table.title, "", *_md_table(header, cells)]) + "\n"
     rows = [
-        {
-            "sector": row.sector_id,
-            "value": _json_cell(row.value),
-            **{name: _json_cell(v) for name, v in row.context},
-        }
+        {"sector": row.sector_id, **{c: _json_cell(getattr(row, f)) for c, f in columns.items()}}
         for row in table.rows
     ]
     return _dump_json(

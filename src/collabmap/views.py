@@ -171,11 +171,20 @@ class Views:
 
     @cached_property
     def ifpr(self) -> list[float]:
-        """Article-level impact percentile of each publication."""
+        """Article-level impact percentile of each publication: the mean of its
+        journal's percentile ranks in that year over its ``categories``."""
         from . import indicators
 
-        index = indicators.build_rank_index(self.corpus)
-        return [indicators.article_ifpr(p, index[p.year]) for p in self.corpus.publications]
+        pubs = self.corpus.publications
+        ranks = {year: indicators.if_percentile_ranks(self.corpus, year)
+                 for year in {p.year for p in pubs}}
+        ifpr = []
+        for pub, categories in zip(pubs, self.categories):
+            total = 0.0
+            for cat in categories:
+                total += ranks[pub.year][(pub.journal_id, cat)]
+            ifpr.append(total / len(categories))
+        return ifpr
 
     @cached_property
     def performance(self) -> dict[str, ResearcherPerformance]:

@@ -1,3 +1,5 @@
+import csv
+import json
 import shutil
 from pathlib import Path
 
@@ -38,6 +40,26 @@ def assert_close(got, want, context):
             assert g is not None and abs(g - w) <= 1e-9, (context, g, w)
         else:
             assert g == w, (context, g, w)
+
+
+def oracle_edges(data_dir, window, home_country):
+    """Sorted (pub, university, domestic firm) triples of the in-window
+    articles, read from organizations.csv and publications.jsonl alone."""
+    with (Path(data_dir) / "organizations.csv").open(newline="", encoding="utf-8") as fh:
+        orgs = {row["org_id"]: (row["kind"], row["country"]) for row in csv.DictReader(fh)}
+    triples = []
+    with (Path(data_dir) / "publications.jsonl").open(encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            pub = json.loads(line)
+            if not window[0] <= pub["year"] <= window[1]:
+                continue
+            addresses = set(pub["address_org_ids"])
+            universities = [o for o in addresses if orgs[o][0] == "university"]
+            firms = [o for o in addresses if orgs[o] == ("private_firm", home_country)]
+            triples += [(pub["pub_id"], u, f) for u in universities for f in firms]
+    return sorted(triples)
 
 
 RESEARCHERS = "researchers_industry_vs_rest"

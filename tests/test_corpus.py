@@ -8,6 +8,7 @@ from collabmap.corpus import (
     AuthorRef,
     Corpus,
     Publication,
+    Researcher,
     load_corpus,
     load_taxonomy,
     validate_corpus,
@@ -359,6 +360,37 @@ def test_construction_raises_what_load_raises(fixture_copy, record, error, entit
         dataclasses.replace(clean, publications=clean.publications + (_publication(record),))
     assert getattr(built.value, "entity", None) == getattr(loaded.value, "entity", None) == entity
     assert str(built.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize("university, sds, error, entity", [
+    ("UNI-NOPE", "ELEC", errors.DanglingReference, "organization"),
+    ("FRM-X", "ELEC", errors.InvariantViolation, None),
+    ("UNI-A", "NOPE", errors.DanglingReference, "sds"),
+], ids=["unknown_university", "not_a_university", "unknown_sds"])
+def test_roster_construction_raises_what_load_raises(fixture_copy, university, sds, error,
+                                                     entity):
+    clean = load_corpus(fixture_copy)
+    with (fixture_copy / "roster.csv").open("a", encoding="utf-8") as fh:
+        fh.write(f"RES-ZZ,Zed,{university},{sds}\n")
+    with pytest.raises(error) as loaded:
+        load_corpus(fixture_copy)
+    entry = Researcher("RES-ZZ", "Zed", university, sds)
+    with pytest.raises(error) as built:
+        dataclasses.replace(clean, researchers={**clean.researchers, "RES-ZZ": entry})
+    assert getattr(built.value, "entity", None) == getattr(loaded.value, "entity", None) == entity
+    assert str(built.value) == str(loaded.value)
+    assert "roster entry RES-ZZ" in str(built.value)
+
+
+def test_roster_checked_first_in_roster_order(corpus40):
+    bad_pub = dataclasses.replace(corpus40.publications[0], journal_id="JRN-NOPE")
+    researchers = {**corpus40.researchers,
+                   "RES-ZZ": Researcher("RES-ZZ", "Zed", "UNI-A", "NOPE"),
+                   "RES-AA": Researcher("RES-AA", "Abe", "UNI-NOPE", "ELEC")}
+    with pytest.raises(errors.DanglingReference) as exc:
+        dataclasses.replace(corpus40, researchers=researchers,
+                            publications=(bad_pub,) + corpus40.publications[1:])
+    assert str(exc.value) == "unknown sds: 'NOPE' (roster entry RES-ZZ)"
 
 
 def test_construction_sorts_publications(corpus40):

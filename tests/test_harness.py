@@ -9,8 +9,8 @@ from collabmap.harness import (
     SplitMix64,
     SynthConfig,
     generate,
-    oracle_article_ifpr,
     oracle_collab_counts,
+    oracle_ifpr_by_publication,
     oracle_percentiles,
     oracle_researcher_fss,
     oracle_researcher_outputs,
@@ -120,7 +120,7 @@ def test_generated_corpus_matches_oracles(tmp_path):
     assert oracle_collab_counts(out) == count_collaborations(corpus)
 
     engine_ifpr = ifpr_by_publication(corpus)
-    oracle_ifpr = oracle_article_ifpr(out)
+    oracle_ifpr = oracle_ifpr_by_publication(out)
     assert set(engine_ifpr) == set(oracle_ifpr)
     for pub_id, value in oracle_ifpr.items():
         assert abs(engine_ifpr[pub_id] - value) <= 1e-9, pub_id
@@ -146,7 +146,7 @@ def test_oracle_sees_window(tmp_path):
     assert corpus.window_excluded > 0
 
     engine_ifpr = ifpr_by_publication(corpus)
-    oracle_ifpr = oracle_article_ifpr(out, window=narrow)
+    oracle_ifpr = oracle_ifpr_by_publication(out, window=narrow)
     assert engine_ifpr.keys() == oracle_ifpr.keys()
     for pub_id, value in oracle_ifpr.items():
         assert abs(engine_ifpr[pub_id] - value) <= 1e-9, pub_id

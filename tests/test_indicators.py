@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from collabmap import errors, views
 from collabmap.corpus import load_corpus
-from collabmap.harness import oracle_article_ifpr
+from collabmap.harness import oracle_ifpr_by_publication
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
-    YearRanks,
-    article_ifpr,
-    build_rank_index,
     if_percentile_ranks,
     ifpr_by_publication,
     midrank_percentiles,
@@ -135,14 +132,14 @@ def test_midrank_monotone_transform_invariant(values):
 def test_if_percentile_ranks(corpus40):
     for year in (2001, 2002, 2003):
         ranks = if_percentile_ranks(corpus40, year)
-        assert ranks.year == year
-        assert ranks.ranks[("JRN-A", "CAT-A")].rank_pct == pytest.approx(float(100 * A), abs=1e-12)
-        assert ranks.ranks[("JRN-B", "CAT-A")].rank_pct == 50.0
-        assert ranks.ranks[("JRN-G", "CAT-A")].rank_pct == pytest.approx(250.0 / 3, abs=1e-12)
-        assert ranks.ranks[("JRN-B", "CAT-B")].rank_pct == 25.0
-        assert ranks.ranks[("JRN-G", "CAT-B")].rank_pct == 75.0
-        assert ranks.ranks[("JRN-G", "CAT-C")].rank_pct == 50.0
-        assert ranks.categories["JRN-G"] == ("CAT-A", "CAT-B", "CAT-C")
+        assert ranks[("JRN-A", "CAT-A")] == pytest.approx(float(100 * A), abs=1e-12)
+        assert ranks[("JRN-B", "CAT-A")] == 50.0
+        assert ranks[("JRN-G", "CAT-A")] == pytest.approx(250.0 / 3, abs=1e-12)
+        assert ranks[("JRN-B", "CAT-B")] == 25.0
+        assert ranks[("JRN-G", "CAT-B")] == 75.0
+        assert ranks[("JRN-G", "CAT-C")] == 50.0
+        assert corpus40.effective_journal("JRN-G", year).sci_categories == (
+            "CAT-A", "CAT-B", "CAT-C")
 
 
 def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40):
@@ -154,13 +151,8 @@ def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40)
     for year in (2001, 2002, 2003):
         assert if_percentile_ranks(c, year) == if_percentile_ranks(corpus40, year)
     assert render_all(c, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
-    assert ifpr_by_publication(c) == pytest.approx(oracle_article_ifpr(fixture_copy), abs=1e-12)
-
-
-def test_article_ifpr_unranked_journal(corpus40):
-    empty = YearRanks(year=2001, ranks={}, categories={})
-    with pytest.raises(errors.UnrankedJournal):
-        article_ifpr(corpus40.publications[0], empty)
+    assert ifpr_by_publication(c) == pytest.approx(
+        oracle_ifpr_by_publication(fixture_copy), abs=1e-12)
 
 
 def test_ifpr_by_publication(corpus40):
@@ -172,10 +164,16 @@ def test_ifpr_by_publication(corpus40):
 
 
 def test_ifpr_follows_rank_index(corpus40):
-    index = build_rank_index(corpus40)
-    assert set(index) == {2001, 2002, 2003}
-    assert ifpr_by_publication(corpus40) == {
-        p.pub_id: article_ifpr(p, index[p.year]) for p in corpus40.publications}
+    ranks = {year: if_percentile_ranks(corpus40, year) for year in (2001, 2002, 2003)}
+    assert {p.year for p in corpus40.publications} == set(ranks)
+    expected = {}
+    for p in corpus40.publications:
+        categories = corpus40.effective_journal(p.journal_id, p.year).sci_categories
+        total = 0.0
+        for cat in categories:
+            total += ranks[p.year][(p.journal_id, cat)]
+        expected[p.pub_id] = total / len(categories)
+    assert ifpr_by_publication(corpus40) == expected
 
 
 def _pub_ids(index, groups):

@@ -6,9 +6,14 @@ import json
 import pytest
 
 from collabmap import errors
+from collabmap.collab import extract_edges
 from collabmap.corpus import load_corpus
+from collabmap.harness import ComparisonOracle, SynthConfig, generate
+from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
 from collabmap.report import (
     METRICS,
+    TOP_SDS,
+    TOP_UDA,
     build_comparison_table,
     build_multidisc_table,
     build_rank_table,
@@ -17,7 +22,7 @@ from collabmap.report import (
     render_all,
 )
 
-from conftest import FIXTURE40, GOLDEN
+from conftest import FIXTURE40, GOLDEN, oracle_edges
 
 GOLDEN_NAMES = (
     "compare_multidisc_all_vs_industry_ii_sci.json",
@@ -73,10 +78,8 @@ def test_rank_table_structure(corpus40):
     assert table.k == 2
     assert len(table.rows) == 2
     assert table.rows[0].sector_id == "ELEC"
-    assert table.rows[0].value == 3
+    assert table.rows[0].n_industry_coauth == 3
     assert table.title == "Top 2 sectors by industry co-authored articles"
-    assert [name for name, _ in table.rows[0].context] == [
-        "pct_all", "pct_coauth", "per_researcher"]
 
 
 def test_rank_table_sorts_by_value_then_id(corpus40):
@@ -171,3 +174,31 @@ def test_edges_csv(corpus40, rendered):
     lines = edges_csv(corpus40).splitlines()
     assert lines[0] == "pub_id,university_org_id,firm_org_id"
     assert len(lines) == 11
+
+
+def test_rank_tables_and_edges_match_raw_file_oracles(tmp_path):
+    # the second corpus shape of the acceptance sweep, over its first 40 seeds
+    n_tables = n_edges = 0
+    for seed in range(40):
+        out = generate(
+            SynthConfig(seed=seed, n_pubs=20 + 4 * seed, n_researchers=30 + 20 * seed,
+                        n_journals=12, industry_rate=0.02 * (seed % 8),
+                        max_authors=1 + seed % 5),
+            tmp_path / f"c{seed}")
+        corpus = load_corpus(out)
+        oracle = ComparisonOracle(out, window=corpus.window)
+        for level, k in ((LEVEL_SDS, TOP_SDS), (LEVEL_UDA, TOP_UDA)):
+            intensity = oracle.sector_intensity(level)
+            # oracle rows are (sector, count, pct_all, pct_coauth, per_researcher)
+            for column, metric in enumerate(METRICS, start=1):
+                defined = [row for row in intensity if row[column] is not None]
+                expected = sorted(defined, key=lambda row: (-row[column], row[0]))[:k]
+                table = build_rank_table(corpus, level, metric, k)
+                assert [(r.sector_id, r.n_industry_coauth, r.pct_of_all, r.pct_of_coauth,
+                         r.per_researcher) for r in table.rows] == expected, (seed, level, metric)
+                n_tables += 1
+        edges = [(e.pub_id, e.university_org_id, e.firm_org_id) for e in extract_edges(corpus)]
+        assert edges == oracle_edges(out, corpus.window, corpus.home_country), seed
+        n_edges += len(edges)
+    assert n_tables == 320
+    assert n_edges > 0
