@@ -1,7 +1,6 @@
 """collabmap: university-industry collaboration mapping from co-authorship data."""
 
 from .collab import (
-    CollabEdge,
     CollabSummary,
     CollaborationProfile,
     classify_publication,
@@ -33,7 +32,6 @@ from .stats import Comparison, Sample, TestResult, compare, descriptive, paired_
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollabEdge",
     "CollabSummary",
     "CollaborationProfile",
     "Comparison",

@@ -53,15 +53,6 @@ class CollaborationProfile:
 
 
 @dataclass(frozen=True)
-class CollabEdge:
-    """One (publication, university, firm) collaboration instance."""
-
-    pub_id: str
-    university_org_id: str
-    firm_org_id: str
-
-
-@dataclass(frozen=True)
 class CollabSummary:
     """Corpus-level collaboration totals with the per-case breakdown."""
 
@@ -145,9 +136,9 @@ def count_collaborations(corpus: Corpus) -> CollabSummary:
     )
 
 
-def extract_edges(corpus: Corpus) -> list[CollabEdge]:
-    """Every (publication, university, firm) triple, sorted in that order."""
-    return [CollabEdge(pub.pub_id, univ, firm)
+def extract_edges(corpus: Corpus) -> list[tuple[str, str, str]]:
+    """Every (pub_id, university org id, firm org id) triple, sorted in that order."""
+    return [(pub.pub_id, univ, firm)
             for pub, univs, firms in _parties_of(corpus)
             for univ in univs for firm in firms]
 

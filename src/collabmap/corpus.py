@@ -60,6 +60,14 @@ class SectorEntry:
     uda_name: str
 
 
+def _check_window(window: tuple[int, int]) -> tuple[int, int]:
+    """The window as a (start, end) tuple; ValueError if start is after end."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"window start {lo} is after window end {hi}")
+    return lo, hi
+
+
 def _read_only(obj: object, *names: str) -> None:
     # a private read-only copy, so no later write reaches a frozen object
     for name in names:
@@ -136,16 +144,18 @@ class Publication:
 class Corpus:
     """A referentially closed publication corpus, sorted by pub_id.
 
-    Construction sorts ``publications`` by pub_id, rejects a repeated
-    pub_id (:class:`DuplicateId`) and raises the first rule broken. It checks
-    the roster first, in its own order: each entry's university must exist
-    (:class:`DanglingReference`) and be a university
+    Construction rejects a reversed window (``ValueError``) and an empty
+    corpus (:class:`EmptyCorpus`), sorts ``publications`` by pub_id,
+    rejects a repeated pub_id (:class:`DuplicateId`) and raises the first
+    rule broken. It checks the roster first, in its own order: each entry's
+    university must exist (:class:`DanglingReference`) and be a university
     (:class:`InvariantViolation`), and its sector must be in the taxonomy
     (:class:`DanglingReference`). Then it scans the publications in pub_id
     order for an unknown journal, organization or researcher
-    (:class:`DanglingReference`), a journal with no usable year, an address
-    list that is not a sorted set, or a roster author whose university is
-    not in the address list (:class:`InvariantViolation`).
+    (:class:`DanglingReference`), a year outside the window, a journal with
+    no usable year, an address list that is not a sorted set, or a roster
+    author whose university is not in the address list
+    (:class:`InvariantViolation`).
     This holds for a loaded corpus, a constructed one and a
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
@@ -174,6 +184,9 @@ class Corpus:
     _views: Views | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
+        lo, hi = _check_window(self.window)
+        if not self.publications:
+            raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")
         if not is_alpha2(self.home_country):
             raise ValueError(
                 f"home country must be an alpha-2 code, got {self.home_country!r}")
@@ -208,8 +221,12 @@ class Corpus:
                 )
             if researcher.sds_id not in self.taxonomy.sectors:
                 raise DanglingReference("sds", researcher.sds_id, where)
+        lo, hi = self.window
         for pub in self.publications:
             where = f"publication {pub.pub_id}"
+            if not lo <= pub.year <= hi:
+                raise InvariantViolation(
+                    f"{where}: year {pub.year} is outside the window {lo}-{hi}")
             if pub.journal_id not in self._years_by_journal:
                 raise DanglingReference("journal", pub.journal_id, where)
             if self.effective_journal(pub.journal_id, pub.year) is None:
@@ -454,9 +471,7 @@ def load_corpus(
     corpus. ``home_country`` is recorded on the corpus, and every analysis of
     it classifies firms against that country.
     """
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"window start {lo} is after window end {hi}")
+    window = _check_window(window)
     data_dir = Path(data_dir)
     paths = {
         name: data_dir / name
@@ -473,16 +488,14 @@ def load_corpus(
     organizations = _load_organizations(paths["organizations.csv"])
     journals = _load_journals(paths["journals.csv"])
     researchers = _load_roster(paths["roster.csv"])
-    publications, excluded = _load_publications(paths["publications.jsonl"], (lo, hi))
-    if not publications:
-        raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")
+    publications, excluded = _load_publications(paths["publications.jsonl"], window)
     return Corpus(
         taxonomy=taxonomy,
         organizations=organizations,
         journals=journals,
         researchers=researchers,
         publications=tuple(publications),
-        window=(lo, hi),
+        window=window,
         window_excluded=excluded,
         home_country=home_country,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import collab, views
-from .corpus import Corpus, JournalYear, Publication
+from .corpus import Corpus, JournalYear
 from .errors import EmptySample, EmptySector, UnknownResearcher
 
 LEVEL_SDS = "sds"
@@ -76,15 +76,6 @@ def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
 
 
 # -- sector attribution ---------------------------------------------------------
-
-def sectors_of_publication(corpus: Corpus, pub: Publication) -> frozenset[str]:
-    """Distinct sectors of the roster-linked authors of one publication."""
-    return frozenset(
-        corpus.researchers[a.researcher_id].sds_id
-        for a in pub.authors
-        if a.researcher_id is not None
-    )
-
 
 def _by_scope(index: views.Views, level: str) -> dict[str, int]:
     if level == LEVEL_SDS:

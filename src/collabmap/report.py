@@ -14,26 +14,20 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import collab, indicators, stats
 from .corpus import Corpus
 from .errors import UnknownMetric
 
-METRICS = ("count", "pct_all", "pct_coauth", "per_researcher")
-
-_METRIC_FIELD = {
-    "count": "n_industry_coauth",
-    "pct_all": "pct_of_all",
-    "pct_coauth": "pct_of_coauth",
-    "per_researcher": "per_researcher",
+# each metric: the SectorIntensityRow field it ranks by, and its title words
+_METRICS = {
+    "count": ("n_industry_coauth", "industry co-authored articles"),
+    "pct_all": ("pct_of_all", "industry share of all articles (%)"),
+    "pct_coauth": ("pct_of_coauth", "industry share of extramural collaborations (%)"),
+    "per_researcher": ("per_researcher", "industry co-authored articles per researcher"),
 }
-
-_METRIC_TITLE = {
-    "count": "industry co-authored articles",
-    "pct_all": "industry share of all articles (%)",
-    "pct_coauth": "industry share of extramural collaborations (%)",
-    "per_researcher": "industry co-authored articles per researcher",
-}
+METRICS = tuple(_METRICS)
 
 _LEVEL_WORD = {indicators.LEVEL_SDS: "sectors", indicators.LEVEL_UDA: "areas"}
 
@@ -83,10 +77,10 @@ def build_rank_table(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     intensity = indicators.sector_intensity(corpus, level)
-    field = _METRIC_FIELD[metric]
+    field, words = _METRICS[metric]
     scored = sorted((row for row in intensity if getattr(row, field) is not None),
                     key=lambda row: (-getattr(row, field), row.sector_id))
-    title = f"Top {k} {_LEVEL_WORD[level]} by {_METRIC_TITLE[metric]}"
+    title = f"Top {k} {_LEVEL_WORD[level]} by {words}"
     return RankTable(title=title, level=level, metric=metric, k=k, rows=tuple(scored[:k]))
 
 
@@ -145,7 +139,7 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def _csv_lines(rows: list[list[str]]) -> str:
+def _csv_lines(rows: Sequence[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -162,8 +156,8 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def _render_rank(table: RankTable, fmt: str) -> str:
     # column name -> row field: the ranked metric, then the others in METRICS order
-    columns = {"value": _METRIC_FIELD[table.metric],
-               **{m: _METRIC_FIELD[m] for m in METRICS if m != table.metric}}
+    columns = {"value": _METRICS[table.metric][0],
+               **{m: f for m, (f, _) in _METRICS.items() if m != table.metric}}
     header = ["sector", *columns]
     cells = [[row.sector_id, *(_fmt_cell(getattr(row, f)) for f in columns.values())]
              for row in table.rows]
@@ -282,10 +276,8 @@ def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv"
 
 def edges_csv(corpus: Corpus) -> str:
     """The collaboration edge list as CSV."""
-    rows = [["pub_id", "university_org_id", "firm_org_id"]]
-    for edge in collab.extract_edges(corpus):
-        rows.append([edge.pub_id, edge.university_org_id, edge.firm_org_id])
-    return _csv_lines(rows)
+    return _csv_lines([("pub_id", "university_org_id", "firm_org_id"),
+                       *collab.extract_edges(corpus)])
 
 
 def render_all(

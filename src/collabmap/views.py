@@ -126,13 +126,13 @@ class Views:
     @cached_property
     def sectors(self) -> list[frozenset[str]]:
         """Distinct sectors of the roster-linked authors of each publication."""
-        from . import indicators
-
+        sector_of = {r.researcher_id: r.sds_id for r in self.corpus.researchers.values()}
         # few distinct sets occur; keep one object per set
         distinct: dict[frozenset[str], frozenset[str]] = {}
         return [
             distinct.setdefault(s, s)
-            for s in (indicators.sectors_of_publication(self.corpus, pub)
+            for s in (frozenset(sector_of[a.researcher_id] for a in pub.authors
+                                if a.researcher_id is not None)
                       for pub in self.corpus.publications)
         ]
 
@@ -188,20 +188,17 @@ class Views:
 
     @cached_property
     def performance(self) -> dict[str, ResearcherPerformance]:
-        """Output and fractional scientific strength of every roster researcher."""
+        """Output and fractional scientific strength of every roster researcher.
+
+        One walk in position order: each ``fss`` adds its terms in pub_id order.
+        """
         from .indicators import ResearcherPerformance
 
-        pubs, ifpr = self.corpus.publications, self.ifpr
-        authored: dict[str, list[int]] = {r: [] for r in self.corpus.researchers}
-        for i, pub in enumerate(pubs):
-            for researcher_id in dict.fromkeys(a.researcher_id for a in pub.authors):
-                if researcher_id is not None:
-                    authored[researcher_id].append(i)
-        result = {}
-        for researcher_id in sorted(authored):
-            fss = 0.0
-            for i in authored[researcher_id]:
-                fss += (ifpr[i] / 100.0) / len(pubs[i].authors)
-            result[researcher_id] = ResearcherPerformance(
-                researcher_id, len(authored[researcher_id]), fss)
-        return result
+        output = dict.fromkeys(self.corpus.researchers, 0)
+        fss = dict.fromkeys(self.corpus.researchers, 0.0)
+        for pub, ifpr in zip(self.corpus.publications, self.ifpr):
+            share = (ifpr / 100.0) / len(pub.authors)
+            for researcher_id in {a.researcher_id for a in pub.authors} - {None}:
+                output[researcher_id] += 1
+                fss[researcher_id] += share
+        return {r: ResearcherPerformance(r, output[r], fss[r]) for r in sorted(output)}

@@ -150,8 +150,7 @@ def test_count_collaborations(corpus40):
 
 
 def test_extract_edges(corpus40):
-    edges = extract_edges(corpus40)
-    assert [(e.pub_id, e.university_org_id, e.firm_org_id) for e in edges] == EXPECTED_EDGES
+    assert extract_edges(corpus40) == EXPECTED_EDGES
 
 
 def test_edge_count_matches_collab_total(corpus40):
@@ -195,8 +194,7 @@ def _assert_views_match_reference(corpus):
             len(pub.address_org_ids) >= 2 and len(profile.universities) >= 1), pub.pub_id
         expected_edges += [(pub.pub_id, univ, firm) for univ in sorted(profile.universities)
                            for firm in sorted(profile.domestic_firms)]
-    assert [(e.pub_id, e.university_org_id, e.firm_org_id)
-            for e in extract_edges(corpus)] == expected_edges
+    assert extract_edges(corpus) == expected_edges
 
 
 def test_views_match_per_article_reference(corpus40, tmp_path):
@@ -213,7 +211,8 @@ def test_replaced_corpus_gets_its_own_views(corpus40):
     assert subset(head, SELECTOR_ALL) == {"P01", "P02", "P03"}
     assert subset(head, SELECTOR_INDUSTRY) == {"P01", "P02", "P03"}
     assert count_collaborations(head).total_collaborations == 1 + 2 + 3
-    assert [e.pub_id for e in extract_edges(head)] == ["P01", "P02", "P02", "P03", "P03", "P03"]
+    assert [pub_id for pub_id, _, _ in extract_edges(head)] == [
+        "P01", "P02", "P02", "P03", "P03", "P03"]
     assert count_collaborations(corpus40) == full
 
 

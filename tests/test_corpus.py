@@ -382,6 +382,34 @@ def test_roster_construction_raises_what_load_raises(fixture_copy, university, s
     assert "roster entry RES-ZZ" in str(built.value)
 
 
+@pytest.mark.parametrize("window, drop_all, error", [
+    ((1990, 1995), True, errors.EmptyCorpus),
+    ((2003, 2001), False, ValueError),
+], ids=["empty", "reversed_window"])
+def test_window_construction_raises_what_load_raises(fixture_copy, window, drop_all, error):
+    clean = load_corpus(fixture_copy)
+    with pytest.raises(error) as loaded:
+        load_corpus(fixture_copy, window=window)
+    publications = () if drop_all else clean.publications
+    with pytest.raises(error) as built:
+        dataclasses.replace(clean, window=window, publications=publications)
+    assert type(built.value) is type(loaded.value)
+    assert str(built.value) == str(loaded.value)
+
+
+def test_construction_rejects_publication_outside_window(fixture_copy):
+    clean = load_corpus(fixture_copy)
+    lines = (fixture_copy / "publications.jsonl").read_text(encoding="utf-8").splitlines()
+    p01 = next(r for r in map(json.loads, lines) if r["pub_id"] == "P01")
+    record = dict(p01, pub_id="P99", year=1995)
+    _append_pub(fixture_copy, record)
+    # the loader drops the row as it reads it
+    assert load_corpus(fixture_copy).window_excluded == clean.window_excluded + 1
+    with pytest.raises(errors.InvariantViolation) as exc:
+        dataclasses.replace(clean, publications=clean.publications + (_publication(record),))
+    assert str(exc.value) == "publication P99: year 1995 is outside the window 2001-2003"
+
+
 def test_roster_checked_first_in_roster_order(corpus40):
     bad_pub = dataclasses.replace(corpus40.publications[0], journal_id="JRN-NOPE")
     researchers = {**corpus40.researchers,

@@ -123,12 +123,12 @@ def test_generated_corpus_matches_oracles(tmp_path):
     oracle_ifpr = oracle_ifpr_by_publication(out)
     assert set(engine_ifpr) == set(oracle_ifpr)
     for pub_id, value in oracle_ifpr.items():
-        assert abs(engine_ifpr[pub_id] - value) <= 1e-9, pub_id
+        assert engine_ifpr[pub_id] == value, pub_id
 
     perf = researcher_performance(corpus)
     assert oracle_researcher_outputs(out) == {r: p.output for r, p in perf.items()}
     for rid, fss in oracle_researcher_fss(out).items():
-        assert abs(perf[rid].fss - fss) <= 1e-9, rid
+        assert perf[rid].fss == fss, rid
 
 
 def test_oracle_percentiles_matches_engine():
@@ -149,12 +149,12 @@ def test_oracle_sees_window(tmp_path):
     oracle_ifpr = oracle_ifpr_by_publication(out, window=narrow)
     assert engine_ifpr.keys() == oracle_ifpr.keys()
     for pub_id, value in oracle_ifpr.items():
-        assert abs(engine_ifpr[pub_id] - value) <= 1e-9, pub_id
+        assert engine_ifpr[pub_id] == value, pub_id
 
     perf = researcher_performance(corpus)
     assert oracle_researcher_outputs(out, window=narrow) == {
         r: p.output for r, p in perf.items()}
     for rid, fss in oracle_researcher_fss(out, window=narrow).items():
-        assert abs(perf[rid].fss - fss) <= 1e-9, rid
+        assert perf[rid].fss == fss, rid
 
     assert_comparison_layer(corpus, out, 3, "window")

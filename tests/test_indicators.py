@@ -18,7 +18,6 @@ from collabmap.indicators import (
     researcher_performance,
     sector_headcounts,
     sector_intensity,
-    sectors_of_publication,
 )
 from collabmap.report import render_all
 
@@ -196,10 +195,10 @@ def test_views_by_category(corpus40):
     assert {k: len(v) for k, v in by_cat.items()} == {"CAT-A": 40, "CAT-B": 26, "CAT-C": 12}
 
 
-def test_sectors_of_publication(corpus40):
-    pubs = {p.pub_id: p for p in corpus40.publications}
-    assert sectors_of_publication(corpus40, pubs["P04"]) == frozenset({"BIO1", "CHIM1"})
-    assert sectors_of_publication(corpus40, pubs["P09"]) == frozenset({"ELEC"})
+def test_sectors_view_per_publication(corpus40):
+    sectors = dict(zip((p.pub_id for p in corpus40.publications), views.of(corpus40).sectors))
+    assert sectors["P04"] == frozenset({"BIO1", "CHIM1"})
+    assert sectors["P09"] == frozenset({"ELEC"})
 
 
 def test_sector_headcounts(corpus40):

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import collabmap
 
 PACKAGE = Path(collabmap.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_exports_resolve_once():
@@ -34,3 +36,10 @@ def test_every_module_reachable_from_cli():
             todo.extend(_relative_imports(module))
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     assert sorted(modules - reached) == KNOWN_UNREACHED
+
+
+def test_readme_library_example_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    monkeypatch.chdir(ROOT)
+    exec(compile(example, "README.md", "exec"), {})

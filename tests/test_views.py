@@ -1,7 +1,6 @@
 import dataclasses
 
 from collabmap import collab, views
-from collabmap.indicators import sectors_of_publication
 from collabmap.report import render_all
 
 
@@ -28,7 +27,8 @@ def test_masks_match_id_sets(corpus40):
     index = views.of(corpus40)
     by_sector = {}
     for pub in corpus40.publications:
-        for sector_id in sectors_of_publication(corpus40, pub):
+        linked = {a.researcher_id for a in pub.authors if a.researcher_id is not None}
+        for sector_id in {corpus40.researchers[r].sds_id for r in linked}:
             by_sector.setdefault(sector_id, []).append(pub.pub_id)
     assert set(by_sector) == set(index.by_sds)
     for sector_id, ids in by_sector.items():
