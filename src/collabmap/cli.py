@@ -50,7 +50,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json", "md"), default="csv")
+    parser.add_argument("--format", choices=report.FORMATS, default="csv")
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-collab-pubs", type=_int_at_least(0), default=stats.MIN_COLLAB_PUBS,
                    help="sds_all_vs_collab only: minimum extramural publications "
                         "for a sector to qualify")
-    p.add_argument("--format", choices=("csv", "json", "md"), default="json")
+    p.add_argument("--format", choices=report.FORMATS, default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=_cmd_compare)
 

@@ -150,11 +150,13 @@ class Corpus:
     rule broken. It checks the roster first, in its own order: each entry's
     university must exist (:class:`DanglingReference`) and be a university
     (:class:`InvariantViolation`), and its sector must be in the taxonomy
-    (:class:`DanglingReference`). Then it scans the publications in pub_id
+    (:class:`DanglingReference`). Then, in ``journals`` order, each journal
+    record's categories must be a non-empty sorted set
+    (:class:`InvariantViolation`). Then it scans the publications in pub_id
     order for an unknown journal, organization or researcher
     (:class:`DanglingReference`), a year outside the window, a journal with
-    no usable year, an address list that is not a sorted set, or a roster
-    author whose university is not in the address list
+    no usable year, an address list that is not a sorted set, no authors, or
+    a roster author whose university is not in the address list
     (:class:`InvariantViolation`).
     This holds for a loaded corpus, a constructed one and a
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
@@ -207,7 +209,7 @@ class Corpus:
         self._check_closed()
 
     def _check_closed(self) -> None:
-        """Raise the first broken rule: roster order, then pub_id order."""
+        """Raise the first broken rule: roster, journals, then pub_id order."""
         organizations, researchers = self.organizations, self.researchers
         for researcher in researchers.values():
             where = f"roster entry {researcher.researcher_id}"
@@ -221,6 +223,11 @@ class Corpus:
                 )
             if researcher.sds_id not in self.taxonomy.sectors:
                 raise DanglingReference("sds", researcher.sds_id, where)
+        for rec in self.journals.values():
+            cats = rec.sci_categories
+            if not cats or list(cats) != sorted(set(cats)):
+                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "
+                                         f"categories {cats} are not a non-empty sorted set")
         lo, hi = self.window
         for pub in self.publications:
             where = f"publication {pub.pub_id}"
@@ -238,6 +245,8 @@ class Corpus:
                     raise DanglingReference("organization", org_id, where)
             if len(addresses) > 1 and list(addresses) != sorted(set(addresses)):
                 raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")
+            if not pub.authors:
+                raise InvariantViolation(f"{where}: no authors")
             for author in pub.authors:
                 if author.org_id not in organizations:
                     raise DanglingReference(

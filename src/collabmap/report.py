@@ -1,8 +1,9 @@
 """Report tables and their renderers.
 
 Three table shapes: sector rankings, two-sample comparisons, and
-multidisciplinarity listings. Each renders to CSV, JSON or Markdown with
-fixed numeric formatting (3 decimals for percentages and indices, 4 for t
+multidisciplinarity listings. Each renders to CSV, JSON or Markdown through
+one row layout, ``_render_rows`` (a comparison keeps its own nested JSON),
+with fixed numeric formatting (3 decimals for percentages and indices, 4 for t
 statistics, scientific notation for p-values below 1e-3), LF newlines, and
 deterministic byte output. JSON carries the same formatted values as numbers,
 so CSV and JSON renders of one table parse to equal values.
@@ -28,6 +29,7 @@ _METRICS = {
     "per_researcher": ("per_researcher", "industry co-authored articles per researcher"),
 }
 METRICS = tuple(_METRICS)
+FORMATS = ("csv", "json", "md")
 
 _LEVEL_WORD = {indicators.LEVEL_SDS: "sectors", indicators.LEVEL_UDA: "areas"}
 
@@ -120,17 +122,17 @@ def _fmt_p(x: float) -> str:
     return f"{x:.3e}" if x < 1e-3 else f"{x:.3f}"
 
 
-def _fmt_cell(v: float | int | None) -> str:
+def _fmt_cell(v: str | float | int | None) -> str:
     if v is None:
         return ""
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):
         return str(v)
     return _fmt_real(v)
 
 
-def _json_cell(v: float | int | None) -> float | int | None:
+def _json_cell(v: str | float | int | None) -> str | float | int | None:
     # JSON carries the formatted value as a number, so CSV and JSON parse equal
-    if v is None or isinstance(v, int):
+    if v is None or isinstance(v, (str, int)):
         return v
     return float(_fmt_real(v))
 
@@ -146,64 +148,45 @@ def _csv_lines(rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(cell if cell else "-" for cell in row) + " |")
-    return lines
+def _render_rows(title: str, header: list[str], rows: list[list[str | float | int | None]],
+                 fmt: str, meta: dict[str, object]) -> str:
+    """The row-table layout; ``rows`` hold raw cells, Markdown shows ``-`` for an empty one."""
+    if fmt == "json":
+        return _dump_json({"title": title, **meta,
+                           "rows": [dict(zip(header, map(_json_cell, row))) for row in rows]})
+    cells = [[_fmt_cell(v) for v in row] for row in rows]
+    if fmt == "csv":
+        return _csv_lines([header, *cells])
+    md_rows = [header, ["---"] * len(header), *cells]
+    lines = ["| " + " | ".join(cell if cell else "-" for cell in row) + " |" for row in md_rows]
+    return "\n".join([title, "", *lines]) + "\n"
 
 
 def _render_rank(table: RankTable, fmt: str) -> str:
     # column name -> row field: the ranked metric, then the others in METRICS order
     columns = {"value": _METRICS[table.metric][0],
                **{m: f for m, (f, _) in _METRICS.items() if m != table.metric}}
-    header = ["sector", *columns]
-    cells = [[row.sector_id, *(_fmt_cell(getattr(row, f)) for f in columns.values())]
-             for row in table.rows]
-    if fmt == "csv":
-        return _csv_lines([header, *cells])
-    if fmt == "md":
-        return "\n".join([table.title, "", *_md_table(header, cells)]) + "\n"
-    rows = [
-        {"sector": row.sector_id, **{c: _json_cell(getattr(row, f)) for c, f in columns.items()}}
-        for row in table.rows
-    ]
-    return _dump_json(
-        {
-            "title": table.title,
-            "level": table.level,
-            "metric": table.metric,
-            "k": table.k,
-            "rows": rows,
-        }
-    )
+    rows = [[row.sector_id, *(getattr(row, f) for f in columns.values())]
+            for row in table.rows]
+    meta = {"level": table.level, "metric": table.metric, "k": table.k}
+    return _render_rows(table.title, ["sector", *columns], rows, fmt, meta)
 
 
 def _render_comparison(table: ComparisonTable, fmt: str) -> str:
     cmp = table.comparison
     a, b, r = cmp.sample_a, cmp.sample_b, cmp.result
-    var_a = "" if a.variance is None else _fmt_real(a.variance)
-    var_b = "" if b.variance is None else _fmt_real(b.variance)
-    summary_rows = [
-        ["mean", _fmt_real(a.mean), _fmt_real(b.mean)],
-        ["variance", var_a, var_b],
-        ["n", str(a.n), str(b.n)],
-    ]
-    stat_rows = [
-        ["t", _fmt_t(r.t), ""],
-        ["df", _fmt_real(r.df), ""],
-        ["p_one", _fmt_p(r.p_one), ""],
-        ["p_two", _fmt_p(r.p_two), ""],
-    ]
-    if fmt == "csv":
-        header = ["field", a.label, b.label]
-        return _csv_lines([header, *summary_rows, *stat_rows])
-    if fmt == "md":
-        lines = [table.title, ""]
-        lines += _md_table(["field", a.label, b.label], summary_rows + stat_rows)
-        lines += ["", table.exclusion_note]
-        return "\n".join(lines) + "\n"
+    if fmt != "json":
+        rows = [
+            ["mean", a.mean, b.mean],
+            ["variance", a.variance, b.variance],
+            ["n", a.n, b.n],
+            ["t", _fmt_t(r.t), None],
+            ["df", r.df, None],
+            ["p_one", _fmt_p(r.p_one), None],
+            ["p_two", _fmt_p(r.p_two), None],
+        ]
+        text = _render_rows(table.title, ["field", a.label, b.label], rows, fmt, {})
+        return text + "\n" + table.exclusion_note + "\n" if fmt == "md" else text
     return _dump_json(
         {
             "title": table.title,
@@ -234,36 +217,13 @@ def _render_comparison(table: ComparisonTable, fmt: str) -> str:
 
 def _render_multidisc(table: MultidiscTable, fmt: str) -> str:
     header = ["scope", "subset", "ii_sds", "ii_sci", "n_pubs"]
-    cells = [
-        [
-            row.scope_id,
-            row.subset,
-            _fmt_cell(row.ii_sds),
-            _fmt_cell(row.ii_sci),
-            str(row.n_pubs),
-        ]
-        for row in table.rows
-    ]
-    if fmt == "csv":
-        return _csv_lines([header, *cells])
-    if fmt == "md":
-        return "\n".join([table.title, "", *_md_table(header, cells)]) + "\n"
-    rows = [
-        {
-            "scope": row.scope_id,
-            "subset": row.subset,
-            "ii_sds": _json_cell(row.ii_sds),
-            "ii_sci": _json_cell(row.ii_sci),
-            "n_pubs": row.n_pubs,
-        }
-        for row in table.rows
-    ]
-    return _dump_json({"title": table.title, "subset": table.subset, "rows": rows})
+    rows = [[row.scope_id, row.subset, row.ii_sds, row.ii_sci, row.n_pubs] for row in table.rows]
+    return _render_rows(table.title, header, rows, fmt, {"subset": table.subset})
 
 
 def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv") -> str:
-    """Render a table to one of csv, json, md."""
-    if fmt not in ("csv", "json", "md"):
+    """Render a table to one of FORMATS."""
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected csv, json or md")
     if isinstance(table, RankTable):
         return _render_rank(table, fmt)

@@ -112,7 +112,6 @@ class Sample:
     """A labeled sample with its summary statistics.
 
     ``variance`` uses the n-1 denominator and is None for singletons.
-    ``values`` may be empty when the sample was built from summary stats.
     """
 
     label: str

@@ -15,6 +15,8 @@ from collabmap.stats import INDICATORS_BY_GROUPING, compare
 DATA = Path(__file__).parent / "data"
 FIXTURE40 = DATA / "fixture40"
 GOLDEN = Path(__file__).parent / "golden"
+# byte-exact renders in the formats render_all does not write
+GOLDEN_FORMATS = Path(__file__).parent / "golden_formats"
 
 
 @pytest.fixture(scope="session")

@@ -410,6 +410,45 @@ def test_construction_rejects_publication_outside_window(fixture_copy):
     assert str(exc.value) == "publication P99: year 1995 is outside the window 2001-2003"
 
 
+def _no_authors(corpus):
+    pub = dataclasses.replace(corpus.publications[0], authors=())
+    return {"publications": (pub,) + corpus.publications[1:]}
+
+
+def _categories(categories):
+    def change(corpus):
+        record = dataclasses.replace(corpus.journals[("JRN-A", 2002)],
+                                     sci_categories=categories)
+        return {"journals": {**corpus.journals, ("JRN-A", 2002): record}}
+    return change
+
+
+_NOT_A_SET = "are not a non-empty sorted set"
+
+
+# the loader rejects each of these; a constructed corpus that let them through
+# would fail later with a ZeroDivisionError or shift impact percentiles
+@pytest.mark.parametrize("change, message", [
+    (_no_authors, "publication P01: no authors"),
+    (_categories(()), "journal JRN-A@2002: categories () " + _NOT_A_SET),
+    (_categories(("CAT-A", "CAT-A")),
+     "journal JRN-A@2002: categories ('CAT-A', 'CAT-A') " + _NOT_A_SET),
+], ids=["no_authors", "no_categories", "repeated_category"])
+def test_construction_rejects_what_the_loader_rejects(corpus40, change, message):
+    with pytest.raises(errors.InvariantViolation) as exc:
+        dataclasses.replace(corpus40, **change(corpus40))
+    assert str(exc.value) == message
+
+
+def test_journals_checked_after_roster_before_publications(corpus40):
+    unsorted = _categories(("CAT-B", "CAT-A"))(corpus40)
+    with pytest.raises(errors.InvariantViolation, match="journal JRN-A@2002"):
+        dataclasses.replace(corpus40, **unsorted, **_no_authors(corpus40))
+    researchers = {**corpus40.researchers, "RES-ZZ": Researcher("RES-ZZ", "Zed", "UNI-A", "NOPE")}
+    with pytest.raises(errors.DanglingReference, match="roster entry RES-ZZ"):
+        dataclasses.replace(corpus40, **unsorted, researchers=researchers)
+
+
 def test_roster_checked_first_in_roster_order(corpus40):
     bad_pub = dataclasses.replace(corpus40.publications[0], journal_id="JRN-NOPE")
     researchers = {**corpus40.researchers,

@@ -1,8 +1,10 @@
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import collabmap
+from collabmap.cli import main
 
 PACKAGE = Path(collabmap.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +45,19 @@ def test_readme_library_example_runs(monkeypatch):
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
     monkeypatch.chdir(ROOT)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_run(monkeypatch, tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("## CLI", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", cli_section, re.DOTALL | re.MULTILINE).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("collabmap ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(ROOT)
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / Path(argv[at]).name)
+        assert main(argv) == 0, command

@@ -6,14 +6,16 @@ import json
 import pytest
 
 from collabmap import errors
-from collabmap.collab import extract_edges
+from collabmap.collab import SELECTORS, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import ComparisonOracle, SynthConfig, generate
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
 from collabmap.report import (
+    FORMATS,
     METRICS,
     TOP_SDS,
     TOP_UDA,
+    ComparisonTable,
     build_comparison_table,
     build_multidisc_table,
     build_rank_table,
@@ -21,8 +23,9 @@ from collabmap.report import (
     render,
     render_all,
 )
+from collabmap.stats import COMPARISONS
 
-from conftest import FIXTURE40, GOLDEN, oracle_edges
+from conftest import FIXTURE40, GOLDEN, GOLDEN_FORMATS, oracle_edges
 
 GOLDEN_NAMES = (
     "compare_multidisc_all_vs_industry_ii_sci.json",
@@ -54,6 +57,26 @@ def test_render_all_produces_expected_names(rendered):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_byte_identical(rendered, name):
     assert rendered[name].encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+# output name -> the fixture40 table it renders, in the format its suffix names
+FORMAT_GOLDENS = {
+    "rank_sds_pct_coauth.json": lambda c: build_rank_table(c, LEVEL_SDS, "pct_coauth"),
+    "compare_sds_all_vs_collab_ifpr.csv":
+        lambda c: build_comparison_table(c, "sds_all_vs_collab", "ifpr", min_collab_pubs=3),
+    "compare_researchers_industry_vs_rest_fss.md":
+        lambda c: build_comparison_table(c, "researchers_industry_vs_rest", "fss",
+                                         min_collab_pubs=3),
+    **{f"multidisc_industry_coauthored.{fmt}":
+       lambda c: build_multidisc_table(c, "industry_coauthored") for fmt in FORMATS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_GOLDENS))
+def test_format_golden_byte_identical(corpus40, name):
+    text = render(FORMAT_GOLDENS[name](corpus40), name.rsplit(".", 1)[1])
+    assert text.encode("utf-8") == (GOLDEN_FORMATS / name).read_bytes()
+    assert sorted(p.name for p in GOLDEN_FORMATS.iterdir()) == sorted(FORMAT_GOLDENS)
 
 
 def test_render_all_deterministic(corpus40, rendered):
@@ -144,6 +167,8 @@ def test_small_p_values_use_scientific_notation(corpus40):
     from collabmap.report import _fmt_p
     assert _fmt_p(3.2e-7) == "3.200e-07"
     assert _fmt_p(0.04) == "0.040"
+    assert _fmt_p(9.999e-4) == "9.999e-04"
+    assert _fmt_p(1e-3) == "0.001"
 
 
 def test_multidisc_table(corpus40):
@@ -159,6 +184,57 @@ def test_multidisc_table(corpus40):
     assert "| BIO1 | industry_coauthored | 2.000 | - | 1 |" in md
     payload = json.loads(render(table, "json"))
     assert payload["rows"][0]["ii_sci"] is None
+
+
+def _cell_agrees(cell, value):
+    """A CSV cell parses to the value JSON carries; empty means null."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, str):
+        return cell == value
+    return cell != "" and float(cell) == value
+
+
+def _assert_formats_agree(table, context):
+    payload = json.loads(render(table, "json"))
+    csv_rows = list(csv.reader(io.StringIO(render(table, "csv"))))
+    if isinstance(table, ComparisonTable):
+        a, b = payload["sample_a"], payload["sample_b"]
+        want = [["field", a["label"], b["label"]],
+                *([f, a[f], b[f]] for f in ("mean", "variance", "n")),
+                *([f, payload[f], None] for f in ("t", "df", "p_one", "p_two"))]
+        tail = ["", payload["exclusion_note"], ""]
+    else:
+        header = csv_rows[0]
+        assert all(list(row) == header for row in payload["rows"]), context
+        want = [header, *([row[h] for h in header] for row in payload["rows"])]
+        tail = [""]
+    assert [len(row) for row in csv_rows] == [len(row) for row in want], context
+    for got_row, want_row in zip(csv_rows, want):
+        for cell, value in zip(got_row, want_row):
+            assert _cell_agrees(cell, value), (context, cell, value)
+    lines = render(table, "md").split("\n")
+    assert lines[:2] == [payload["title"], ""], context
+    grid = [line[2:-2].split(" | ") for line in lines[2:3 + len(csv_rows)]]
+    assert grid[1] == ["---"] * len(csv_rows[0]), context
+    assert [grid[0], *grid[2:]] == [[c or "-" for c in row] for row in csv_rows], context
+    assert lines[3 + len(csv_rows):] == tail, context
+
+
+def test_csv_json_and_markdown_agree(corpus40, tmp_path):
+    corpora = {"fixture40": corpus40}
+    for seed in range(3):
+        out = generate(SynthConfig(seed=seed, n_pubs=300), tmp_path / f"c{seed}")
+        corpora[f"seed{seed}"] = load_corpus(out)
+    for name, corpus in corpora.items():
+        # at min_collab_pubs=3 every comparison computes on these four corpora
+        tables = [build_comparison_table(corpus, grouping, indicator, min_collab_pubs=3)
+                  for grouping, indicator in COMPARISONS]
+        tables += [build_rank_table(corpus, level, metric)
+                   for level in (LEVEL_SDS, LEVEL_UDA) for metric in METRICS]
+        tables += [build_multidisc_table(corpus, selector) for selector in SELECTORS]
+        for table in tables:
+            _assert_formats_agree(table, (name, table.title))
 
 
 def test_render_rejects_unknown_format(corpus40):
