@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from . import collab, report, stats
 from .corpus import DEFAULT_WINDOW, HOME_COUNTRY, is_alpha2, load_corpus, validate_corpus
@@ -82,49 +83,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    table = report.build_rank_table(corpus, level=args.level, metric=args.metric, k=args.top)
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = args.build_table(_load(args), args)
     _emit(report.render(table, args.format), args.out)
     return 0
 
 
 def _cmd_edges(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    _emit(report.edges_csv(corpus), args.out)
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    table = report.build_comparison_table(
-        corpus, args.grouping, args.indicator, min_collab_pubs=args.min_collab_pubs
-    )
-    _emit(report.render(table, args.format), args.out)
-    return 0
-
-
-def _cmd_multidisc(args: argparse.Namespace) -> int:
-    corpus = _load(args)
-    table = report.build_multidisc_table(corpus, _SUBSETS[args.subset])
-    _emit(report.render(table, args.format), args.out)
+    _emit(report.edges_csv(_load(args)), args.out)
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        seed=args.seed,
-        n_pubs=args.pubs,
-        n_universities=args.universities,
-        n_firms=args.firms,
-        n_public_orgs=args.public_orgs,
-        n_researchers=args.researchers,
-        n_journals=args.journals,
-        industry_rate=args.industry_rate,
-        max_authors=args.max_authors,
-        year_min=args.year_min,
-        year_max=args.year_max,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name.removeprefix("n_"))
+                            for f in fields(SynthConfig)})
     out = generate(config, args.out)
     print(f"wrote synthetic corpus to {out}")
     return 0
@@ -148,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=_int_at_least(1), default=report.TOP_SDS,
                    help="number of rows to keep")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_map)
+    p.set_defaults(func=_cmd_table, build_table=lambda corpus, args: report.build_rank_table(
+        corpus, level=args.level, metric=args.metric, k=args.top))
 
     p = sub.add_parser("edges", help="export the collaboration edge list as CSV")
     _add_corpus_options(p)
@@ -163,29 +136,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-collab-pubs", type=_int_at_least(0), default=stats.MIN_COLLAB_PUBS,
                    help="sds_all_vs_collab only: minimum extramural publications "
                         "for a sector to qualify")
-    p.add_argument("--format", choices=report.FORMATS, default="json")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.set_defaults(func=_cmd_compare)
+    _add_output_options(p)
+    p.set_defaults(func=_cmd_table, format="json",
+                   build_table=lambda corpus, args: report.build_comparison_table(
+                       corpus, args.grouping, args.indicator,
+                       min_collab_pubs=args.min_collab_pubs))
 
     p = sub.add_parser("multidisc", help="multidisciplinarity indices by scope")
     _add_corpus_options(p)
     p.add_argument("--subset", choices=tuple(_SUBSETS), default="all")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_multidisc)
+    p.set_defaults(func=_cmd_table, build_table=lambda corpus, args: report.build_multidisc_table(
+        corpus, _SUBSETS[args.subset]))
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pubs", type=int, required=True)
+    types = get_type_hints(SynthConfig)
+    for f in fields(SynthConfig):
+        required = f.default is MISSING
+        p.add_argument("--" + f.name.removeprefix("n_").replace("_", "-"), type=types[f.name],
+                       required=required, default=None if required else f.default)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--universities", type=int, default=12)
-    p.add_argument("--firms", type=int, default=20)
-    p.add_argument("--public-orgs", type=int, default=6)
-    p.add_argument("--researchers", type=int, default=120)
-    p.add_argument("--journals", type=int, default=30)
-    p.add_argument("--industry-rate", type=float, default=0.25)
-    p.add_argument("--max-authors", type=int, default=6)
-    p.add_argument("--year-min", type=int, default=DEFAULT_WINDOW[0])
-    p.add_argument("--year-max", type=int, default=DEFAULT_WINDOW[1])
     p.set_defaults(func=_cmd_synth)
 
     return parser

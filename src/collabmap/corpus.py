@@ -147,17 +147,19 @@ class Corpus:
     Construction rejects a reversed window (``ValueError``) and an empty
     corpus (:class:`EmptyCorpus`), sorts ``publications`` by pub_id,
     rejects a repeated pub_id (:class:`DuplicateId`) and raises the first
-    rule broken. It checks the roster first, in its own order: each entry's
-    university must exist (:class:`DanglingReference`) and be a university
-    (:class:`InvariantViolation`), and its sector must be in the taxonomy
-    (:class:`DanglingReference`). Then, in ``journals`` order, each journal
-    record's categories must be a non-empty sorted set
-    (:class:`InvariantViolation`). Then it scans the publications in pub_id
-    order for an unknown journal, organization or researcher
-    (:class:`DanglingReference`), a year outside the window, a journal with
-    no usable year, an address list that is not a sorted set, no authors, or
-    a roster author whose university is not in the address list
-    (:class:`InvariantViolation`).
+    rule broken. It checks the organizations first, in their own order: each
+    kind must be one of ``ORG_KINDS`` and each country an alpha-2 code
+    (:class:`InvariantViolation`). Then the roster, in its own order: each
+    entry's university must exist (:class:`DanglingReference`) and be a
+    university (:class:`InvariantViolation`), and its sector must be in the
+    taxonomy (:class:`DanglingReference`). Then, in ``journals`` order, each
+    journal record's impact factor must be a number >= 0 and its categories a
+    non-empty sorted set (:class:`InvariantViolation`). Then it scans the
+    publications in pub_id order for an unknown journal, organization or
+    researcher (:class:`DanglingReference`), a year outside the window, a
+    journal with no usable year, an address list that is not a sorted set,
+    no authors, or a roster author whose university is not in the address
+    list (:class:`InvariantViolation`).
     This holds for a loaded corpus, a constructed one and a
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
@@ -209,8 +211,15 @@ class Corpus:
         self._check_closed()
 
     def _check_closed(self) -> None:
-        """Raise the first broken rule: roster, journals, then pub_id order."""
+        """Raise the first broken rule: organizations, roster, journals, then pub_id order."""
         organizations, researchers = self.organizations, self.researchers
+        for org in organizations.values():
+            if org.kind not in ORG_KINDS:
+                raise InvariantViolation(
+                    f"organization {org.org_id}: unknown kind {org.kind!r}")
+            if not is_alpha2(org.country):
+                raise InvariantViolation(f"organization {org.org_id}: country must be "
+                                         f"an alpha-2 code, got {org.country!r}")
         for researcher in researchers.values():
             where = f"roster entry {researcher.researcher_id}"
             org = organizations.get(researcher.university_org_id)
@@ -224,6 +233,9 @@ class Corpus:
             if researcher.sds_id not in self.taxonomy.sectors:
                 raise DanglingReference("sds", researcher.sds_id, where)
         for rec in self.journals.values():
+            if not rec.impact_factor >= 0:
+                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "
+                                         f"impact_factor {rec.impact_factor} is not >= 0")
             cats = rec.sci_categories
             if not cats or list(cats) != sorted(set(cats)):
                 raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "

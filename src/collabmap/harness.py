@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Sequence
 
 from .collab import CASE_M_N, CASE_M_ONE, CASE_ONE_N, CASE_ONE_ONE, CollabSummary
-from .corpus import DEFAULT_WINDOW, HOME_COUNTRY
+from .corpus import (
+    DEFAULT_WINDOW,
+    HOME_COUNTRY,
+    JOURNAL_FIELDS,
+    ORGANIZATION_FIELDS,
+    ROSTER_FIELDS,
+    TAXONOMY_FIELDS,
+)
 from .errors import EmptySample, InvalidConfig, MissingFile
 
 _MASK64 = (1 << 64) - 1
@@ -148,8 +155,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
         taxonomy_rows.append(
             [sds_id, f"Sector {i + 1:03d}", f"A{uda_index + 1:02d}", _UDA_NAMES[uda_index]]
         )
-    _write_csv(out_dir / "taxonomy.csv",
-               ["sds_id", "sds_name", "uda_id", "uda_name"], taxonomy_rows)
+    _write_csv(out_dir / "taxonomy.csv", TAXONOMY_FIELDS, taxonomy_rows)
 
     # organizations: no draws; every 5th firm is foreign
     university_ids = [f"U{i + 1:03d}" for i in range(config.n_universities)]
@@ -165,8 +171,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     for i, org_id in enumerate(public_ids):
         kind = public_kinds[i % 3]
         org_rows.append([org_id, f"Synthetic Body {i + 1:03d}", kind, "IT"])
-    _write_csv(out_dir / "organizations.csv",
-               ["org_id", "canonical_name", "kind", "country"], org_rows)
+    _write_csv(out_dir / "organizations.csv", ORGANIZATION_FIELDS, org_rows)
 
     # journals: per journal, 1-3 distinct categories, then one IF per year
     years = list(range(config.year_min, config.year_max + 1))
@@ -181,8 +186,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
             journal_rows.append(
                 [journal_id, f"Synthetic Journal {i + 1:03d}", str(year), f"{impact:.3f}", cats]
             )
-    _write_csv(out_dir / "journals.csv",
-               ["journal_id", "name", "year", "impact_factor", "sci_categories"], journal_rows)
+    _write_csv(out_dir / "journals.csv", JOURNAL_FIELDS, journal_rows)
 
     # roster: university and sector per researcher
     researcher_ids = [f"R{i + 1:05d}" for i in range(config.n_researchers)]
@@ -195,8 +199,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
         researcher_univ.append(univ)
         researcher_sds.append(sds)
         roster_rows.append([researcher_id, f"Synthetic Researcher {i + 1:05d}", univ, sds])
-    _write_csv(out_dir / "roster.csv",
-               ["researcher_id", "full_name", "university_org_id", "sds_id"], roster_rows)
+    _write_csv(out_dir / "roster.csv", ROSTER_FIELDS, roster_rows)
 
     domestic_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "IT"]
     foreign_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "DE"]

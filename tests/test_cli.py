@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from collabmap.cli import main
+from collabmap.cli import build_parser, main
+from collabmap.harness import SynthConfig, generate
 
 from conftest import FIXTURE40, GOLDEN
 
@@ -95,6 +97,81 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert main(["validate", "--data-dir", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "publications: 150" in out
+    # with no optional flag, the CLI writes what the library's defaults write
+    library_dir = generate(SynthConfig(seed=7, n_pubs=150), tmp_path / "library")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        p.name for p in library_dir.iterdir())
+    for path in library_dir.iterdir():
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+_CORPUS_OPTIONS = {
+    "--data-dir": (None, None, True, None),
+    "--year-min": (2001, None, False, "int"),
+    "--year-max": (2003, None, False, "int"),
+    "--home-country": ("IT", None, False, "_country_code"),
+}
+_FORMATS = ("csv", "json", "md")
+
+# option -> (default, choices, required, name of the type callable)
+CLI_SURFACE = {
+    "validate": _CORPUS_OPTIONS,
+    "map": {
+        **_CORPUS_OPTIONS,
+        "--level": ("sds", ("sds", "uda"), False, None),
+        "--metric": ("count", ("count", "pct_all", "pct_coauth", "per_researcher"), False, None),
+        "--top": (10, None, False, "integer"),
+        "--format": ("csv", _FORMATS, False, None),
+        "--out": (None, None, False, None),
+    },
+    "edges": {**_CORPUS_OPTIONS, "--out": (None, None, False, None)},
+    "compare": {
+        **_CORPUS_OPTIONS,
+        "--grouping": (None, ("sds_all_vs_collab", "sds_all_vs_industry",
+                              "researchers_industry_vs_rest", "multidisc_all_vs_industry",
+                              "multidisc_collab_vs_industry"), True, None),
+        "--indicator": (None, ("ifpr", "o", "fss", "ii_sds", "ii_sci"), True, None),
+        "--min-collab-pubs": (7, None, False, "integer"),
+        "--format": ("json", _FORMATS, False, None),
+        "--out": (None, None, False, None),
+    },
+    "multidisc": {
+        **_CORPUS_OPTIONS,
+        "--subset": ("all", ("all", "collab", "industry"), False, None),
+        "--format": ("csv", _FORMATS, False, None),
+        "--out": (None, None, False, None),
+    },
+    "synth": {
+        "--seed": (None, None, True, "int"),
+        "--pubs": (None, None, True, "int"),
+        "--out": (None, None, True, None),
+        "--universities": (12, None, False, "int"),
+        "--firms": (20, None, False, "int"),
+        "--public-orgs": (6, None, False, "int"),
+        "--researchers": (120, None, False, "int"),
+        "--journals": (30, None, False, "int"),
+        "--industry-rate": (0.25, None, False, "float"),
+        "--max-authors": (6, None, False, "int"),
+        "--year-min": (2001, None, False, "int"),
+        "--year-max": (2003, None, False, "int"),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    surface = {}
+    for name, parser in commands.choices.items():
+        surface[name] = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (option,) = action.option_strings
+            choices = None if action.choices is None else tuple(action.choices)
+            surface[name][option] = (action.default, choices, action.required,
+                                     getattr(action.type, "__name__", None))
+    assert surface == CLI_SURFACE
 
 
 def test_synth_rejects_bad_config(capsys):

@@ -423,17 +423,38 @@ def _categories(categories):
     return change
 
 
+def _impact_factor(value):
+    def change(corpus):
+        record = dataclasses.replace(corpus.journals[("JRN-G", 2002)], impact_factor=value)
+        return {"journals": {**corpus.journals, ("JRN-G", 2002): record}}
+    return change
+
+
+def _organization(org_id, **changes):
+    def change(corpus):
+        org = dataclasses.replace(corpus.organizations[org_id], **changes)
+        return {"organizations": {**corpus.organizations, org_id: org}}
+    return change
+
+
 _NOT_A_SET = "are not a non-empty sorted set"
 
 
 # the loader rejects each of these; a constructed corpus that let them through
-# would fail later with a ZeroDivisionError or shift impact percentiles
+# would fail later with a ZeroDivisionError, shift impact percentiles or
+# classify an organization as OTHER
 @pytest.mark.parametrize("change, message", [
     (_no_authors, "publication P01: no authors"),
     (_categories(()), "journal JRN-A@2002: categories () " + _NOT_A_SET),
     (_categories(("CAT-A", "CAT-A")),
      "journal JRN-A@2002: categories ('CAT-A', 'CAT-A') " + _NOT_A_SET),
-], ids=["no_authors", "no_categories", "repeated_category"])
+    (_impact_factor(float("nan")), "journal JRN-G@2002: impact_factor nan is not >= 0"),
+    (_impact_factor(-1.0), "journal JRN-G@2002: impact_factor -1.0 is not >= 0"),
+    (_organization("FRM-X", kind="bogus"), "organization FRM-X: unknown kind 'bogus'"),
+    (_organization("UNI-B", country="italy"),
+     "organization UNI-B: country must be an alpha-2 code, got 'italy'"),
+], ids=["no_authors", "no_categories", "repeated_category", "nan_impact_factor",
+        "negative_impact_factor", "unknown_org_kind", "bad_org_country"])
 def test_construction_rejects_what_the_loader_rejects(corpus40, change, message):
     with pytest.raises(errors.InvariantViolation) as exc:
         dataclasses.replace(corpus40, **change(corpus40))
@@ -447,6 +468,14 @@ def test_journals_checked_after_roster_before_publications(corpus40):
     researchers = {**corpus40.researchers, "RES-ZZ": Researcher("RES-ZZ", "Zed", "UNI-A", "NOPE")}
     with pytest.raises(errors.DanglingReference, match="roster entry RES-ZZ"):
         dataclasses.replace(corpus40, **unsorted, researchers=researchers)
+    # organizations come before the roster, in their own order
+    organizations = dict(corpus40.organizations)
+    organizations["FRM-X"] = dataclasses.replace(organizations["FRM-X"], country="italy")
+    organizations["FRM-Y"] = dataclasses.replace(organizations["FRM-Y"], kind="bogus")
+    with pytest.raises(errors.InvariantViolation) as exc:
+        dataclasses.replace(corpus40, **unsorted, researchers=researchers,
+                            organizations=organizations)
+    assert str(exc.value) == "organization FRM-X: country must be an alpha-2 code, got 'italy'"
 
 
 def test_roster_checked_first_in_roster_order(corpus40):
