@@ -122,7 +122,7 @@ class Researcher:
     sds_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorRef:
     """One byline entry. researcher_id is None for authors not on the roster."""
 
@@ -131,7 +131,7 @@ class AuthorRef:
     org_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     pub_id: str
     year: int
@@ -163,7 +163,10 @@ class Corpus:
     This holds for a loaded corpus, a constructed one and a
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
-    same files compare equal.
+    same files compare equal. The loader validates a row outside the window
+    in full but builds no record for it, and it shares the records repeated
+    within one load (bylines, address lists, journal ids); they are frozen,
+    so only ``is`` tells a shared record from an equal copy.
     ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
@@ -406,7 +409,16 @@ def _load_roster(path: Path) -> dict[str, Researcher]:
     return roster
 
 
-def _parse_publication(path: Path, lineno: int, line: str) -> Publication:
+def _parse_publication(
+    path: Path, lineno: int, line: str, window: tuple[int, int], shared: dict
+) -> tuple[str, Publication | None]:
+    """Validate one line; return its pub_id, and its record if its year is in ``window``.
+
+    ``shared`` belongs to one load and hands out one AuthorRef per validated
+    (raw_name, researcher_id, org_id), one tuple per sorted address list and
+    one string per journal id. An address list is its own key; a byline key
+    starts with the AuthorRef class, so it never equals one.
+    """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -427,7 +439,7 @@ def _parse_publication(path: Path, lineno: int, line: str) -> Publication:
     raw_authors = obj.get("authors")
     if not isinstance(raw_authors, list) or not raw_authors:
         raise ParseError(str(path), lineno, "authors must be a non-empty list")
-    authors: list[AuthorRef] = []
+    bylines: list[tuple[type, str, str | None, str]] = []
     for entry in raw_authors:
         if not isinstance(entry, dict):
             raise ParseError(str(path), lineno, "author entries must be objects")
@@ -440,7 +452,7 @@ def _parse_publication(path: Path, lineno: int, line: str) -> Publication:
             raise ParseError(str(path), lineno, "author org_id must be a non-empty string")
         if researcher_id is not None and (not isinstance(researcher_id, str) or not researcher_id):
             raise ParseError(str(path), lineno, "author researcher_id must be null or a string")
-        authors.append(AuthorRef(raw_name, researcher_id, org_id))
+        bylines.append((AuthorRef, raw_name, researcher_id, org_id))
 
     raw_addresses = obj.get("address_org_ids")
     if not isinstance(raw_addresses, list):
@@ -448,34 +460,48 @@ def _parse_publication(path: Path, lineno: int, line: str) -> Publication:
     if not all(isinstance(a, str) and a for a in raw_addresses):
         raise ParseError(str(path), lineno, "address_org_ids must be non-empty strings")
 
-    return Publication(
+    lo, hi = window
+    if not lo <= year <= hi:
+        return pub_id, None
+    authors = []
+    for key in bylines:
+        author = shared.get(key)
+        if author is None:
+            author = shared[key] = AuthorRef(*key[1:])
+        authors.append(author)
+    addresses = tuple(sorted(set(raw_addresses)))
+    return pub_id, Publication(
         pub_id=pub_id,
         year=year,
-        journal_id=journal_id,
+        journal_id=shared.setdefault(journal_id, journal_id),
         authors=tuple(authors),
-        address_org_ids=tuple(sorted(set(raw_addresses))),
+        address_org_ids=shared.setdefault(addresses, addresses),
     )
 
 
 def _load_publications(path: Path, window: tuple[int, int]) -> tuple[list[Publication], int]:
     """The publications inside ``window``, and how many others the file holds.
 
-    Every line is parsed and its pub_id checked for duplicates; a publication
-    outside the window is dropped as soon as it is read. The check here also
-    covers the dropped rows, which the Corpus constructor never sees.
+    Every line is parsed and validated in full, and its pub_id checked for
+    duplicates, so a bad row raises the same error at the same line whether
+    or not its year is in the window. No record is built for a row outside
+    the window; the check here is the only one those rows get, since the
+    Corpus constructor never sees them. Records repeated within this load
+    (bylines, address lists, journal ids) are one shared object each; they
+    are frozen, so only ``is`` can tell. Nothing is shared across loads.
     """
-    lo, hi = window
     kept: list[Publication] = []
     seen: set[str] = set()
+    shared: dict = {}
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            pub = _parse_publication(path, lineno, line)
-            if pub.pub_id in seen:
-                raise DuplicateId("pub_id", pub.pub_id)
-            seen.add(pub.pub_id)
-            if lo <= pub.year <= hi:
+            pub_id, pub = _parse_publication(path, lineno, line, window, shared)
+            if pub_id in seen:
+                raise DuplicateId("pub_id", pub_id)
+            seen.add(pub_id)
+            if pub is not None:
                 kept.append(pub)
     return kept, len(seen) - len(kept)
 

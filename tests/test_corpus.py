@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +12,13 @@ from collabmap.corpus import (
     Corpus,
     Publication,
     Researcher,
+    _parse_publication,
     load_corpus,
     load_taxonomy,
     validate_corpus,
 )
+from collabmap.harness import SynthConfig, generate
+from collabmap.report import render_all
 
 from conftest import DATA, FIXTURE40
 
@@ -264,7 +270,7 @@ def test_author_university_must_appear_in_addresses(fixture_copy):
         load_corpus(fixture_copy)
 
 
-@pytest.mark.parametrize("record", [
+_BAD_RECORDS = [
     {"pub_id": "P99", "year": "2002", "journal_id": "JRN-A",
      "authors": [{"raw_name": "A", "researcher_id": None, "org_id": "FRM-X"}],
      "address_org_ids": ["FRM-X"]},
@@ -279,11 +285,132 @@ def test_author_university_must_appear_in_addresses(fixture_copy):
     {"pub_id": "", "year": 2002, "journal_id": "JRN-A",
      "authors": [{"raw_name": "A", "researcher_id": None, "org_id": "FRM-X"}],
      "address_org_ids": ["FRM-X"]},
-])
+]
+
+
+@pytest.mark.parametrize("record", _BAD_RECORDS)
 def test_publication_type_errors(fixture_copy, record):
     _append_pub(fixture_copy, record)
     with pytest.raises(errors.ParseError):
         load_corpus(fixture_copy)
+
+
+def _dated(record, year):
+    """The record dated ``year``; a year of the wrong type keeps its type."""
+    old = record["year"]
+    if isinstance(old, bool):
+        return record
+    return {**record, "year": str(year) if isinstance(old, str) else year}
+
+
+@pytest.mark.parametrize("record", _BAD_RECORDS + [
+    {"pub_id": "P99", "year": 2002, "journal_id": "JRN-A",
+     "authors": ["A"], "address_org_ids": ["FRM-X"]},
+    {"pub_id": "P99", "year": 2002, "journal_id": "JRN-A",
+     "authors": [{"raw_name": "A", "researcher_id": None, "org_id": "FRM-X"}],
+     "address_org_ids": ["FRM-X", 7]},
+])
+def test_bad_row_outside_window_raises_as_inside(fixture_copy, record):
+    # no record is built for a row outside the window, but it is checked in full
+    original = (fixture_copy / "publications.jsonl").read_text(encoding="utf-8")
+    raised = []
+    for year in (1995, 2002):
+        (fixture_copy / "publications.jsonl").write_text(original, encoding="utf-8")
+        _append_pub(fixture_copy, _dated(record, year))
+        with pytest.raises(errors.ParseError) as exc:
+            load_corpus(fixture_copy)
+        raised.append((exc.value.line, str(exc.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == 42
+
+
+def test_author_without_researcher_id_key_is_unlinked(fixture_copy):
+    _append_pub(fixture_copy, {
+        "pub_id": "P99", "year": 2002, "journal_id": "JRN-A",
+        "authors": [{"raw_name": "Nemo X.", "org_id": "FRM-X"},
+                    {"raw_name": "Nemo X.", "researcher_id": None, "org_id": "FRM-X"}],
+        "address_org_ids": ["FRM-X"],
+    })
+    pub = {p.pub_id: p for p in load_corpus(fixture_copy).publications}["P99"]
+    assert pub.authors[0] == AuthorRef("Nemo X.", None, "FRM-X")
+    assert pub.authors[0] is pub.authors[1]
+
+
+def _repeated(records):
+    """Records grouped by value: {value: set of object ids}, for values seen twice or more."""
+    groups = {}
+    for record in records:
+        groups.setdefault(record, []).append(id(record))
+    return {value: set(ids) for value, ids in groups.items() if len(ids) > 1}
+
+
+def test_one_load_shares_repeated_records(corpus40):
+    pubs = corpus40.publications
+    bylines = _repeated([a for p in pubs for a in p.authors])
+    addresses = _repeated([p.address_org_ids for p in pubs])
+    journals = _repeated([p.journal_id for p in pubs])
+    for groups in (bylines, addresses, journals):
+        assert groups  # fixture40 repeats each kind, so the check is not empty
+        assert all(len(ids) == 1 for ids in groups.values())
+
+
+def test_byline_and_address_list_never_share_a_key():
+    # the byline (A, B, C) and the address list [A, B, C] hold the same strings
+    line = json.dumps({
+        "pub_id": "P1", "year": 2002, "journal_id": "J",
+        "authors": [{"raw_name": "A", "researcher_id": "B", "org_id": "C"}],
+        "address_org_ids": ["C", "B", "A"],
+    })
+    shared = {}
+    _, pub = _parse_publication(Path("publications.jsonl"), 1, line, (2001, 2003), shared)
+    _, again = _parse_publication(Path("publications.jsonl"), 2, line, (2001, 2003), shared)
+    assert pub.authors == (AuthorRef("A", "B", "C"),)
+    assert pub.address_org_ids == ("A", "B", "C")
+    assert again.authors[0] is pub.authors[0]
+    assert again.address_org_ids is pub.address_org_ids
+
+
+def test_loads_share_no_author(corpus40):
+    again = load_corpus(FIXTURE40)
+    assert again == corpus40
+    ids = {id(a) for p in corpus40.publications for a in p.authors}
+    assert ids.isdisjoint(id(a) for p in again.publications for a in p.authors)
+
+
+def test_records_have_slots(corpus40):
+    pub = corpus40.publications[0]
+    assert not hasattr(pub, "__dict__")
+    assert not hasattr(pub.authors[0], "__dict__")
+
+
+def test_shared_records_equal_unshared_copies(corpus40):
+    unshared = dataclasses.replace(corpus40, publications=tuple(
+        dataclasses.replace(
+            pub,
+            authors=tuple(dataclasses.replace(a) for a in pub.authors),
+            address_org_ids=tuple(list(pub.address_org_ids)),
+        )
+        for pub in corpus40.publications
+    ))
+    authors = [a for p in unshared.publications for a in p.authors]
+    assert len({id(a) for a in authors}) == len(authors)
+    assert unshared == corpus40
+    assert render_all(unshared, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
+
+
+def test_loaded_corpus_memory_bound(tmp_path):
+    # retained bytes per in-window publication, measured as perfbench's memory pass does
+    generate(SynthConfig(seed=1234, n_pubs=5000), tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_corpus(tmp_path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 1024 / len(loaded.publications) <= 0.85
 
 
 def test_invalid_json_line(fixture_copy):
