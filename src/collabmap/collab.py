@@ -1,21 +1,21 @@
-"""Classification and counting of university-industry collaborations.
+"""Counting of university-industry collaborations.
 
 An article whose address list contains m universities and n domestic private
 firms embeds m*n pairwise collaborations. Organizations that are publicly
 owned, consortiums, foundations, or located abroad never count toward the
-industry side.
+industry side. ``views.Views.parties`` states which organizations are on
+each side; everything here reads the article's parties through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import views
-from .corpus import HOME_COUNTRY, Corpus, Organization, Publication
+from .corpus import Corpus, Publication
 from .errors import UnknownSelector
 
-CASE_NONE = "none"
 CASE_ONE_ONE = "one_one"
 CASE_M_ONE = "m_one"
 CASE_ONE_N = "one_n"
@@ -34,23 +34,6 @@ SELECTORS = {
     SELECTOR_INDUSTRY: "industry",
 }
 
-# the side of a collaboration an organization is on
-UNIVERSITY = "university"
-FIRM = "firm"
-OTHER = "other"
-
-
-@dataclass(frozen=True)
-class CollaborationProfile:
-    """How one publication splits across organization classes."""
-
-    pub_id: str
-    universities: frozenset[str]
-    domestic_firms: frozenset[str]
-    other_orgs: frozenset[str]
-    case: str
-    collab_count: int
-
 
 @dataclass(frozen=True)
 class CollabSummary:
@@ -63,8 +46,6 @@ class CollabSummary:
 
 
 def _case_for(m: int, n: int) -> str:
-    if m == 0 or n == 0:
-        return CASE_NONE
     if m == 1 and n == 1:
         return CASE_ONE_ONE
     if n == 1:
@@ -72,42 +53,6 @@ def _case_for(m: int, n: int) -> str:
     if m == 1:
         return CASE_ONE_N
     return CASE_M_N
-
-
-def side_of(org: Organization, home_country: str) -> str:
-    """The collaboration side of one organization: UNIVERSITY, FIRM or OTHER.
-
-    Universities count by kind alone; the industry side requires kind
-    private_firm *and* the home country.
-    """
-    if org.kind == "university":
-        return UNIVERSITY
-    if org.kind == "private_firm" and org.country == home_country:
-        return FIRM
-    return OTHER
-
-
-def classify_publication(
-    pub: Publication,
-    registry: Mapping[str, Organization],
-    home_country: str = HOME_COUNTRY,
-) -> CollaborationProfile:
-    """Partition a publication's addresses by :func:`side_of` and derive its case.
-
-    Duplicate addresses of one organization collapse (address lists are sets).
-    """
-    sides: dict[str, set[str]] = {UNIVERSITY: set(), FIRM: set(), OTHER: set()}
-    for org_id in pub.address_org_ids:
-        sides[side_of(registry[org_id], home_country)].add(org_id)
-    m, n = len(sides[UNIVERSITY]), len(sides[FIRM])
-    return CollaborationProfile(
-        pub_id=pub.pub_id,
-        universities=frozenset(sides[UNIVERSITY]),
-        domestic_firms=frozenset(sides[FIRM]),
-        other_orgs=frozenset(sides[OTHER]),
-        case=_case_for(m, n),
-        collab_count=m * n,
-    )
 
 
 def _parties_of(corpus: Corpus) -> Iterator[tuple[Publication, list[str], list[str]]]:

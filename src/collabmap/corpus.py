@@ -289,13 +289,13 @@ class Corpus:
     def effective_journal(self, journal_id: str, year: int) -> JournalYear | None:
         """The journal record an article of the given year uses.
 
-        Exact year if present, otherwise the nearest year inside the window
-        (ties break toward the earlier year). None when nothing is usable.
+        Exact year if inside the window and present, else the nearest year in
+        the window (ties break toward the earlier year). None when none is usable.
         """
-        rec = self.journals.get((journal_id, year))
+        lo, hi = self.window
+        rec = self.journals.get((journal_id, year)) if lo <= year <= hi else None
         if rec is not None:
             return rec
-        lo, hi = self.window
         candidates = [y for y in self.journal_years(journal_id) if lo <= y <= hi]
         if not candidates:
             return None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .collab import CASE_M_N, CASE_M_ONE, CASE_ONE_N, CASE_ONE_ONE, CollabSummary
 from .corpus import (
     DEFAULT_WINDOW,
     HOME_COUNTRY,
@@ -316,11 +315,21 @@ def _in_window(pub: dict, window: tuple[int, int]) -> bool:
     return window[0] <= pub["year"] <= window[1]
 
 
+@dataclass(frozen=True)
+class OracleCollabCounts:
+    """Collaboration totals as the oracle tallies them, with the per-case split."""
+
+    total_collaborations: int
+    industry_articles: int
+    articles_by_case: dict[str, int]
+    collaborations_by_case: dict[str, int]
+
+
 def oracle_collab_counts(
     data_dir: str | Path,
     window: tuple[int, int] = DEFAULT_WINDOW,
     home_country: str = HOME_COUNTRY,
-) -> CollabSummary:
+) -> OracleCollabCounts:
     """Brute-force collaboration totals from the raw files.
 
     Every (university, domestic firm) pair of every in-window publication is
@@ -330,7 +339,7 @@ def oracle_collab_counts(
     org_kind = raw["org_kind"]
     org_country = raw["org_country"]
 
-    cases = (CASE_ONE_ONE, CASE_M_ONE, CASE_ONE_N, CASE_M_N)
+    cases = ("one_one", "m_one", "one_n", "m_n")
     articles = {case: 0 for case in cases}
     collaborations = {case: 0 for case in cases}
     for pub in raw["pubs"]:
@@ -350,17 +359,17 @@ def oracle_collab_counts(
         if not pairs:
             continue  # case: none
         if len(universities) == 1 and len(firms) == 1:
-            case = CASE_ONE_ONE
+            case = "one_one"
         elif len(firms) == 1:
-            case = CASE_M_ONE
+            case = "m_one"
         elif len(universities) == 1:
-            case = CASE_ONE_N
+            case = "one_n"
         else:
-            case = CASE_M_N
+            case = "m_n"
         articles[case] += 1
         collaborations[case] += len(pairs)
 
-    return CollabSummary(
+    return OracleCollabCounts(
         total_collaborations=sum(collaborations.values()),
         industry_articles=sum(articles.values()),
         articles_by_case=articles,
@@ -389,10 +398,10 @@ def oracle_percentiles(values: Sequence[float]) -> list[float]:
 def _oracle_journal_record(raw: dict, journal_id: str, year: int,
                            window: tuple[int, int]) -> dict | None:
     rows = [r for r in raw["journal_rows"] if r["journal_id"] == journal_id]
-    exact = [r for r in rows if r["year"] == year]
+    in_window = [r for r in rows if window[0] <= r["year"] <= window[1]]
+    exact = [r for r in in_window if r["year"] == year]
     if exact:
         return exact[0]
-    in_window = [r for r in rows if window[0] <= r["year"] <= window[1]]
     if not in_window:
         return None
     return min(in_window, key=lambda r: (abs(r["year"] - year), r["year"]))

@@ -77,16 +77,10 @@ def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
 
 # -- sector attribution ---------------------------------------------------------
 
-def _by_scope(index: views.Views, level: str) -> dict[str, int]:
-    if level == LEVEL_SDS:
-        return index.by_sds
-    if level == LEVEL_UDA:
-        return index.by_uda
-    raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
-
-
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
+    if level not in (LEVEL_SDS, LEVEL_UDA):
+        raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
     counts: dict[str, int] = {}
     for researcher in corpus.researchers.values():
         scope = researcher.sds_id
@@ -116,9 +110,9 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
 
     Sectors with no attributed articles are omitted entirely.
     """
+    headcounts = sector_headcounts(corpus, level)  # checks the level
     index = views.of(corpus)
-    attributed = _by_scope(index, level)
-    headcounts = sector_headcounts(corpus, level)
+    attributed = index.by_sds if level == LEVEL_SDS else index.by_uda
 
     rows = []
     for sector_id in sorted(attributed):

@@ -55,7 +55,6 @@ class ComparisonSpec:
     side_a: str = "everything"
     side_b: str = "industry"
     floor: int | None = 1
-    unit: str = "scopes"
 
 
 _ALL, _EXTRAMURAL = "all publications", "extramural collaborations"
@@ -72,10 +71,10 @@ COMPARISONS: dict[tuple[str, str], ComparisonSpec] = {
         "sectors with fewer than {min_collab_pubs} extramural publications excluded: "
         "{excluded}",
         _ALL, _EXTRAMURAL, "ifpr", "by_sds", base="extramural", side_b="extramural",
-        floor=None, unit="sectors"),
+        floor=None),
     ("sds_all_vs_industry", "ifpr"): ComparisonSpec(
         "Journal impact percentile: all output vs industry co-authored output, by sector",
-        _NO_INDUSTRY_SECTORS, _ALL, _INDUSTRY, "ifpr", "by_sds", unit="sectors"),
+        _NO_INDUSTRY_SECTORS, _ALL, _INDUSTRY, "ifpr", "by_sds"),
     ("researchers_industry_vs_rest", "o"): ComparisonSpec(
         "Output percentile ranks: industry collaborators vs rest",
         _RESEARCHERS_NOTE, "industry collaborators", "non-collaborators", "output"),
@@ -341,14 +340,14 @@ def compare(
             if corpus.researchers[rid].sds_id in index.by_sds
         ]
         excluded = len(corpus.researchers) - len(population)
-        values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
-        ranks = indicators.rank_within_sector(corpus, values)
-        group_a = [ranks[r] for r in population if r in index.collaborators]
-        group_b = [ranks[r] for r in population if r not in index.collaborators]
+        group_a = [r for r in population if r in index.collaborators]
+        group_b = [r for r in population if r not in index.collaborators]
         if not group_a or not group_b:
             raise InsufficientSectors("one of the researcher groups is empty")
-        sample_a = descriptive(group_a, spec.label_a)
-        sample_b = descriptive(group_b, spec.label_b)
+        values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
+        ranks = indicators.rank_within_sector(corpus, values)
+        sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)
+        sample_b = descriptive([ranks[r] for r in group_b], spec.label_b)
         result = welch_t(sample_a, sample_b)
         return Comparison(
             grouping, indicator, sample_a, sample_b, result, len(population), excluded
@@ -364,7 +363,8 @@ def compare(
     )
     n_units = len(xs)
     if n_units < 2:
-        raise InsufficientSectors(f"only {n_units} {spec.unit} survive the exclusion thresholds")
+        unit = "sectors" if spec.scopes == "by_sds" else "categories"
+        raise InsufficientSectors(f"only {n_units} {unit} survive the exclusion thresholds")
     sample_a = descriptive(xs, spec.label_a)
     sample_b = descriptive(ys, spec.label_b)
     result = paired_t(xs, ys)

@@ -15,8 +15,9 @@ intersection is ``&`` and size is ``int.bit_count()``. Members come out in
 ascending position, which is pub_id order, so a sum over a set adds its
 terms in the same order as a sum over its sorted ids.
 
-``collab`` and ``indicators`` read their views from here, so the views that
-need their primitives import them when first built.
+``parties`` states the collaboration rule itself. ``indicators`` reads its
+views from here, so the views that need its primitives import it when first
+built.
 """
 
 from __future__ import annotations
@@ -91,14 +92,19 @@ class Views:
 
     @cached_property
     def parties(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The university-side and the domestic-firm org ids, each org classified once."""
-        from . import collab
+        """The university-side and the domestic-firm org ids, each org looked at once.
 
-        home_country = self.corpus.home_country
-        sides = {org_id: collab.side_of(org, home_country)
-                 for org_id, org in self.corpus.organizations.items()}
-        return (frozenset(o for o, side in sides.items() if side == collab.UNIVERSITY),
-                frozenset(o for o, side in sides.items() if side == collab.FIRM))
+        Universities count by kind alone; the industry side requires kind
+        private_firm *and* the corpus's home country. Every other
+        organization is on neither side.
+        """
+        universities, firms = [], []
+        for org_id, org in self.corpus.organizations.items():
+            if org.kind == "university":
+                universities.append(org_id)
+            elif org.kind == "private_firm" and org.country == self.corpus.home_country:
+                firms.append(org_id)
+        return frozenset(universities), frozenset(firms)
 
     @cached_property
     def extramural(self) -> int:

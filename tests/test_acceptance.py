@@ -10,12 +10,8 @@ import time
 
 import pytest
 
-from collabmap.collab import (
-    classify_publication,
-    count_collaborations,
-    extract_edges,
-)
-from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+from collabmap.collab import count_collaborations, extract_edges
+from collabmap.corpus import load_corpus
 from collabmap.harness import (
     SplitMix64,
     SynthConfig,
@@ -44,7 +40,7 @@ from collabmap.stats import (
 )
 
 from conftest import GOLDEN, assert_comparison_layer
-from test_collab import _expected_case
+from test_collab import _assert_grid_cell, _grid
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
 
@@ -66,24 +62,12 @@ def criterion(label):
 
 
 @criterion("collaboration case grid over m,n in [0,4]^2, budget 1s")
-def test_case_grid_complete_and_fast():
+def test_case_grid_complete_and_fast(corpus40):
     start = time.perf_counter()
-    orgs = {}
-    for i in range(4):
-        orgs[f"U{i}"] = Organization(f"U{i}", f"University {i}", "university", "IT")
-        orgs[f"F{i}"] = Organization(f"F{i}", f"Firm {i}", "private_firm", "IT")
-    orgs["P0"] = Organization("P0", "Agency", "public_org", "IT")
-    for m in range(5):
-        for n in range(5):
-            addresses = [f"U{i}" for i in range(m)] + [f"F{i}" for i in range(n)] + ["P0"]
-            pub = Publication(
-                "PX", 2002, "JRN-A",
-                (AuthorRef("Someone A.", None, addresses[0]),),
-                tuple(sorted(addresses)),
-            )
-            profile = classify_publication(pub, orgs)
-            assert profile.case == _expected_case(m, n), (m, n)
-            assert profile.collab_count == m * n, (m, n)
+    grid = _grid(corpus40)
+    edges = extract_edges(grid)
+    for pub in grid.publications:
+        _assert_grid_cell(grid, edges, pub)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"case grid took {elapsed:.3f}s"
     return "25 cells exact"
@@ -97,7 +81,7 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
         corpus = load_corpus(out)
 
         summary = count_collaborations(corpus)
-        assert summary == oracle_collab_counts(out), seed
+        assert dataclasses.asdict(summary) == dataclasses.asdict(oracle_collab_counts(out)), seed
         assert len(extract_edges(corpus)) == summary.total_collaborations, seed
 
         perf = researcher_performance(corpus)

@@ -6,14 +6,12 @@ from collabmap import errors, views
 from collabmap.collab import (
     CASE_M_N,
     CASE_M_ONE,
-    CASE_NONE,
     CASE_ONE_N,
     CASE_ONE_ONE,
     COLLAB_CASES,
     SELECTOR_ALL,
     SELECTOR_EXTRAMURAL,
     SELECTOR_INDUSTRY,
-    classify_publication,
     count_collaborations,
     extract_edges,
     subset,
@@ -55,9 +53,19 @@ def _registry(n_universities, n_firms, extras=()):
     return orgs
 
 
+def _with_articles(base, orgs, address_lists):
+    """``base`` plus ``orgs``, with one article PX00, PX01, ... per address list."""
+    pubs = [Publication(f"PX{k:02d}", 2002, "JRN-A",
+                        (AuthorRef("Someone A.", None, addresses[0]),),
+                        tuple(sorted(addresses)))
+            for k, addresses in enumerate(address_lists)]
+    return dataclasses.replace(
+        base, organizations={**base.organizations, **orgs}, publications=pubs)
+
+
 def _expected_case(m, n):
     if m == 0 or n == 0:
-        return CASE_NONE
+        return None
     if m == 1 and n == 1:
         return CASE_ONE_ONE
     if n == 1:
@@ -67,25 +75,50 @@ def _expected_case(m, n):
     return CASE_M_N
 
 
-def test_case_grid():
+def _article_case(corpus, pub):
+    """The case and collaboration count ``count_collaborations`` gives one article."""
+    s = count_collaborations(dataclasses.replace(corpus, publications=[pub]))
+    cases = [case for case, k in s.articles_by_case.items() if k]
+    assert s.industry_articles == len(cases) <= 1, pub.pub_id
+    return (cases[0] if cases else None), s.total_collaborations
+
+
+def _others(corpus, pub):
+    """The address organizations of ``pub`` on neither side."""
+    universities, firms = views.of(corpus).parties
+    return frozenset(pub.address_org_ids) - universities - firms
+
+
+def _grid(base):
+    """One article per cell (m, n) in [0,4]^2, PX{5m+n:02d}, with a public org on each."""
     registry = _registry(4, 4, extras=[("P0", "public_org", "IT")])
-    for m in range(5):
-        for n in range(5):
-            addresses = [f"U{i}" for i in range(m)] + [f"F{i}" for i in range(n)] + ["P0"]
-            pub = Publication(
-                "PX", 2002, "JRN-A",
-                (AuthorRef("Someone A.", None, addresses[0]),),
-                tuple(sorted(addresses)),
-            )
-            profile = classify_publication(pub, registry)
-            assert profile.case == _expected_case(m, n), (m, n)
-            assert profile.collab_count == m * n
-            assert profile.universities == frozenset(f"U{i}" for i in range(m))
-            assert profile.domestic_firms == frozenset(f"F{i}" for i in range(n))
-            assert profile.other_orgs == frozenset({"P0"})
+    return _with_articles(base, registry, [
+        [f"U{i}" for i in range(m)] + [f"F{j}" for j in range(n)] + ["P0"]
+        for m in range(5) for n in range(5)])
 
 
-def test_classification_partitions_org_kinds():
+def _assert_grid_cell(grid, edges, pub):
+    m, n = divmod(int(pub.pub_id[2:]), 5)
+    universities, firms = views.of(grid).parties
+    assert _article_case(grid, pub) == (_expected_case(m, n), m * n), (m, n)
+    assert [(u, f) for p, u, f in edges if p == pub.pub_id] == [
+        (f"U{i}", f"F{j}") for i in range(m) for j in range(n)], (m, n)
+    assert universities & set(pub.address_org_ids) == {f"U{i}" for i in range(m)}
+    assert firms & set(pub.address_org_ids) == {f"F{j}" for j in range(n)}
+    assert _others(grid, pub) == {"P0"}
+
+
+def test_case_grid(corpus40):
+    grid = _grid(corpus40)
+    edges = extract_edges(grid)
+    for pub in grid.publications:
+        _assert_grid_cell(grid, edges, pub)
+    s = count_collaborations(grid)
+    assert s.articles_by_case == {"one_one": 1, "m_one": 3, "one_n": 3, "m_n": 9}
+    assert s.total_collaborations == len(edges) == sum(range(5)) ** 2
+
+
+def test_classification_partitions_org_kinds(corpus40):
     registry = _registry(1, 1, extras=[
         ("P0", "public_org", "IT"),
         ("C0", "consortium", "IT"),
@@ -93,51 +126,40 @@ def test_classification_partitions_org_kinds():
         ("G0", "foreign_org", "CH"),
         ("FD", "private_firm", "DE"),
     ])
-    pub = Publication(
-        "PX", 2002, "JRN-A",
-        (AuthorRef("Someone A.", None, "U0"),),
-        ("C0", "F0", "FD", "G0", "N0", "P0", "U0"),
-    )
-    profile = classify_publication(pub, registry)
-    assert profile.universities == frozenset({"U0"})
-    assert profile.domestic_firms == frozenset({"F0"})
-    assert profile.other_orgs == frozenset({"P0", "C0", "N0", "G0", "FD"})
-    assert profile.case == CASE_ONE_ONE
-    assert profile.collab_count == 1
+    corpus = _with_articles(corpus40, registry, [["C0", "F0", "FD", "G0", "N0", "P0", "U0"]])
+    (pub,) = corpus.publications
+    universities, firms = views.of(corpus).parties
+    assert universities & set(registry) == {"U0"}
+    assert firms & set(registry) == {"F0"}
+    assert _others(corpus, pub) == frozenset({"P0", "C0", "N0", "G0", "FD"})
+    assert _article_case(corpus, pub) == (CASE_ONE_ONE, 1)
+    assert extract_edges(corpus) == [("PX00", "U0", "F0")]
 
 
-def test_home_country_switch():
+def test_home_country_switch(corpus40):
     registry = _registry(1, 1, extras=[("FD", "private_firm", "DE")])
-    pub = Publication(
-        "PX", 2002, "JRN-A",
-        (AuthorRef("Someone A.", None, "U0"),),
-        ("F0", "FD", "U0"),
-    )
-    italian = classify_publication(pub, registry, home_country="IT")
-    german = classify_publication(pub, registry, home_country="DE")
-    assert italian.domestic_firms == frozenset({"F0"})
-    assert german.domestic_firms == frozenset({"FD"})
-    assert italian.other_orgs == frozenset({"FD"})
-    assert german.other_orgs == frozenset({"F0"})
+    italian = _with_articles(corpus40, registry, [["F0", "FD", "U0"]])
+    german = dataclasses.replace(italian, home_country="DE")
+    (pub,) = italian.publications
+    assert views.of(italian).parties[1] & set(registry) == {"F0"}
+    assert views.of(german).parties[1] & set(registry) == {"FD"}
+    assert _others(italian, pub) == frozenset({"FD"})
+    assert _others(german, pub) == frozenset({"F0"})
+    assert extract_edges(italian) == [("PX00", "U0", "F0")]
+    assert extract_edges(german) == [("PX00", "U0", "FD")]
 
 
 def test_fixture_profiles(corpus40):
-    profiles = {pub.pub_id: classify_publication(pub, corpus40.organizations,
-                                                 corpus40.home_country)
-                for pub in corpus40.publications}
-    assert set(profiles) == {p.pub_id for p in corpus40.publications}
-    assert profiles["P01"].case == CASE_ONE_ONE
-    assert profiles["P02"].case == CASE_M_ONE
-    assert profiles["P02"].collab_count == 2
-    assert profiles["P03"].case == CASE_ONE_N
-    assert profiles["P03"].collab_count == 3
-    assert profiles["P04"].case == CASE_M_N
-    assert profiles["P04"].collab_count == 4
-    assert profiles["P05"].case == CASE_NONE
-    assert profiles["P05"].other_orgs == frozenset({"PUB-L1"})
-    assert profiles["P13"].case == CASE_NONE
-    assert profiles["P13"].other_orgs == frozenset({"FRM-DE"})
-    assert profiles["P35"].other_orgs == frozenset({"FGN-U1"})
+    pubs = {pub.pub_id: pub for pub in corpus40.publications}
+    assert _article_case(corpus40, pubs["P01"]) == (CASE_ONE_ONE, 1)
+    assert _article_case(corpus40, pubs["P02"]) == (CASE_M_ONE, 2)
+    assert _article_case(corpus40, pubs["P03"]) == (CASE_ONE_N, 3)
+    assert _article_case(corpus40, pubs["P04"]) == (CASE_M_N, 4)
+    assert _article_case(corpus40, pubs["P05"]) == (None, 0)
+    assert _others(corpus40, pubs["P05"]) == frozenset({"PUB-L1"})
+    assert _article_case(corpus40, pubs["P13"]) == (None, 0)
+    assert _others(corpus40, pubs["P13"]) == frozenset({"FRM-DE"})
+    assert _others(corpus40, pubs["P35"]) == frozenset({"FGN-U1"})
 
 
 def test_count_collaborations(corpus40):
@@ -187,13 +209,16 @@ def _assert_views_match_reference(corpus):
     index = views.of(corpus)
     expected_edges = []
     for i, pub in enumerate(corpus.publications):
-        profile = classify_publication(pub, corpus.organizations, corpus.home_country)
+        # the rule restated here, so the reference shares no code with Views
+        orgs = [corpus.organizations[o] for o in pub.address_org_ids]
+        universities = sorted({o.org_id for o in orgs if o.kind == "university"})
+        firms = sorted({o.org_id for o in orgs if o.kind == "private_firm"
+                        and o.country == corpus.home_country})
         bit = 1 << i
-        assert bool(index.industry & bit) == (profile.collab_count >= 1), pub.pub_id
+        assert bool(index.industry & bit) == bool(universities and firms), pub.pub_id
         assert bool(index.extramural & bit) == (
-            len(pub.address_org_ids) >= 2 and len(profile.universities) >= 1), pub.pub_id
-        expected_edges += [(pub.pub_id, univ, firm) for univ in sorted(profile.universities)
-                           for firm in sorted(profile.domestic_firms)]
+            len(pub.address_org_ids) >= 2 and len(universities) >= 1), pub.pub_id
+        expected_edges += [(pub.pub_id, univ, firm) for univ in universities for firm in firms]
     assert extract_edges(corpus) == expected_edges
 
 

@@ -649,8 +649,10 @@ def test_effective_journal_exact_and_fallback(fixture_copy):
     assert c.effective_journal("JRN-T", 2003).year == 2003
     # any in-window year can serve, however far the request
     assert c.effective_journal("JRN-T", 9999).year == 2003
-    # a journal ranked only outside the window has no usable record
+    # a journal ranked only outside the window has no usable record,
+    # not even in the year of that row
     assert c.effective_journal("JRN-Q", 2002) is None
+    assert c.effective_journal("JRN-Q", 1998) is None
 
 
 def test_full_size_taxonomy():

@@ -147,7 +147,8 @@ def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40)
         fh.write("JRN-OLD,Old Journal,1995,1.0,CAT-X\n")
     c = load_corpus(fixture_copy)
     assert "JRN-OLD" in c.journal_ids
-    for year in (2001, 2002, 2003):
+    # also in the row's own year, which lies outside the window
+    for year in (1995, 2001, 2002, 2003):
         assert if_percentile_ranks(c, year) == if_percentile_ranks(corpus40, year)
     assert render_all(c, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
     assert ifpr_by_publication(c) == pytest.approx(
@@ -205,6 +206,13 @@ def test_sector_headcounts(corpus40):
     assert sector_headcounts(corpus40, LEVEL_SDS) == {
         "BIO1": 2, "BIO2": 1, "CHIM1": 2, "CHIM2": 1, "ELEC": 8, "MECH": 2}
     assert sector_headcounts(corpus40, LEVEL_UDA) == {"BIO": 3, "CHEM": 3, "ENG": 10}
+
+
+def test_unknown_level_rejected(corpus40):
+    with pytest.raises(ValueError, match="level must be"):
+        sector_headcounts(corpus40, "bogus")
+    with pytest.raises(ValueError, match="level must be"):
+        sector_intensity(corpus40, "bogus")
 
 
 def test_sector_intensity_sds(corpus40):

@@ -41,6 +41,11 @@ def test_every_module_reachable_from_cli():
     assert sorted(modules - reached) == KNOWN_UNREACHED
 
 
+def test_harness_imports_no_analysis_module():
+    # the oracles must not share code with what they check
+    assert set(_relative_imports("harness")) <= {"corpus", "errors"}
+
+
 def test_readme_library_example_runs(monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)

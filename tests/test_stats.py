@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from collabmap import errors
 from collabmap.stats import (
+    COMPARISONS,
     GROUPINGS,
     INDICATORS_BY_GROUPING,
     Sample,
@@ -405,6 +407,29 @@ def test_compare_floor_can_exhaust_sectors(corpus40):
     # default floor of 7 leaves too few paired sectors in the small corpus
     with pytest.raises(errors.InsufficientSectors):
         compare(corpus40, "sds_all_vs_collab", "ifpr")
+
+
+def test_compare_without_roster_authors_runs_out_of_units(corpus40):
+    unlinked = dataclasses.replace(corpus40, publications=[
+        dataclasses.replace(pub, authors=tuple(
+            dataclasses.replace(author, researcher_id=None) for author in pub.authors))
+        for pub in corpus40.publications])
+    for grouping, indicator in COMPARISONS:
+        if indicator == "ii_sci":
+            # journal categories do not depend on the roster
+            assert compare(unlinked, grouping, indicator).n_units == 3
+        else:
+            # no sector has a publication, so neither researcher group has a member
+            with pytest.raises(errors.InsufficientSectors):
+                compare(unlinked, grouping, indicator, min_collab_pubs=0)
+
+
+def test_compare_error_names_its_unit(corpus40):
+    no_industry = dataclasses.replace(corpus40, home_country="FR")
+    with pytest.raises(errors.InsufficientSectors, match="only 0 sectors survive"):
+        compare(no_industry, "multidisc_all_vs_industry", "ii_sds")
+    with pytest.raises(errors.InsufficientSectors, match="only 0 categories survive"):
+        compare(no_industry, "multidisc_collab_vs_industry", "ii_sci")
 
 
 def test_compare_rejects_negative_floor(corpus40):

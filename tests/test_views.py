@@ -1,6 +1,6 @@
 import dataclasses
 
-from collabmap import collab, views
+from collabmap import views
 from collabmap.report import render_all
 
 
@@ -38,14 +38,14 @@ def test_masks_match_id_sets(corpus40):
 
 def test_render_all_classifies_once(corpus40, monkeypatch):
     calls = []
-    original = collab.side_of
+    original = views.Views.parties.func
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(self):
+        calls.append(self)
+        return original(self)
 
-    monkeypatch.setattr(collab, "side_of", counting)
+    monkeypatch.setattr(views.Views.parties, "func", counting)
     fresh = dataclasses.replace(corpus40)
     render_all(fresh, min_collab_pubs=3)
     render_all(fresh, min_collab_pubs=4)
-    assert len(calls) == len(fresh.organizations)
+    assert calls == [views.of(fresh)]
