@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -236,9 +238,9 @@ class Corpus:
             if researcher.sds_id not in self.taxonomy.sectors:
                 raise DanglingReference("sds", researcher.sds_id, where)
         for rec in self.journals.values():
-            if not rec.impact_factor >= 0:
-                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "
-                                         f"impact_factor {rec.impact_factor} is not >= 0")
+            if not (math.isfinite(rec.impact_factor) and rec.impact_factor >= 0):
+                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: impact_factor "
+                                         f"{rec.impact_factor} is not a finite number >= 0")
             cats = rec.sci_categories
             if not cats or list(cats) != sorted(set(cats)):
                 raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "
@@ -310,6 +312,21 @@ class ValidationIssue:
     detail: str
 
 
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file that is not valid UTF-8, at its first such line.
+
+    Lines are counted as a text-mode read counts them. The file is read a
+    second time, which only a failed load pays for.
+    """
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next(n for n, line in enumerate(fh, start=1) if _UNDECODED_BYTE.search(line))
+    byte = exc.object[exc.start]
+    return ParseError(str(path), lineno, f"byte 0x{byte:02x} is not valid UTF-8 ({exc.reason})")
+
+
 def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line_number, values) from a strict-header CSV file.
 
@@ -318,21 +335,27 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(str(path), 1, "empty file")
-        if list(reader.fieldnames) != fields:
-            raise ParseError(
-                str(path), 1,
-                f"expected header {','.join(fields)}, got {','.join(reader.fieldnames)}",
-            )
-        for row in reader:
-            if None in row or any(v is None for v in row.values()):
-                raise ParseError(str(path), reader.line_num, "wrong number of fields")
-            values = tuple(value.strip() for value in row.values())
-            if not values[0] or not values[1]:
+        try:
+            if reader.fieldnames is None:
+                raise ParseError(str(path), 1, "empty file")
+            if list(reader.fieldnames) != fields:
                 raise ParseError(
-                    str(path), reader.line_num, f"{fields[0]} and {fields[1]} must be non-empty")
-            yield reader.line_num, values
+                    str(path), 1,
+                    f"expected header {','.join(fields)}, got {','.join(reader.fieldnames)}",
+                )
+            for row in reader:
+                if None in row or any(v is None for v in row.values()):
+                    raise ParseError(str(path), reader.line_num, "wrong number of fields")
+                values = tuple(value.strip() for value in row.values())
+                if not values[0] or not values[1]:
+                    raise ParseError(str(path), reader.line_num,
+                                     f"{fields[0]} and {fields[1]} must be non-empty")
+                yield reader.line_num, values
+        except csv.Error as exc:
+            # DictReader.line_num only moves after a row parses; its reader's is current
+            raise ParseError(str(path), reader.reader.line_num, str(exc))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc)
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -385,8 +408,8 @@ def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
             raise ParseError(
                 str(path), lineno, f"impact_factor must be a number, got {impact_text!r}"
             )
-        if not impact_factor >= 0:
-            raise ParseError(str(path), lineno, "impact_factor must be >= 0")
+        if not (math.isfinite(impact_factor) and impact_factor >= 0):
+            raise ParseError(str(path), lineno, "impact_factor must be a finite number >= 0")
         cats = [c.strip() for c in categories.split(";") if c.strip()]
         if not cats:
             raise ParseError(str(path), lineno, "sci_categories must list at least one code")
@@ -423,6 +446,10 @@ def _parse_publication(
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), lineno, f"invalid JSON: {exc.msg}")
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ParseError(str(path), lineno, f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ParseError(str(path), lineno, "invalid JSON: nested too deeply")
     if not isinstance(obj, dict):
         raise ParseError(str(path), lineno, "publication record must be an object")
 
@@ -493,16 +520,19 @@ def _load_publications(path: Path, window: tuple[int, int]) -> tuple[list[Public
     kept: list[Publication] = []
     seen: set[str] = set()
     shared: dict = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            pub_id, pub = _parse_publication(path, lineno, line, window, shared)
-            if pub_id in seen:
-                raise DuplicateId("pub_id", pub_id)
-            seen.add(pub_id)
-            if pub is not None:
-                kept.append(pub)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                pub_id, pub = _parse_publication(path, lineno, line, window, shared)
+                if pub_id in seen:
+                    raise DuplicateId("pub_id", pub_id)
+                seen.add(pub_id)
+                if pub is not None:
+                    kept.append(pub)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path, exc)
     return kept, len(seen) - len(kept)
 
 

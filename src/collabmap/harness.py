@@ -139,6 +139,10 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     publications gain 1-2 domestic firms, other publications may gain a
     public organization, a foreign firm, or a second university. Generated
     directories always load and validate without errors.
+
+    Each publication's line is written as soon as it is drawn, so memory
+    does not grow with ``n_pubs``; it holds only the small tables and one
+    pre-encoded byline per roster researcher.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,61 +207,62 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     domestic_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "IT"]
     foreign_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "DE"]
 
-    pub_lines = []
-    for p in range(config.n_pubs):
-        pub_id = f"PUB{p + 1:06d}"
-        year = config.year_min + rng.below(len(years))
-        journal_id = journal_ids[rng.below(config.n_journals)]
-        industry = rng.random() < config.industry_rate
+    # Roster bylines and journal ids are encoded once, up front. Each record
+    # line is assembled from them and equals json.dumps(record, ensure_ascii=True).
+    researcher_bylines = [
+        json.dumps(
+            {
+                "raw_name": f"Synthetic Researcher {idx + 1:05d}",
+                "researcher_id": researcher_ids[idx],
+                "org_id": researcher_univ[idx],
+            },
+            ensure_ascii=True,
+        )
+        for idx in range(config.n_researchers)
+    ]
+    journal_json = [json.dumps(journal_id, ensure_ascii=True) for journal_id in journal_ids]
 
-        n_acad = 1 + rng.below(min(config.max_authors, config.n_researchers))
-        picked = rng.distinct(config.n_researchers, n_acad)
-        authors = []
-        addresses = set()
-        for idx in picked:
-            authors.append(
-                {
-                    "raw_name": f"Synthetic Researcher {idx + 1:05d}",
-                    "researcher_id": researcher_ids[idx],
-                    "org_id": researcher_univ[idx],
-                }
+    with (out_dir / "publications.jsonl").open("w", encoding="utf-8") as fh:
+        for p in range(config.n_pubs):
+            year = config.year_min + rng.below(len(years))
+            journal = journal_json[rng.below(config.n_journals)]
+            industry = rng.random() < config.industry_rate
+
+            n_acad = 1 + rng.below(min(config.max_authors, config.n_researchers))
+            picked = rng.distinct(config.n_researchers, n_acad)
+            bylines = [researcher_bylines[idx] for idx in picked]
+            addresses = {researcher_univ[idx] for idx in picked}
+
+            if industry and domestic_firm_idx:
+                n_firm = 1 + rng.below(min(2, len(domestic_firm_idx)))
+                for slot, pos in enumerate(rng.distinct(len(domestic_firm_idx), n_firm)):
+                    firm = firm_ids[domestic_firm_idx[pos]]
+                    addresses.add(firm)
+                    bylines.append(
+                        json.dumps(
+                            {
+                                "raw_name": f"Industry Author {p + 1:06d}-{slot + 1}",
+                                "researcher_id": None,
+                                "org_id": firm,
+                            },
+                            ensure_ascii=True,
+                        )
+                    )
+            else:
+                extra = rng.below(4)
+                if extra == 1 and public_ids:
+                    addresses.add(public_ids[rng.below(len(public_ids))])
+                elif extra == 2 and foreign_firm_idx:
+                    addresses.add(firm_ids[foreign_firm_idx[rng.below(len(foreign_firm_idx))]])
+                elif extra == 3:
+                    other = university_ids[rng.below(config.n_universities)]
+                    addresses.add(other)
+
+            fh.write(
+                f'{{"pub_id": "PUB{p + 1:06d}", "year": {year}, "journal_id": {journal}, '
+                f'"authors": [{", ".join(bylines)}], '
+                f'"address_org_ids": {json.dumps(sorted(addresses), ensure_ascii=True)}}}\n'
             )
-            addresses.add(researcher_univ[idx])
-
-        if industry and domestic_firm_idx:
-            n_firm = 1 + rng.below(min(2, len(domestic_firm_idx)))
-            for slot, pos in enumerate(rng.distinct(len(domestic_firm_idx), n_firm)):
-                firm = firm_ids[domestic_firm_idx[pos]]
-                addresses.add(firm)
-                authors.append(
-                    {
-                        "raw_name": f"Industry Author {p + 1:06d}-{slot + 1}",
-                        "researcher_id": None,
-                        "org_id": firm,
-                    }
-                )
-        else:
-            extra = rng.below(4)
-            if extra == 1 and public_ids:
-                addresses.add(public_ids[rng.below(len(public_ids))])
-            elif extra == 2 and foreign_firm_idx:
-                addresses.add(firm_ids[foreign_firm_idx[rng.below(len(foreign_firm_idx))]])
-            elif extra == 3:
-                other = university_ids[rng.below(config.n_universities)]
-                addresses.add(other)
-
-        record = {
-            "pub_id": pub_id,
-            "year": year,
-            "journal_id": journal_id,
-            "authors": authors,
-            "address_org_ids": sorted(addresses),
-        }
-        pub_lines.append(json.dumps(record, ensure_ascii=True))
-
-    (out_dir / "publications.jsonl").write_text(
-        "\n".join(pub_lines) + "\n", encoding="utf-8"
-    )
     return out_dir
 
 

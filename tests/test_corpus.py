@@ -1,12 +1,18 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabmap import errors
+from collabmap.cli import main
 from collabmap.corpus import (
     AuthorRef,
     Corpus,
@@ -172,6 +178,13 @@ def test_negative_impact_factor(fixture_copy):
     _rewrite(fixture_copy / "journals.csv", "2001,1.000", "2001,-1.000")
     with pytest.raises(errors.ParseError):
         load_corpus(fixture_copy)
+
+
+def test_infinite_impact_factor(fixture_copy):
+    _rewrite(fixture_copy / "journals.csv", "2001,1.000", "2001,inf")
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(fixture_copy)
+    assert exc.value.message == "impact_factor must be a finite number >= 0"
 
 
 def test_duplicate_category_on_journal(fixture_copy):
@@ -421,6 +434,98 @@ def test_invalid_json_line(fixture_copy):
     assert exc.value.line == 42
 
 
+def _assert_located(data_dir, name, line, capsys):
+    """Loading fails with a ParseError at ``name``:``line``; validate exits 1 naming it."""
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(data_dir)
+    assert (exc.value.path, exc.value.line) == (str(data_dir / name), line)
+    assert main(["validate", "--data-dir", str(data_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data_dir / name}:{line}: ")
+
+
+def _append_bytes(path, data):
+    with path.open("ab") as fh:
+        fh.write(data)
+
+
+def _overwrite_byte(path, offset, byte):
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + bytes([byte]) + data[offset + 1:])
+
+
+def test_deeply_nested_json_line(fixture_copy, capsys):
+    _append_bytes(fixture_copy / "publications.jsonl", b"[" * 200_000 + b"\n")
+    _assert_located(fixture_copy, "publications.jsonl", 42, capsys)
+
+
+def test_integer_past_digit_limit(fixture_copy, capsys):
+    _append_bytes(fixture_copy / "publications.jsonl", b'{"year": ' + b"9" * 5000 + b"}\n")
+    _assert_located(fixture_copy, "publications.jsonl", 42, capsys)
+
+
+def test_invalid_utf8_in_publications(fixture_copy, capsys):
+    # offset 730 falls on the third record
+    _overwrite_byte(fixture_copy / "publications.jsonl", 730, 0xFF)
+    _assert_located(fixture_copy, "publications.jsonl", 3, capsys)
+
+
+def test_invalid_utf8_in_journals_csv(fixture_copy, capsys):
+    # offset 120 falls on the third line
+    _overwrite_byte(fixture_copy / "journals.csv", 120, 0xFF)
+    _assert_located(fixture_copy, "journals.csv", 3, capsys)
+
+
+def test_csv_field_past_size_limit(fixture_copy, capsys):
+    _append_bytes(fixture_copy / "roster.csv", b"RES-Z1," + b"x" * 200_000 + b",UNI-A,ELEC\n")
+    _assert_located(fixture_copy, "roster.csv", 18, capsys)
+
+
+_FIXTURE_FILES = {path.name: path.read_bytes() for path in FIXTURE40.iterdir()}
+
+
+def _mutate(data, kind, at, size, byte):
+    """One damaged copy of ``data``; ``at`` is a fraction of its length."""
+    pos = int(at * len(data))
+    if kind == "flip":
+        return data[:pos] + bytes([byte]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "repeat":
+        lines = data.splitlines(keepends=True) or [b""]
+        return data + lines[int(at * len(lines))] * size
+    if kind == "nest":
+        return data[:pos] + b"[" * (size * 10_000) + data[pos:]
+    return data[:pos] + bytes([byte]) * (size * 50_000) + data[pos:]  # a long field
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(sorted(_FIXTURE_FILES)),
+    st.sampled_from(["flip", "truncate", "repeat", "nest", "long"]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+def test_damaged_input_raises_only_domain_errors(mutations):
+    files = dict(_FIXTURE_FILES)
+    for name, kind, at, size, byte in mutations:
+        files[name] = _mutate(files[name], kind, at, size, byte)
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        for name, data in files.items():
+            (data_dir / name).write_bytes(data)
+        try:
+            load_corpus(data_dir)
+        except errors.CollabmapError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", "--data-dir", str(data_dir)]) in (0, 1)
+
+
 def test_blank_jsonl_lines_skipped(fixture_copy):
     with (fixture_copy / "publications.jsonl").open("a", encoding="utf-8") as fh:
         fh.write("\n\n")
@@ -575,13 +680,18 @@ _NOT_A_SET = "are not a non-empty sorted set"
     (_categories(()), "journal JRN-A@2002: categories () " + _NOT_A_SET),
     (_categories(("CAT-A", "CAT-A")),
      "journal JRN-A@2002: categories ('CAT-A', 'CAT-A') " + _NOT_A_SET),
-    (_impact_factor(float("nan")), "journal JRN-G@2002: impact_factor nan is not >= 0"),
-    (_impact_factor(-1.0), "journal JRN-G@2002: impact_factor -1.0 is not >= 0"),
+    (_impact_factor(float("nan")),
+     "journal JRN-G@2002: impact_factor nan is not a finite number >= 0"),
+    (_impact_factor(-1.0),
+     "journal JRN-G@2002: impact_factor -1.0 is not a finite number >= 0"),
+    (_impact_factor(float("inf")),
+     "journal JRN-G@2002: impact_factor inf is not a finite number >= 0"),
     (_organization("FRM-X", kind="bogus"), "organization FRM-X: unknown kind 'bogus'"),
     (_organization("UNI-B", country="italy"),
      "organization UNI-B: country must be an alpha-2 code, got 'italy'"),
 ], ids=["no_authors", "no_categories", "repeated_category", "nan_impact_factor",
-        "negative_impact_factor", "unknown_org_kind", "bad_org_country"])
+        "negative_impact_factor", "infinite_impact_factor", "unknown_org_kind",
+        "bad_org_country"])
 def test_construction_rejects_what_the_loader_rejects(corpus40, change, message):
     with pytest.raises(errors.InvariantViolation) as exc:
         dataclasses.replace(corpus40, **change(corpus40))

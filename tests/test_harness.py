@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -90,14 +92,106 @@ def test_synth_config_validation():
         SynthConfig(seed=1, n_pubs=10, max_authors=0)
 
 
+_GENERATED_FILES = ("taxonomy.csv", "organizations.csv", "journals.csv",
+                    "roster.csv", "publications.jsonl")
+
+
 def test_generate_is_deterministic(tmp_path):
     cfg = SynthConfig(seed=11, n_pubs=200)
     d1 = generate(cfg, tmp_path / "a")
     d2 = generate(cfg, tmp_path / "b")
-    for name in ("taxonomy.csv", "organizations.csv", "journals.csv",
-                 "roster.csv", "publications.jsonl"):
+    for name in _GENERATED_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
         assert b"\r" not in (d1 / name).read_bytes(), name
+
+
+# sha256 of every generated file, for shapes that reach each branch of the
+# publication loop: the default shape, the bundle-50k and edges-200k perfbench
+# shapes cut to 2000 publications, all-industry single-author records with one
+# firm and no public bodies, and no industry at all.
+_PINNED_SHAPES = {
+    "default": (
+        SynthConfig(seed=7, n_pubs=150),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "9aa22bdb8006f6b1b17267e636e37cd4d79d2b50e1effeb13d48c932e7516088",
+            "roster.csv": "5435f0c1c88a257f8a099b85275d393a2beb83092dc279ab87cbfa1806d26e7f",
+            "publications.jsonl": "f796c28b542e01e758d17d664d4a1c959ed5dbb16623d9fb4878045ea5fec3de",
+        },
+    ),
+    "bundle-50k shape": (
+        SynthConfig(seed=1, n_pubs=2000, n_researchers=6000, n_journals=60,
+                    industry_rate=0.05),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "a150a1dd5820d2b7f387336254d6fb14c1382f8c706a33d67b8a6d94e7c206c0",
+            "roster.csv": "dd5722671137cb793cea9b9687eda67a24ae47c69cf4f1af5d401f43de718c0f",
+            "publications.jsonl": "acfafc18c1201025acd2ac1a5a6aff5595a2bce6189503b98e309b848fe0a7bf",
+        },
+    ),
+    "edges-200k shape": (
+        SynthConfig(seed=1, n_pubs=2000, n_researchers=20_000, n_journals=60,
+                    industry_rate=0.25, year_min=1999, year_max=2003),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "98bb5f251ee250a8185686fe769c8e0fd98162ad00a30b988a9267eae15278b0",
+            "roster.csv": "f654f9226e29827e3044f77c8961f2d8915661fb100f8368cd7204353ac46619",
+            "publications.jsonl": "832a05e4a6adb7d025577edd98b3c20131543ccf4e513e3a116d75f5776a3e54",
+        },
+    ),
+    "all industry": (
+        SynthConfig(seed=3, n_pubs=150, industry_rate=1.0, max_authors=1,
+                    n_public_orgs=0, n_firms=1),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "ee42ac4c87f01077b28b2d643e0927acaaea9e8896726e3ac748aa3e73eaeab9",
+            "journals.csv": "586880c9339847c66a0fa07206e2f1094a486d925ccfc9a3787f81efe872f483",
+            "roster.csv": "c6c8fb8e8ee678a535efda448f184e67dc857c88a0333651eb1a5831ff1d1439",
+            "publications.jsonl": "fdd23cc3d070850697b1018e8201d52efd4d6b05cba5716cf2325091f2bf022b",
+        },
+    ),
+    "no industry": (
+        SynthConfig(seed=5, n_pubs=150, industry_rate=0.0),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "bb5e3da8b065ad36816271ff0913bf63196c7186a4b30591ffec04312fcad8bf",
+            "roster.csv": "a5b3990044b6144cea99e476b9a31170960f9ff4b2c92a702f6bf640467c65c5",
+            "publications.jsonl": "a3c0c7adfdfa7512de2e8285af23eb44f2d05bb2118f18f54fa0f289cfe141c1",
+        },
+    ),
+}
+
+
+def test_generate_bytes_pinned(tmp_path):
+    for label, (cfg, pinned) in _PINNED_SHAPES.items():
+        out = generate(cfg, tmp_path / label.replace(" ", "_"))
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in _GENERATED_FILES}
+        assert digests == pinned, label
+
+
+def _generate_peak_bytes(n_pubs, out_dir):
+    config = SynthConfig(seed=1234, n_pubs=n_pubs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        generate(config, out_dir)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_memory_is_constant(tmp_path):
+    small = _generate_peak_bytes(5000, tmp_path / "small")
+    large = _generate_peak_bytes(20_000, tmp_path / "large")
+    assert large <= 1_000_000, large
+    # four times the publications may not raise the peak by more than noise
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def test_generate_seed_changes_output(tmp_path):
