@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -166,9 +167,11 @@ class Corpus:
     ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
     same files compare equal. The loader validates a row outside the window
-    in full but builds no record for it, and it shares the records repeated
-    within one load (bylines, address lists, journal ids); they are frozen,
-    so only ``is`` tells a shared record from an equal copy.
+    in full but builds no record for it. Within one load, every id a loaded
+    record stores (roster university and sector, journal, byline and address
+    ids) is the loaded tables' own string, and repeated bylines and address
+    lists are one object each; nothing is shared across loads. All of it is
+    frozen, so only ``is`` tells a shared record or string from an equal copy.
     ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
@@ -285,9 +288,6 @@ class Corpus:
     def journal_ids(self) -> frozenset[str]:
         return frozenset(self._years_by_journal)
 
-    def journal_years(self, journal_id: str) -> tuple[int, ...]:
-        return self._years_by_journal.get(journal_id, ())
-
     def effective_journal(self, journal_id: str, year: int) -> JournalYear | None:
         """The journal record an article of the given year uses.
 
@@ -298,7 +298,7 @@ class Corpus:
         rec = self.journals.get((journal_id, year)) if lo <= year <= hi else None
         if rec is not None:
             return rec
-        candidates = [y for y in self.journal_years(journal_id) if lo <= y <= hi]
+        candidates = [y for y in self._years_by_journal.get(journal_id, ()) if lo <= y <= hi]
         if not candidates:
             return None
         best = min(candidates, key=lambda y: (abs(y - year), y))
@@ -325,6 +325,16 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
         lineno = next(n for n, line in enumerate(fh, start=1) if _UNDECODED_BYTE.search(line))
     byte = exc.object[exc.start]
     return ParseError(str(path), lineno, f"byte 0x{byte:02x} is not valid UTF-8 ({exc.reason})")
+
+
+_SHOWN_CHARS = 40
+
+
+def _shown(value: str) -> str:
+    """``repr(value)`` for an error message, cut to its first characters if long."""
+    if len(value) <= _SHOWN_CHARS:
+        return repr(value)
+    return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
 
 
 def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -385,9 +395,10 @@ def _load_organizations(path: Path) -> dict[str, Organization]:
     orgs: dict[str, Organization] = {}
     for lineno, (org_id, name, kind, country) in _read_csv_rows(path, ORGANIZATION_FIELDS):
         if kind not in ORG_KINDS:
-            raise ParseError(str(path), lineno, f"unknown organization kind {kind!r}")
+            raise ParseError(str(path), lineno, f"unknown organization kind {_shown(kind)}")
         if not is_alpha2(country):
-            raise ParseError(str(path), lineno, f"country must be an alpha-2 code, got {country!r}")
+            raise ParseError(
+                str(path), lineno, f"country must be an alpha-2 code, got {_shown(country)}")
         if org_id in orgs:
             raise DuplicateId("org_id", org_id)
         orgs[org_id] = Organization(org_id, name, kind, country)
@@ -401,12 +412,13 @@ def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
         try:
             year = int(year_text)
         except ValueError:
-            raise ParseError(str(path), lineno, f"year must be an integer, got {year_text!r}")
+            raise ParseError(
+                str(path), lineno, f"year must be an integer, got {_shown(year_text)}")
         try:
             impact_factor = float(impact_text)
         except ValueError:
             raise ParseError(
-                str(path), lineno, f"impact_factor must be a number, got {impact_text!r}"
+                str(path), lineno, f"impact_factor must be a number, got {_shown(impact_text)}"
             )
         if not (math.isfinite(impact_factor) and impact_factor >= 0):
             raise ParseError(str(path), lineno, "impact_factor must be a finite number >= 0")
@@ -422,13 +434,17 @@ def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
     return journals
 
 
-def _load_roster(path: Path) -> dict[str, Researcher]:
+def _load_roster(path: Path, ids: dict) -> dict[str, Researcher]:
+    """The roster; each university and sector id is the string ``ids`` holds for it."""
     roster: dict[str, Researcher] = {}
     rows = _read_csv_rows(path, ROSTER_FIELDS)
     for _, (researcher_id, full_name, university_org_id, sds_id) in rows:
         if researcher_id in roster:
             raise DuplicateId("researcher_id", researcher_id)
-        roster[researcher_id] = Researcher(researcher_id, full_name, university_org_id, sds_id)
+        roster[researcher_id] = Researcher(
+            researcher_id, full_name,
+            ids.get(university_org_id, university_org_id), ids.get(sds_id, sds_id),
+        )
     return roster
 
 
@@ -437,10 +453,14 @@ def _parse_publication(
 ) -> tuple[str, Publication | None]:
     """Validate one line; return its pub_id, and its record if its year is in ``window``.
 
-    ``shared`` belongs to one load and hands out one AuthorRef per validated
-    (raw_name, researcher_id, org_id), one tuple per sorted address list and
-    one string per journal id. An address list is its own key; a byline key
-    starts with the AuthorRef class, so it never equals one.
+    ``shared`` belongs to one load. Its string keys are the ids of the
+    loaded tables, each mapped to itself: a kept record stores those strings
+    in place of the ones it read, and an id no table holds stays as read.
+    It also hands out one AuthorRef per validated (raw_name, researcher_id,
+    org_id) and one tuple per sorted address list, built on the first
+    occurrence from the table strings. An address list is its own key; a
+    byline key starts with the AuthorRef class, so it never equals one. Both
+    keys hold the record's own strings, so no raw id copy outlives its line.
     """
     try:
         obj = json.loads(line)
@@ -494,32 +514,43 @@ def _parse_publication(
     for key in bylines:
         author = shared.get(key)
         if author is None:
-            author = shared[key] = AuthorRef(*key[1:])
+            _, raw_name, researcher_id, org_id = key
+            researcher_id = shared.get(researcher_id, researcher_id)
+            org_id = shared.get(org_id, org_id)
+            author = shared[AuthorRef, raw_name, researcher_id, org_id] = AuthorRef(
+                raw_name, researcher_id, org_id)
         authors.append(author)
     addresses = tuple(sorted(set(raw_addresses)))
+    address_org_ids = shared.get(addresses)
+    if address_org_ids is None:
+        address_org_ids = tuple(shared.get(org_id, org_id) for org_id in addresses)
+        shared[address_org_ids] = address_org_ids
     return pub_id, Publication(
         pub_id=pub_id,
         year=year,
-        journal_id=shared.setdefault(journal_id, journal_id),
+        journal_id=shared.get(journal_id, journal_id),
         authors=tuple(authors),
-        address_org_ids=shared.setdefault(addresses, addresses),
+        address_org_ids=address_org_ids,
     )
 
 
-def _load_publications(path: Path, window: tuple[int, int]) -> tuple[list[Publication], int]:
+def _load_publications(
+    path: Path, window: tuple[int, int], shared: dict
+) -> tuple[list[Publication], int]:
     """The publications inside ``window``, and how many others the file holds.
 
     Every line is parsed and validated in full, and its pub_id checked for
     duplicates, so a bad row raises the same error at the same line whether
     or not its year is in the window. No record is built for a row outside
     the window; the check here is the only one those rows get, since the
-    Corpus constructor never sees them. Records repeated within this load
-    (bylines, address lists, journal ids) are one shared object each; they
-    are frozen, so only ``is`` can tell. Nothing is shared across loads.
+    Corpus constructor never sees them. ``shared`` is this load's lookup
+    (see :func:`_parse_publication`): a kept record's ids are the loaded
+    tables' own strings, and the bylines and address lists repeated within
+    the load are one shared object each. They are frozen, so only ``is`` can
+    tell. Nothing is shared across loads.
     """
     kept: list[Publication] = []
     seen: set[str] = set()
-    shared: dict = {}
     try:
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -564,8 +595,15 @@ def load_corpus(
     taxonomy = load_taxonomy(paths["taxonomy.csv"])
     organizations = _load_organizations(paths["organizations.csv"])
     journals = _load_journals(paths["journals.csv"])
-    researchers = _load_roster(paths["roster.csv"])
-    publications, excluded = _load_publications(paths["publications.jsonl"], window)
+    # one string per table id for the whole load; an id no table holds stays
+    # as read, so construction still rejects it
+    ids: dict = {}
+    for key in chain(taxonomy.sectors, organizations, (jid for jid, _ in journals)):
+        ids.setdefault(key, key)
+    researchers = _load_roster(paths["roster.csv"], ids)
+    for key in researchers:
+        ids.setdefault(key, key)
+    publications, excluded = _load_publications(paths["publications.jsonl"], window, ids)
     return Corpus(
         taxonomy=taxonomy,
         organizations=organizations,

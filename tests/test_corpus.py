@@ -367,6 +367,33 @@ def test_one_load_shares_repeated_records(corpus40):
         assert all(len(ids) == 1 for ids in groups.values())
 
 
+def _keys_of(mapping):
+    return {id(key) for key in mapping}
+
+
+@pytest.mark.parametrize("source", ["fixture40", "synth"])
+def test_loaded_ids_are_the_tables_own_strings(source, tmp_path):
+    if source == "synth":
+        generate(SynthConfig(seed=1234, n_pubs=5000), tmp_path)
+    corpus = load_corpus(FIXTURE40 if source == "fixture40" else tmp_path)
+    orgs, roster = _keys_of(corpus.organizations), _keys_of(corpus.researchers)
+    sectors = _keys_of(corpus.taxonomy.sectors)
+    journals = {id(journal_id) for journal_id, _ in corpus.journals}
+    for researcher in corpus.researchers.values():
+        assert id(researcher.university_org_id) in orgs
+        assert id(researcher.sds_id) in sectors
+    linked = 0
+    for pub in corpus.publications:
+        assert id(pub.journal_id) in journals
+        assert all(id(org_id) in orgs for org_id in pub.address_org_ids)
+        for author in pub.authors:
+            assert id(author.org_id) in orgs
+            if author.researcher_id is not None:
+                assert id(author.researcher_id) in roster
+                linked += 1
+    assert linked  # the check is not empty
+
+
 def test_byline_and_address_list_never_share_a_key():
     # the byline (A, B, C) and the address list [A, B, C] hold the same strings
     line = json.dumps({
@@ -478,6 +505,35 @@ def test_invalid_utf8_in_journals_csv(fixture_copy, capsys):
 def test_csv_field_past_size_limit(fixture_copy, capsys):
     _append_bytes(fixture_copy / "roster.csv", b"RES-Z1," + b"x" * 200_000 + b",UNI-A,ELEC\n")
     _assert_located(fixture_copy, "roster.csv", 18, capsys)
+
+
+def test_long_csv_field_echoed_as_a_prefix(fixture_copy, capsys):
+    _rewrite(fixture_copy / "journals.csv", ",2002,1.200,", f",{'9' * 5000},1.200,")
+    assert main(["validate", "--data-dir", str(fixture_copy)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {fixture_copy / 'journals.csv'}:3: ")
+    assert len(err[0]) < 200
+
+
+@pytest.mark.parametrize("name, line, old, new, message", [
+    ("journals.csv", 3, ",2002,1.200,", ",{},1.200,", "year must be an integer, got {}"),
+    ("journals.csv", 3, ",2002,1.200,", ",2002,{},", "impact_factor must be a number, got {}"),
+    ("organizations.csv", 2, ",consortium,", ",{},", "unknown organization kind {}"),
+    ("organizations.csv", 2, "consortium,IT", "consortium,{}",
+     "country must be an alpha-2 code, got {}"),
+])
+@pytest.mark.parametrize("value, shown", [
+    ("x" * 40, repr("x" * 40)),
+    ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+])
+def test_csv_field_errors_show_at_most_a_prefix(fixture_copy, name, line, old, new, message,
+                                                value, shown):
+    _rewrite(fixture_copy / name, old, new.format(value))
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(fixture_copy)
+    assert (exc.value.path, exc.value.line) == (str(fixture_copy / name), line)
+    assert exc.value.message == message.format(shown)
 
 
 _FIXTURE_FILES = {path.name: path.read_bytes() for path in FIXTURE40.iterdir()}
