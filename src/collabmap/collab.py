@@ -101,7 +101,3 @@ def subset_mask(corpus: Corpus, selector: str) -> int:
             f"unknown selector {selector!r}; expected one of {tuple(SELECTORS)}")
     return getattr(views.of(corpus), SELECTORS[selector])
 
-
-def subset(corpus: Corpus, selector: str) -> frozenset[str]:
-    """Publication ids matching a selector; see :func:`subset_mask`."""
-    return views.of(corpus).pub_ids(subset_mask(corpus, selector))

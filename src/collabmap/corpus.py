@@ -20,7 +20,7 @@ from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .errors import (
     DanglingReference,
@@ -330,11 +330,11 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
 _SHOWN_CHARS = 40
 
 
-def _shown(value: str) -> str:
-    """``repr(value)`` for an error message, cut to its first characters if long."""
+def _shown(value: str, show: Callable[[str], str] = repr) -> str:
+    """``show(value)`` for an error message, cut to its first characters if long."""
     if len(value) <= _SHOWN_CHARS:
-        return repr(value)
-    return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+        return show(value)
+    return f"{show(value[:_SHOWN_CHARS])}... ({len(value)} characters)"
 
 
 def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -351,7 +351,8 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
             if list(reader.fieldnames) != fields:
                 raise ParseError(
                     str(path), 1,
-                    f"expected header {','.join(fields)}, got {','.join(reader.fieldnames)}",
+                    f"expected header {','.join(fields)}, "
+                    f"got {_shown(','.join(reader.fieldnames), str)}",
                 )
             for row in reader:
                 if None in row or any(v is None for v in row.values()):

@@ -1,72 +1,23 @@
 """Bibliometric indicators over a loaded corpus.
 
-Covers journal impact percentile ranks, per-sector industry co-authorship
-intensity, per-researcher output and fractional scientific strength, and the
-two multidisciplinarity indices. Every aggregate iterates in sorted id order,
-so all results are deterministic.
+Covers per-sector industry co-authorship intensity, within-sector ranks of
+researchers, and the two multidisciplinarity indices. The impact percentile
+ranks and the per-researcher performance they rest on are views (see
+:mod:`.views`). Every aggregate iterates in sorted id order, so all results
+are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import collab, views
-from .corpus import Corpus, JournalYear
-from .errors import EmptySample, EmptySector, UnknownResearcher
+from .corpus import Corpus
+from .errors import EmptySector, UnknownResearcher
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
-
-
-def midrank_percentiles(values: Sequence[float]) -> list[float]:
-    """Percentile rank of each value in its own distribution, midrank ties.
-
-    percentile = 100 * (count_below + 0.5 * count_equal) / n. The group mean is
-    always 50, and any strictly increasing transform of the values leaves the
-    ranks unchanged.
-    """
-    n = len(values)
-    if n == 0:
-        raise EmptySample("cannot rank an empty distribution")
-    order = sorted(range(n), key=lambda i: values[i])
-    out = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        equal = j - i + 1
-        pct = 100.0 * (i + 0.5 * equal) / n
-        for k in range(i, j + 1):
-            out[order[k]] = pct
-        i = j + 1
-    return out
-
-
-def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:
-    """Midrank percentile of every journal's impact factor within each of its
-    categories, keyed by (journal_id, category).
-
-    A journal's record for the year follows the same resolution rule articles
-    use (exact year, else nearest in the window); a journal with no usable
-    record, such as one whose rows all fall outside the window, is left out
-    of that year's ranking.
-    """
-    by_category: dict[str, list[JournalYear]] = {}
-    for journal_id in sorted(corpus.journal_ids):
-        record = corpus.effective_journal(journal_id, year)
-        if record is not None:
-            for cat in record.sci_categories:
-                by_category.setdefault(cat, []).append(record)
-
-    ranks: dict[tuple[str, str], float] = {}
-    for cat in sorted(by_category):
-        members = by_category[cat]
-        pcts = midrank_percentiles([record.impact_factor for record in members])
-        for record, pct in zip(members, pcts):
-            ranks[(record.journal_id, cat)] = pct
-    return ranks
 
 
 def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
@@ -110,8 +61,9 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
 
     Sectors with no attributed articles are omitted entirely.
     """
-    headcounts = sector_headcounts(corpus, level)  # checks the level
     index = views.of(corpus)
+    # sector_headcounts checks the level
+    headcounts = index.memo(("headcounts", level), lambda: sector_headcounts(corpus, level))
     attributed = index.by_sds if level == LEVEL_SDS else index.by_uda
 
     rows = []
@@ -135,20 +87,7 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
 
 # -- per-researcher performance ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ResearcherPerformance:
-    """Output (publications authored) and fractional scientific strength.
-
-    Each authored publication adds (its ifpr / 100) / (number of byline
-    authors) to ``fss``, so ``fss`` never exceeds ``output``.
-    """
-
-    researcher_id: str
-    output: int
-    fss: float
-
-
-def researcher_performance(corpus: Corpus) -> dict[str, ResearcherPerformance]:
+def researcher_performance(corpus: Corpus) -> dict[str, views.ResearcherPerformance]:
     """Output and FSS for every roster researcher, sorted by researcher id."""
     return dict(views.of(corpus).performance)
 
@@ -171,7 +110,7 @@ def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str,
     ranks: dict[str, float] = {}
     for sds_id in sorted(groups):
         members = groups[sds_id]
-        pcts = midrank_percentiles([values[r] for r in members])
+        pcts = views.midrank_percentiles([values[r] for r in members])
         for researcher_id, pct in zip(members, pcts):
             ranks[researcher_id] = pct
     return ranks

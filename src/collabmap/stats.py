@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, isfinite, isnan, lgamma, log, log1p, sqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import indicators, views
 from .corpus import Corpus
@@ -41,7 +41,7 @@ class ComparisonSpec:
     ``floor`` publications (None: the caller's ``min_collab_pubs``), and
     pairs the mean ``value`` over side a with the mean over side b. The
     researcher comparison has no ``scopes``; its ``value`` names a
-    :class:`indicators.ResearcherPerformance` field. ``note`` is formatted
+    :class:`views.ResearcherPerformance` field. ``note`` is formatted
     with ``excluded`` and ``min_collab_pubs``.
     """
 
@@ -278,33 +278,51 @@ def welch_t(a: Sample, b: Sample) -> TestResult:
 # -- comparison assembly ----------------------------------------------------------
 
 def _paired_scope_samples(
-    scopes: Mapping[str, int],
-    base: int,
-    set_a: int,
-    set_b: int,
-    per_pub: Sequence[float],
-    floor: int,
+    index: views.Views, spec: ComparisonSpec, floor: int
 ) -> tuple[list[float], list[float], int]:
-    """Per-scope means of ``per_pub`` over sides a and b of each scope.
+    """Per-scope means of ``spec.value`` over sides a and b of each scope.
 
-    Scopes with no publication in ``base`` are skipped; scopes with fewer
-    than ``floor`` publications on side b are excluded and counted. Sets are
-    bitmasks (see :mod:`.views`).
+    Scopes with no publication in ``spec.base`` are skipped; scopes with
+    fewer than ``floor`` publications on side b are excluded and counted.
+    The means are kept on the views; the floor only picks which to read.
     """
+    scopes = getattr(index, spec.scopes)
+    base, set_b = getattr(index, spec.base), getattr(index, spec.side_b)
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
     for scope_id in sorted(scopes):
-        scope_ids = scopes[scope_id]
-        b_ids = scope_ids & set_b
-        if not scope_ids & base:
+        if not scopes[scope_id] & base:
             continue
-        if b_ids.bit_count() < floor:
+        if (scopes[scope_id] & set_b).bit_count() < floor:
             excluded += 1
             continue
-        xs.append(views.mean_over(scope_ids & set_a, per_pub))
-        ys.append(views.mean_over(b_ids, per_pub))
+        xs.append(index.mean(spec.scopes, scope_id, spec.side_a, spec.value))
+        ys.append(index.mean(spec.scopes, scope_id, spec.side_b, spec.value))
     return xs, ys, excluded
+
+
+def _researcher_comparison(corpus: Corpus, grouping: str, indicator: str) -> Comparison:
+    """Welch's test on within-sector percentile ranks, collaborators vs the rest."""
+    spec = COMPARISONS[(grouping, indicator)]
+    index = views.of(corpus)
+    perf = index.performance
+    population = [
+        rid
+        for rid in sorted(corpus.researchers)
+        if corpus.researchers[rid].sds_id in index.by_sds
+    ]
+    excluded = len(corpus.researchers) - len(population)
+    group_a = [r for r in population if r in index.collaborators]
+    group_b = [r for r in population if r not in index.collaborators]
+    if not group_a or not group_b:
+        raise InsufficientSectors("one of the researcher groups is empty")
+    values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
+    ranks = indicators.rank_within_sector(corpus, values)
+    sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)
+    sample_b = descriptive([ranks[r] for r in group_b], spec.label_b)
+    result = welch_t(sample_a, sample_b)
+    return Comparison(grouping, indicator, sample_a, sample_b, result, len(population), excluded)
 
 
 def compare(
@@ -333,34 +351,11 @@ def compare(
     index = views.of(corpus)
 
     if spec.scopes is None:
-        perf = index.performance
-        population = [
-            rid
-            for rid in sorted(corpus.researchers)
-            if corpus.researchers[rid].sds_id in index.by_sds
-        ]
-        excluded = len(corpus.researchers) - len(population)
-        group_a = [r for r in population if r in index.collaborators]
-        group_b = [r for r in population if r not in index.collaborators]
-        if not group_a or not group_b:
-            raise InsufficientSectors("one of the researcher groups is empty")
-        values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
-        ranks = indicators.rank_within_sector(corpus, values)
-        sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)
-        sample_b = descriptive([ranks[r] for r in group_b], spec.label_b)
-        result = welch_t(sample_a, sample_b)
-        return Comparison(
-            grouping, indicator, sample_a, sample_b, result, len(population), excluded
-        )
+        return index.memo(("compare", grouping, indicator),
+                          lambda: _researcher_comparison(corpus, grouping, indicator))
 
-    xs, ys, excluded = _paired_scope_samples(
-        getattr(index, spec.scopes),
-        getattr(index, spec.base),
-        getattr(index, spec.side_a),
-        getattr(index, spec.side_b),
-        getattr(index, spec.value),
-        min_collab_pubs if spec.floor is None else spec.floor,
-    )
+    floor = min_collab_pubs if spec.floor is None else spec.floor
+    xs, ys, excluded = _paired_scope_samples(index, spec, floor)
     n_units = len(xs)
     if n_units < 2:
         unit = "sectors" if spec.scopes == "by_sds" else "categories"

@@ -13,23 +13,37 @@ Publications are interned to their position in ``corpus.publications``. A
 set of publications is an ``int`` bitmask over those positions:
 intersection is ``&`` and size is ``int.bit_count()``. Members come out in
 ascending position, which is pub_id order, so a sum over a set adds its
-terms in the same order as a sum over its sorted ids.
+terms in the same order as a sum over its sorted ids. ``categories`` and
+``ifpr`` are worked out once per distinct (journal, year), and the scope
+groupings once per distinct sector set or category tuple.
 
-``parties`` states the collaboration rule itself. ``indicators`` reads its
-views from here, so the views that need its primitives import it when first
-built.
+The tables also share corpus aggregates, kept by :meth:`Views.memo`: each
+scope mean a paired comparison takes, the roster headcount per level, and
+each researcher comparison. None of them depends on ``min_collab_pubs``,
+whose floor only picks which means to read, so ``render_all`` calls on one
+corpus, at any thresholds, compute each of them at most once.
+
+``parties`` states the collaboration rule itself. The percentile primitives
+that ``ifpr`` and the researcher comparisons rank with live here too.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import compress, count
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from .corpus import Corpus
+from .corpus import Corpus, JournalYear
+from .errors import EmptySample
 
-if TYPE_CHECKING:
-    from .indicators import ResearcherPerformance
+T = TypeVar("T")
+
+_AUTHORS = attrgetter("authors")
+_RESEARCHER = attrgetter("researcher_id")
+_JOURNAL_YEAR = attrgetter("journal_id", "year")
+_CLEAR = bytes.maketrans(b"0", b"\0")  # a binary digit 0 to a zero byte
 
 
 def of(corpus: Corpus) -> Views:
@@ -51,7 +65,7 @@ def _mask(positions: Iterable[int], size: int) -> int:
 
 def _flags(mask: int) -> bytes:
     """One byte per position, lowest first, zero where the bit is clear."""
-    return bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+    return bin(mask)[:1:-1].encode().translate(_CLEAR)
 
 
 def members(mask: int) -> list[int]:
@@ -65,12 +79,82 @@ def mean_over(mask: int, values: Sequence[float]) -> float:
 
 
 def _group(scopes_per_pub: Iterable[Iterable[str]], size: int) -> dict[str, int]:
-    """Bitmask of the publications carrying each scope."""
-    positions: dict[str, list[int]] = {}
+    """Bitmask of the publications carrying each scope.
+
+    Publications are gathered per distinct collection of scopes first, so
+    each collection's scopes are walked once, not once per publication.
+    """
+    by_collection: dict[Iterable[str], list[int]] = {}
     for i, scopes in enumerate(scopes_per_pub):
+        by_collection.setdefault(scopes, []).append(i)
+    positions: dict[str, list[int]] = {}
+    for scopes, where in by_collection.items():
         for scope in scopes:
-            positions.setdefault(scope, []).append(i)
+            positions.setdefault(scope, []).extend(where)
     return {scope: _mask(p, size) for scope, p in positions.items()}
+
+
+def midrank_percentiles(values: Sequence[float]) -> list[float]:
+    """Percentile rank of each value in its own distribution, midrank ties.
+
+    percentile = 100 * (count_below + 0.5 * count_equal) / n. The group mean is
+    always 50, and any strictly increasing transform of the values leaves the
+    ranks unchanged.
+    """
+    n = len(values)
+    if n == 0:
+        raise EmptySample("cannot rank an empty distribution")
+    order = sorted(range(n), key=lambda i: values[i])
+    out = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        equal = j - i + 1
+        pct = 100.0 * (i + 0.5 * equal) / n
+        for k in range(i, j + 1):
+            out[order[k]] = pct
+        i = j + 1
+    return out
+
+
+def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:
+    """Midrank percentile of every journal's impact factor within each of its
+    categories, keyed by (journal_id, category).
+
+    A journal's record for the year follows the same resolution rule articles
+    use (exact year, else nearest in the window); a journal with no usable
+    record, such as one whose rows all fall outside the window, is left out
+    of that year's ranking.
+    """
+    by_category: dict[str, list[JournalYear]] = {}
+    for journal_id in sorted(corpus.journal_ids):
+        record = corpus.effective_journal(journal_id, year)
+        if record is not None:
+            for cat in record.sci_categories:
+                by_category.setdefault(cat, []).append(record)
+
+    ranks: dict[tuple[str, str], float] = {}
+    for cat in sorted(by_category):
+        records = by_category[cat]
+        pcts = midrank_percentiles([record.impact_factor for record in records])
+        for record, pct in zip(records, pcts):
+            ranks[(record.journal_id, cat)] = pct
+    return ranks
+
+
+@dataclass(frozen=True)
+class ResearcherPerformance:
+    """Output (publications authored) and fractional scientific strength.
+
+    Each authored publication adds (its ifpr / 100) / (number of byline
+    authors) to ``fss``, so ``fss`` never exceeds ``output``.
+    """
+
+    researcher_id: str
+    output: int
+    fss: float
 
 
 class Views:
@@ -85,10 +169,24 @@ class Views:
         self.corpus = corpus
         self.size = len(corpus.publications)
         self.everything = (1 << self.size) - 1
+        self._memo: dict[Hashable, object] = {}
 
-    def pub_ids(self, mask: int) -> frozenset[str]:
-        pubs = self.corpus.publications
-        return frozenset(pubs[i].pub_id for i in members(mask))
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The corpus aggregate kept under ``key``, computed on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]  # type: ignore[return-value]
+
+    def mean(self, scopes: str, scope_id: str, side: str, value: str) -> float:
+        """Mean of view ``value`` over the publications of one scope of view
+        ``scopes`` that the subset view ``side`` holds."""
+        return self.memo(("mean", scopes, scope_id, side, value), lambda: mean_over(
+            getattr(self, scopes)[scope_id] & getattr(self, side), getattr(self, value)))
+
+    def _per_journal_year(self, value: Callable[[str, int], T]) -> list[T]:
+        """``value(journal_id, year)`` of each publication, computed once per pair."""
+        return list(map(cache(lambda key: value(*key)),
+                        map(_JOURNAL_YEAR, self.corpus.publications)))
 
     @cached_property
     def parties(self) -> tuple[frozenset[str], frozenset[str]]:
@@ -144,7 +242,7 @@ class Views:
 
     @cached_property
     def sector_counts(self) -> list[int]:
-        return [len(sectors) for sectors in self.sectors]
+        return list(map(len, self.sectors))
 
     @cached_property
     def by_sds(self) -> dict[str, int]:
@@ -164,12 +262,12 @@ class Views:
         """Categories of the journal record each publication uses."""
         effective = self.corpus.effective_journal
         # every corpus is closed by construction, so every publication has one
-        return [effective(p.journal_id, p.year).sci_categories  # type: ignore[union-attr]
-                for p in self.corpus.publications]
+        return self._per_journal_year(
+            lambda journal_id, year: effective(journal_id, year).sci_categories)  # type: ignore
 
     @cached_property
     def category_counts(self) -> list[int]:
-        return [len(categories) for categories in self.categories]
+        return list(map(len, self.categories))
 
     @cached_property
     def by_category(self) -> dict[str, int]:
@@ -179,18 +277,19 @@ class Views:
     def ifpr(self) -> list[float]:
         """Article-level impact percentile of each publication: the mean of its
         journal's percentile ranks in that year over its ``categories``."""
-        from . import indicators
+        ranks: dict[int, dict[tuple[str, str], float]] = {}
+        effective = self.corpus.effective_journal
 
-        pubs = self.corpus.publications
-        ranks = {year: indicators.if_percentile_ranks(self.corpus, year)
-                 for year in {p.year for p in pubs}}
-        ifpr = []
-        for pub, categories in zip(pubs, self.categories):
+        def mean_rank(journal_id: str, year: int) -> float:
+            if year not in ranks:
+                ranks[year] = if_percentile_ranks(self.corpus, year)
+            categories = effective(journal_id, year).sci_categories  # type: ignore[union-attr]
             total = 0.0
             for cat in categories:
-                total += ranks[pub.year][(pub.journal_id, cat)]
-            ifpr.append(total / len(categories))
-        return ifpr
+                total += ranks[year][(journal_id, cat)]
+            return total / len(categories)
+
+        return self._per_journal_year(mean_rank)
 
     @cached_property
     def performance(self) -> dict[str, ResearcherPerformance]:
@@ -198,13 +297,13 @@ class Views:
 
         One walk in position order: each ``fss`` adds its terms in pub_id order.
         """
-        from .indicators import ResearcherPerformance
-
         output = dict.fromkeys(self.corpus.researchers, 0)
         fss = dict.fromkeys(self.corpus.researchers, 0.0)
-        for pub, ifpr in zip(self.corpus.publications, self.ifpr):
-            share = (ifpr / 100.0) / len(pub.authors)
-            for researcher_id in {a.researcher_id for a in pub.authors} - {None}:
+        for authors, ifpr in zip(map(_AUTHORS, self.corpus.publications), self.ifpr):
+            share = (ifpr / 100.0) / len(authors)
+            linked = set(map(_RESEARCHER, authors))
+            linked.discard(None)
+            for researcher_id in linked:
                 output[researcher_id] += 1
                 fss[researcher_id] += share
         return {r: ResearcherPerformance(r, output[r], fss[r]) for r in sorted(output)}

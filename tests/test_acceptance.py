@@ -24,9 +24,7 @@ from collabmap.harness import (
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
-    if_percentile_ranks,
     ifpr_by_publication,
-    midrank_percentiles,
     researcher_performance,
     sector_intensity,
 )
@@ -38,6 +36,7 @@ from collabmap.stats import (
     t_cdf,
     welch_t,
 )
+from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 from conftest import GOLDEN, assert_comparison_layer
 from test_collab import _assert_grid_cell, _grid

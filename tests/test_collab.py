@@ -14,13 +14,18 @@ from collabmap.collab import (
     SELECTOR_INDUSTRY,
     count_collaborations,
     extract_edges,
-    subset,
+    subset_mask,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
 from collabmap.harness import SynthConfig, generate
 from collabmap.report import edges_csv
 
 from conftest import FIXTURE40
+
+def _ids(corpus, selector):
+    pubs = corpus.publications
+    return frozenset(pubs[i].pub_id for i in views.members(subset_mask(corpus, selector)))
+
 
 EXPECTED_EDGES = [
     ("P01", "UNI-A", "FRM-X"),
@@ -180,9 +185,9 @@ def test_edge_count_matches_collab_total(corpus40):
 
 
 def test_subsets(corpus40):
-    all_ids = subset(corpus40, SELECTOR_ALL)
-    extramural = subset(corpus40, SELECTOR_EXTRAMURAL)
-    industry = subset(corpus40, SELECTOR_INDUSTRY)
+    all_ids = _ids(corpus40, SELECTOR_ALL)
+    extramural = _ids(corpus40, SELECTOR_EXTRAMURAL)
+    industry = _ids(corpus40, SELECTOR_INDUSTRY)
     assert all_ids == frozenset(p.pub_id for p in corpus40.publications)
     assert extramural == EXTRAMURAL
     assert industry == frozenset({"P01", "P02", "P03", "P04"})
@@ -191,7 +196,7 @@ def test_subsets(corpus40):
 
 def test_subset_unknown_selector(corpus40):
     with pytest.raises(errors.UnknownSelector):
-        subset(corpus40, "everything")
+        subset_mask(corpus40, "everything")
 
 
 def test_parties_and_edges_are_repeatable(corpus40):
@@ -233,8 +238,8 @@ def test_views_match_per_article_reference(corpus40, tmp_path):
 def test_replaced_corpus_gets_its_own_views(corpus40):
     full = count_collaborations(corpus40)
     head = dataclasses.replace(corpus40, publications=corpus40.publications[:3])
-    assert subset(head, SELECTOR_ALL) == {"P01", "P02", "P03"}
-    assert subset(head, SELECTOR_INDUSTRY) == {"P01", "P02", "P03"}
+    assert _ids(head, SELECTOR_ALL) == {"P01", "P02", "P03"}
+    assert _ids(head, SELECTOR_INDUSTRY) == {"P01", "P02", "P03"}
     assert count_collaborations(head).total_collaborations == 1 + 2 + 3
     assert [pub_id for pub_id, _, _ in extract_edges(head)] == [
         "P01", "P02", "P02", "P03", "P03", "P03"]

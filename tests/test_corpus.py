@@ -516,6 +516,26 @@ def test_long_csv_field_echoed_as_a_prefix(fixture_copy, capsys):
     assert len(err[0]) < 200
 
 
+def test_long_csv_header_echoed_as_a_prefix(fixture_copy, capsys, monkeypatch):
+    _rewrite(fixture_copy / "journals.csv", "sci_categories\n", f"sci_categories{'x' * 5000}\n")
+    # a relative data dir, so the line's length is the message's, not the temp path's
+    monkeypatch.chdir(fixture_copy.parent)
+    assert main(["validate", "--data-dir", fixture_copy.name]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {Path(fixture_copy.name) / 'journals.csv'}:1: ")
+    assert err[0].endswith(", got journal_id,name,year,impact_factor,sci_c... (5049 characters)")
+    assert len(err[0]) < 200
+
+
+def test_short_csv_header_echoed_whole(fixture_copy):
+    _rewrite(fixture_copy / "roster.csv", "researcher_id,full_name", "id,full_name")
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(fixture_copy)
+    assert exc.value.message == ("expected header researcher_id,full_name,university_org_id,"
+                                 "sds_id, got id,full_name,university_org_id,sds_id")
+
+
 @pytest.mark.parametrize("name, line, old, new, message", [
     ("journals.csv", 3, ",2002,1.200,", ",{},1.200,", "year must be an integer, got {}"),
     ("journals.csv", 3, ",2002,1.200,", ",2002,{},", "impact_factor must be a number, got {}"),

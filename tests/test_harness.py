@@ -19,7 +19,8 @@ from collabmap.harness import (
     oracle_researcher_fss,
     oracle_researcher_outputs,
 )
-from collabmap.indicators import ifpr_by_publication, midrank_percentiles, researcher_performance
+from collabmap.indicators import ifpr_by_publication, researcher_performance
+from collabmap.views import midrank_percentiles
 
 from conftest import assert_comparison_layer
 

@@ -10,9 +10,7 @@ from collabmap.harness import oracle_ifpr_by_publication
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
-    if_percentile_ranks,
     ifpr_by_publication,
-    midrank_percentiles,
     multidisc_by_scope,
     rank_within_sector,
     researcher_performance,
@@ -20,6 +18,7 @@ from collabmap.indicators import (
     sector_intensity,
 )
 from collabmap.report import render_all
+from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 A = Fraction(1, 6)
 B = Fraction(3, 8)
@@ -177,7 +176,8 @@ def test_ifpr_follows_rank_index(corpus40):
 
 
 def _pub_ids(index, groups):
-    return {scope: index.pub_ids(mask) for scope, mask in groups.items()}
+    pubs = index.corpus.publications
+    return {scope: {pubs[i].pub_id for i in views.members(mask)} for scope, mask in groups.items()}
 
 
 def test_views_by_sector(corpus40):

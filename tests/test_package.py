@@ -41,6 +41,19 @@ def test_every_module_reachable_from_cli():
     assert sorted(modules - reached) == KNOWN_UNREACHED
 
 
+def test_no_import_inside_a_function():
+    # every import sits at module level (a TYPE_CHECKING block is one), where
+    # test_every_module_reachable_from_cli sees it
+    inside = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside.update(f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert sorted(inside) == []
+
+
 def test_harness_imports_no_analysis_module():
     # the oracles must not share code with what they check
     assert set(_relative_imports("harness")) <= {"corpus", "errors"}

@@ -1,7 +1,29 @@
 import dataclasses
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
-from collabmap import views
+import pytest
+
+import collabmap
+from collabmap import indicators, views
+from collabmap.corpus import load_corpus
+from collabmap.harness import SynthConfig, generate
 from collabmap.report import render_all
+
+from conftest import FIXTURE40
+
+# the sweep benchmark's shape, a tenth of its size; it renders at every threshold below
+SWEEP_SHAPE = SynthConfig(seed=1234, n_pubs=5000, n_researchers=625, n_journals=60,
+                          industry_rate=0.05)
+
+
+@pytest.fixture(scope="module")
+def corpus5k(tmp_path_factory):
+    return load_corpus(generate(SWEEP_SHAPE, tmp_path_factory.mktemp("sweep5k")))
 
 
 def test_members_ascend_and_mean_sums_in_position_order():
@@ -49,3 +71,73 @@ def test_render_all_classifies_once(corpus40, monkeypatch):
     render_all(fresh, min_collab_pubs=3)
     render_all(fresh, min_collab_pubs=4)
     assert calls == [views.of(fresh)]
+
+
+def test_repeated_renders_equal_fresh_renders(corpus5k):
+    # a higher threshold first, so the later ones admit scopes it excluded
+    shared = dataclasses.replace(corpus5k)
+    for m in (15, 3, 7):
+        fresh = dataclasses.replace(corpus5k)
+        assert render_all(shared, min_collab_pubs=m) == render_all(fresh, min_collab_pubs=m)
+
+
+def test_second_render_computes_no_mean_and_no_ranking(corpus5k, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(views, "mean_over", counting("mean", views.mean_over))
+    monkeypatch.setattr(indicators, "rank_within_sector",
+                        counting("rank", indicators.rank_within_sector))
+    fresh = dataclasses.replace(corpus5k)
+    render_all(fresh, min_collab_pubs=3)
+    assert calls.count("rank") == 2 and calls.count("mean") > 0
+    calls.clear()
+    render_all(fresh, min_collab_pubs=7)
+    render_all(fresh, min_collab_pubs=3)
+    assert calls == []
+
+
+def test_cached_views_memory_bound(corpus5k):
+    # bytes the views of one corpus keep after a three-threshold sweep, per publication
+    fresh = dataclasses.replace(corpus5k)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in (3, 7, 15):
+            render_all(fresh, min_collab_pubs=m)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 1024 / len(fresh.publications) <= 0.30
+
+
+_RENDER = """
+import sys, tempfile
+from collabmap.corpus import load_corpus
+from collabmap.harness import SynthConfig, generate
+from collabmap.report import edges_csv, render_all
+
+tables = render_all(load_corpus(sys.argv[1]), min_collab_pubs=3)
+with tempfile.TemporaryDirectory() as out:
+    edges = edges_csv(load_corpus(generate(SynthConfig(seed=7, n_pubs=5000), out)))
+sys.stdout.write("".join(name + "\\n" + text for name, text in tables.items()) + edges)
+"""
+
+
+def test_output_independent_of_hash_seed():
+    src = str(Path(collabmap.__file__).parent.parent)
+    runs = [subprocess.Popen([sys.executable, "-c", _RENDER, str(FIXTURE40)],
+                             stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            for seed in ("0", "12345")]
+    outputs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs[0] == outputs[1]
+    assert b"compare_sds_all_vs_collab_ifpr.json" in outputs[0]
