@@ -59,23 +59,21 @@ class SplitMix64:
 
     def distinct(self, n: int, k: int) -> list[int]:
         """k distinct indices in [0, n), in draw order."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
+        below = self.below
         if k > n // 2:
             # dense case: partial Fisher-Yates
             pool = list(range(n))
             for i in range(k):
-                j = i + self.below(n - i)
+                j = i + below(n - i)
                 pool[i], pool[j] = pool[j], pool[i]
             return pool[:k]
-        chosen: list[int] = []
-        seen = set()
+        # sparse case: redraw repeats; a dict keeps first-draw order
+        chosen: dict[int, None] = {}
         while len(chosen) < k:
-            v = self.below(n)
-            if v not in seen:
-                seen.add(v)
-                chosen.append(v)
-        return chosen
+            chosen[below(n)] = None
+        return list(chosen)
 
 
 _CATEGORY_POOL = (
@@ -138,7 +136,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     are derived without draws. Every 5th firm is foreign; industry
     publications gain 1-2 domestic firms, other publications may gain a
     public organization, a foreign firm, or a second university. Generated
-    directories always load and validate without errors.
+    directories load and validate without errors under a window covering
+    ``year_min..year_max``; a window that misses those years is empty.
 
     Each publication's line is written as soon as it is drawn, so memory
     does not grow with ``n_pubs``; it holds only the small tables and one
@@ -194,74 +193,64 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     # roster: university and sector per researcher
     researcher_ids = [f"R{i + 1:05d}" for i in range(config.n_researchers)]
     researcher_univ = []
-    researcher_sds = []
     roster_rows = []
     for i, researcher_id in enumerate(researcher_ids):
         univ = university_ids[rng.below(config.n_universities)]
         sds = sds_ids[rng.below(n_sds)]
         researcher_univ.append(univ)
-        researcher_sds.append(sds)
         roster_rows.append([researcher_id, f"Synthetic Researcher {i + 1:05d}", univ, sds])
     _write_csv(out_dir / "roster.csv", ROSTER_FIELDS, roster_rows)
 
-    domestic_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "IT"]
-    foreign_firm_idx = [i for i in range(config.n_firms) if firm_country[i] == "DE"]
+    domestic_firms = [firm_ids[i] for i in range(config.n_firms) if firm_country[i] == "IT"]
+    foreign_firms = [firm_ids[i] for i in range(config.n_firms) if firm_country[i] == "DE"]
 
-    # Roster bylines and journal ids are encoded once, up front. Each record
-    # line is assembled from them and equals json.dumps(record, ensure_ascii=True).
+    # Every id and name is plain ASCII with nothing JSON escapes, so each
+    # record line is assembled from pre-encoded fragments and equals
+    # json.dumps(record, ensure_ascii=True).
     researcher_bylines = [
-        json.dumps(
-            {
-                "raw_name": f"Synthetic Researcher {idx + 1:05d}",
-                "researcher_id": researcher_ids[idx],
-                "org_id": researcher_univ[idx],
-            },
-            ensure_ascii=True,
-        )
-        for idx in range(config.n_researchers)
+        f'{{"raw_name": "{name}", "researcher_id": "{researcher_id}", "org_id": "{univ}"}}'
+        for researcher_id, name, univ, _ in roster_rows
     ]
-    journal_json = [json.dumps(journal_id, ensure_ascii=True) for journal_id in journal_ids]
+    journal_json = [f'"{journal_id}"' for journal_id in journal_ids]
 
+    below, distinct, random = rng.below, rng.distinct, rng.random
+    year_min, n_years, n_journals = config.year_min, len(years), config.n_journals
+    industry_rate, n_researchers = config.industry_rate, config.n_researchers
+    n_universities, n_public = config.n_universities, len(public_ids)
+    author_cap = min(config.max_authors, n_researchers)
+    n_domestic, n_foreign = len(domestic_firms), len(foreign_firms)
+    firm_cap = min(2, n_domestic)
     with (out_dir / "publications.jsonl").open("w", encoding="utf-8") as fh:
-        for p in range(config.n_pubs):
-            year = config.year_min + rng.below(len(years))
-            journal = journal_json[rng.below(config.n_journals)]
-            industry = rng.random() < config.industry_rate
+        for p in range(1, config.n_pubs + 1):
+            year = year_min + below(n_years)
+            journal = journal_json[below(n_journals)]
+            industry = random() < industry_rate
 
-            n_acad = 1 + rng.below(min(config.max_authors, config.n_researchers))
-            picked = rng.distinct(config.n_researchers, n_acad)
+            picked = distinct(n_researchers, 1 + below(author_cap))
             bylines = [researcher_bylines[idx] for idx in picked]
             addresses = {researcher_univ[idx] for idx in picked}
 
-            if industry and domestic_firm_idx:
-                n_firm = 1 + rng.below(min(2, len(domestic_firm_idx)))
-                for slot, pos in enumerate(rng.distinct(len(domestic_firm_idx), n_firm)):
-                    firm = firm_ids[domestic_firm_idx[pos]]
+            if industry and n_domestic:
+                for slot, pos in enumerate(distinct(n_domestic, 1 + below(firm_cap)), 1):
+                    firm = domestic_firms[pos]
                     addresses.add(firm)
                     bylines.append(
-                        json.dumps(
-                            {
-                                "raw_name": f"Industry Author {p + 1:06d}-{slot + 1}",
-                                "researcher_id": None,
-                                "org_id": firm,
-                            },
-                            ensure_ascii=True,
-                        )
+                        f'{{"raw_name": "Industry Author {p:06d}-{slot}", '
+                        f'"researcher_id": null, "org_id": "{firm}"}}'
                     )
             else:
-                extra = rng.below(4)
-                if extra == 1 and public_ids:
-                    addresses.add(public_ids[rng.below(len(public_ids))])
-                elif extra == 2 and foreign_firm_idx:
-                    addresses.add(firm_ids[foreign_firm_idx[rng.below(len(foreign_firm_idx))]])
+                extra = below(4)
+                if extra == 1 and n_public:
+                    addresses.add(public_ids[below(n_public)])
+                elif extra == 2 and n_foreign:
+                    addresses.add(foreign_firms[below(n_foreign)])
                 elif extra == 3:
-                    other = university_ids[rng.below(config.n_universities)]
-                    addresses.add(other)
+                    addresses.add(university_ids[below(n_universities)])
 
+            orgs = '", "'.join(sorted(addresses))
             fh.write(
-                f'{{"pub_id": "PUB{p + 1:06d}", "year": {year}, "journal_id": {journal}, '
-                f'"authors": [{", ".join(bylines)}], '
-                f'"address_org_ids": {json.dumps(sorted(addresses), ensure_ascii=True)}}}\n'
+                f'{{"pub_id": "PUB{p:06d}", "year": {year}, "journal_id": {journal}, '
+                f'"authors": [{", ".join(bylines)}], "address_org_ids": ["{orgs}"]}}\n'
             )
     return out_dir
 

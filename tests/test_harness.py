@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import json
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -37,6 +40,24 @@ def reference_splitmix64(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def reference_distinct(seed, n, k):
+    """Direct transcription of the documented draws: a partial Fisher-Yates
+    when k > n // 2, otherwise reject repeats until k values are drawn."""
+    draws = iter(reference_splitmix64(seed, 4 * k + 64))
+    if k > n // 2:
+        pool = list(range(n))
+        for i in range(k):
+            j = i + next(draws) % (n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+    chosen = []
+    while len(chosen) < k:
+        v = next(draws) % n
+        if v not in chosen:
+            chosen.append(v)
+    return chosen
 
 
 def test_splitmix_known_stream():
@@ -82,6 +103,21 @@ def test_splitmix_distinct():
             assert all(0 <= p < n for p in picks)
 
 
+def test_splitmix_distinct_matches_reference():
+    for seed in range(20):
+        for n, k in ((10, 9), (10, 3), (5, 5), (100, 2), (20000, 6), (16, 2), (1, 1)):
+            assert SplitMix64(seed).distinct(n, k) == reference_distinct(seed, n, k), (seed, n, k)
+
+
+def test_splitmix_distinct_rejects_bad_counts():
+    with pytest.raises(ValueError):
+        SplitMix64(1).distinct(10, 11)
+    with pytest.raises(ValueError):
+        SplitMix64(1).distinct(10, -1)
+    with pytest.raises(ValueError):
+        SplitMix64(1).distinct(-3, -5)
+
+
 def test_synth_config_validation():
     with pytest.raises(errors.InvalidConfig):
         SynthConfig(seed=1, n_pubs=0)
@@ -109,7 +145,9 @@ def test_generate_is_deterministic(tmp_path):
 # sha256 of every generated file, for shapes that reach each branch of the
 # publication loop: the default shape, the bundle-50k and edges-200k perfbench
 # shapes cut to 2000 publications, all-industry single-author records with one
-# firm and no public bodies, and no industry at all.
+# firm and no public bodies, no industry at all, and five researchers with two
+# domestic firms (the academic draw swaps within the dense branch, and a firm
+# draw can take both firms).
 _PINNED_SHAPES = {
     "default": (
         SynthConfig(seed=7, n_pubs=150),
@@ -164,6 +202,16 @@ _PINNED_SHAPES = {
             "publications.jsonl": "a3c0c7adfdfa7512de2e8285af23eb44f2d05bb2118f18f54fa0f289cfe141c1",
         },
     ),
+    "five researchers": (
+        SynthConfig(seed=9, n_pubs=150, n_researchers=5, max_authors=6, n_firms=2),
+        {
+            "taxonomy.csv": "9ad09c15a67ec9c122020e1c211933dff3bcf3831452efa8c557575a72190151",
+            "organizations.csv": "8ba3616b898a41fa0a1c287de6e3729881e8933754da2fa73ec0368ed84fa72d",
+            "journals.csv": "20346ac112a27f3ea6a34269ecf6552aafb7509fa8eb172f662128891d0bdd2f",
+            "roster.csv": "c30d1ef3941804c7327b71fdb598c77f4aba529ff883550404d3ac5130c5ff15",
+            "publications.jsonl": "17c372dd97fec0b8be064c98b1cb8f3e17df7cde3fb330286e0706e99b0cda5c",
+        },
+    ),
 }
 
 
@@ -173,6 +221,32 @@ def test_generate_bytes_pinned(tmp_path):
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in _GENERATED_FILES}
         assert digests == pinned, label
+
+
+_PLAIN_TEXT = re.compile(r"[A-Za-z0-9 -]+")
+
+
+def test_generate_writes_canonical_json(tmp_path):
+    # generate assembles each line by hand from fragments it never escapes:
+    # the line must be what json.dumps writes, and no id or name may hold a
+    # character that JSON would escape
+    for label, (cfg, _) in _PINNED_SHAPES.items():
+        out = generate(cfg, tmp_path / label.replace(" ", "_"))
+        texts = []
+        with (out / "publications.jsonl").open(encoding="utf-8", newline="") as fh:
+            for line in fh:
+                record = json.loads(line)
+                assert line == json.dumps(record, ensure_ascii=True) + "\n", label
+                texts.append(record["journal_id"])
+                texts.extend(record["address_org_ids"])
+                texts.extend(author["raw_name"] for author in record["authors"])
+        for name, columns in (("organizations.csv", ("org_id", "canonical_name")),
+                              ("journals.csv", ("journal_id", "name")),
+                              ("roster.csv", ("researcher_id", "full_name", "university_org_id"))):
+            with (out / name).open(newline="", encoding="utf-8") as fh:
+                texts.extend(row[c] for row in csv.DictReader(fh) for c in columns)
+        bad = {text for text in texts if not _PLAIN_TEXT.fullmatch(text)}
+        assert not bad, (label, sorted(bad)[:5])
 
 
 def _generate_peak_bytes(n_pubs, out_dir):
@@ -226,6 +300,13 @@ def test_generated_corpus_matches_oracles(tmp_path):
     assert oracle_researcher_outputs(out) == {r: p.output for r, p in perf.items()}
     for rid, fss in oracle_researcher_fss(out).items():
         assert perf[rid].fss == fss, rid
+
+
+def test_generated_corpus_loads_under_its_own_years(tmp_path):
+    out = generate(SynthConfig(seed=1, n_pubs=50, year_min=1990, year_max=1995), tmp_path)
+    with pytest.raises(errors.EmptyCorpus):
+        load_corpus(out)
+    assert len(load_corpus(out, window=(1990, 1995)).publications) == 50
 
 
 def test_oracle_percentiles_matches_engine():

@@ -17,9 +17,22 @@ def test_package_root_holds_only_docstring():
     assert len(tree.body) == 1, [ast.dump(node)[:60] for node in tree.body[1:]]
 
 
+def _is_type_checking_block(node):
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING")
+
+
+def _runtime_nodes(node):
+    # every node except those under `if TYPE_CHECKING:`, which never runs
+    for child in ast.iter_child_nodes(node):
+        if not _is_type_checking_block(child):
+            yield child
+            yield from _runtime_nodes(child)
+
+
 def _relative_imports(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+    for node in _runtime_nodes(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
                 yield from (alias.name for alias in node.names)
@@ -41,9 +54,28 @@ def test_every_module_reachable_from_cli():
     assert sorted(modules - reached) == KNOWN_UNREACHED
 
 
+def test_no_import_cycle():
+    # corpus imports views only under TYPE_CHECKING, the one allowed cycle
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    graph = {m: set(_relative_imports(m)) for m in modules}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join(path[path.index(module):] + [module])
+        if module not in done:
+            path.append(module)
+            for imported in sorted(graph[module]):
+                visit(imported)
+            path.pop()
+            done.add(module)
+
+    for module in modules:
+        visit(module)
+
+
 def test_no_import_inside_a_function():
     # every import sits at module level (a TYPE_CHECKING block is one), where
-    # test_every_module_reachable_from_cli sees it
+    # the reachability and cycle tests see it if it runs
     inside = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
