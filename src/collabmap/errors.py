@@ -73,16 +73,6 @@ class UnknownSelector(CollabmapError):
     """A publication subset selector name is not recognized."""
 
 
-# -- indicators ----------------------------------------------------------------
-
-class UnknownResearcher(CollabmapError):
-    """A researcher identifier is not on the roster."""
-
-
-class EmptySector(CollabmapError):
-    """A ranking was requested over an empty population."""
-
-
 # -- statistics ----------------------------------------------------------------
 
 class StatsError(CollabmapError):
@@ -107,10 +97,6 @@ class ZeroVariance(StatsError):
 
 class NoConvergence(StatsError):
     """An iterative evaluation did not reach its tolerance."""
-
-
-class InvalidDf(StatsError):
-    """Degrees of freedom must be a positive finite number."""
 
 
 class InsufficientSectors(StatsError):

@@ -2,9 +2,8 @@
 
 Covers per-sector industry co-authorship intensity, within-sector ranks of
 researchers, and the two multidisciplinarity indices. The impact percentile
-ranks and the per-researcher performance they rest on are views (see
-:mod:`.views`). Every aggregate iterates in sorted id order, so all results
-are deterministic.
+ranks are a view (see :mod:`.views`). Every aggregate iterates in sorted id
+order, so all results are deterministic.
 """
 
 from __future__ import annotations
@@ -14,16 +13,9 @@ from typing import Mapping
 
 from . import collab, views
 from .corpus import Corpus
-from .errors import EmptySector, UnknownResearcher
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
-
-
-def ifpr_by_publication(corpus: Corpus) -> dict[str, float]:
-    """Article-level impact percentile for every publication."""
-    ifpr = views.of(corpus).ifpr
-    return {pub.pub_id: value for pub, value in zip(corpus.publications, ifpr)}
 
 
 # -- sector attribution ---------------------------------------------------------
@@ -45,21 +37,22 @@ def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
 class SectorIntensityRow:
     """Industry co-authorship intensity of one sector.
 
-    Ratios with a zero denominator are None, never 0: a sector with no
-    extramural output has no defined share of collaborative articles.
+    Only ``pct_of_coauth`` can be None, never 0: a sector with no extramural
+    output has no defined share of collaborative articles.
     """
 
     sector_id: str
     n_industry_coauth: int
-    pct_of_all: float | None
+    pct_of_all: float
     pct_of_coauth: float | None
-    per_researcher: float | None
+    per_researcher: float
 
 
 def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorIntensityRow]:
     """The four intensity indicators per sector, sorted by sector id.
 
-    Sectors with no attributed articles are omitted entirely.
+    Sectors with no attributed articles are omitted entirely. Every sector
+    listed has an article, and so a roster researcher who wrote it.
     """
     index = views.of(corpus)
     # sector_headcounts checks the level
@@ -72,40 +65,30 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
         n_all = pubs.bit_count()
         n_extramural = (pubs & index.extramural).bit_count()
         n_industry = (pubs & index.industry).bit_count()
-        headcount = headcounts.get(sector_id, 0)
+        headcount = headcounts[sector_id]
         rows.append(
             SectorIntensityRow(
                 sector_id=sector_id,
                 n_industry_coauth=n_industry,
-                pct_of_all=100.0 * n_industry / n_all if n_all else None,
+                pct_of_all=100.0 * n_industry / n_all,
                 pct_of_coauth=100.0 * n_industry / n_extramural if n_extramural else None,
-                per_researcher=n_industry / headcount if headcount else None,
+                per_researcher=n_industry / headcount,
             )
         )
     return rows
 
 
-# -- per-researcher performance ---------------------------------------------------
-
-def researcher_performance(corpus: Corpus) -> dict[str, views.ResearcherPerformance]:
-    """Output and FSS for every roster researcher, sorted by researcher id."""
-    return dict(views.of(corpus).performance)
-
+# -- per-researcher ranks ---------------------------------------------------------
 
 def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str, float]:
     """Midrank percentile of each researcher's value within their own sector.
 
-    The population of each sector is exactly the researchers present in
-    ``values``; every sector's ranks average to 50.
+    The population of each sector is exactly the roster researchers keyed
+    in ``values``; every sector's ranks average to 50.
     """
-    if not values:
-        raise EmptySector("no researchers to rank")
     groups: dict[str, list[str]] = {}
     for researcher_id in sorted(values):
-        researcher = corpus.researchers.get(researcher_id)
-        if researcher is None:
-            raise UnknownResearcher(f"researcher {researcher_id!r} is not on the roster")
-        groups.setdefault(researcher.sds_id, []).append(researcher_id)
+        groups.setdefault(corpus.researchers[researcher_id].sds_id, []).append(researcher_id)
 
     ranks: dict[str, float] = {}
     for sds_id in sorted(groups):

@@ -1,16 +1,17 @@
 """Statistics kernel and corpus comparison assembly.
 
 The kernel is self-contained: descriptive statistics, the paired t-test, the
-Welch two-sample t-test, and the t-distribution CDF evaluated through the
-regularized incomplete beta function (Lentz continued fraction). On top of it,
-:func:`compare` assembles the aligned samples for each corpus comparison
-listed in :data:`COMPARISONS` and runs the appropriate test.
+Welch two-sample t-test, and the t-distribution tail ``_tail`` that both
+p-values come from, evaluated through the regularized incomplete beta function
+(Lentz continued fraction). On top of it, :func:`compare` assembles the
+aligned samples for each corpus comparison listed in :data:`COMPARISONS` and
+runs the appropriate test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite, isnan, lgamma, log, log1p, sqrt
+from math import exp, lgamma, log, log1p, sqrt
 from typing import Sequence
 
 from . import indicators, views
@@ -19,7 +20,6 @@ from .errors import (
     EmptySample,
     InsufficientData,
     InsufficientSectors,
-    InvalidDf,
     LengthMismatch,
     NoConvergence,
     UnknownGrouping,
@@ -206,24 +206,6 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_contfrac(a, b, x) / a
     return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
-
-
-def t_cdf(t: float, df: float) -> float:
-    """Cumulative probability of Student's t distribution.
-
-    Uses cdf(t) = 1 - I_x(df/2, 1/2) / 2 for t >= 0 with x = df / (df + t^2),
-    and symmetry below zero. Accepts fractional degrees of freedom.
-    """
-    if not isfinite(df) or not df > 0:
-        raise InvalidDf(f"degrees of freedom must be positive and finite, got {df!r}")
-    if isnan(t):
-        raise ValueError("t must be a number")
-    if not isfinite(t):
-        return 1.0 if t > 0 else 0.0
-    tail = _tail(t, df)
-    if t >= 0:
-        return 1.0 - tail
-    return tail
 
 
 def _tail(t: float, df: float) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from collabmap import views
 from collabmap.collab import SELECTORS
 from collabmap.corpus import load_corpus
 from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
@@ -30,6 +31,11 @@ def fixture_copy(tmp_path):
     dest = tmp_path / "data"
     shutil.copytree(FIXTURE40, dest)
     return dest
+
+
+def ifpr_by_pub_id(corpus):
+    """The ifpr view keyed by pub_id, as the raw-file oracle keys it."""
+    return dict(zip((pub.pub_id for pub in corpus.publications), views.of(corpus).ifpr))
 
 
 def assert_close(got, want, context):

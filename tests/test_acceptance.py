@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from collabmap import views
 from collabmap.collab import count_collaborations, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import (
@@ -21,24 +22,12 @@ from collabmap.harness import (
     oracle_researcher_fss,
     oracle_researcher_outputs,
 )
-from collabmap.indicators import (
-    LEVEL_SDS,
-    LEVEL_UDA,
-    ifpr_by_publication,
-    researcher_performance,
-    sector_intensity,
-)
+from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, sector_intensity
 from collabmap.report import render_all
-from collabmap.stats import (
-    _p_values,
-    descriptive,
-    paired_t,
-    t_cdf,
-    welch_t,
-)
+from collabmap.stats import _p_values, _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
-from conftest import GOLDEN, assert_comparison_layer
+from conftest import GOLDEN, assert_comparison_layer, ifpr_by_pub_id
 from test_collab import _assert_grid_cell, _grid
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
@@ -83,13 +72,13 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
         assert dataclasses.asdict(summary) == dataclasses.asdict(oracle_collab_counts(out)), seed
         assert len(extract_edges(corpus)) == summary.total_collaborations, seed
 
-        perf = researcher_performance(corpus)
+        perf = views.of(corpus).performance
         assert oracle_researcher_outputs(out) == {
             r: p.output for r, p in perf.items()}, seed
         for rid, fss in oracle_researcher_fss(out).items():
             assert perf[rid].fss == fss, (seed, rid)
 
-        engine_ifpr = ifpr_by_publication(corpus)
+        engine_ifpr = ifpr_by_pub_id(corpus)
         oracle_ifpr = oracle_ifpr_by_publication(out)
         assert set(engine_ifpr) == set(oracle_ifpr), seed
         for pub_id, value in oracle_ifpr.items():
@@ -133,7 +122,7 @@ def test_midrank_mean_and_invariance(fixture_copy):
     after = load_corpus(fixture_copy)
     for year in (2001, 2002, 2003):
         assert if_percentile_ranks(before, year) == if_percentile_ranks(after, year)
-    assert ifpr_by_publication(before) == ifpr_by_publication(after)
+    assert ifpr_by_pub_id(before) == ifpr_by_pub_id(after)
     return "1000 groups, exact order-isomorphism invariance"
 
 
@@ -146,7 +135,7 @@ def test_fss_bounded_by_output(tmp_path):
             SynthConfig(seed=900 + seed, n_pubs=1200, n_researchers=5000, n_journals=40),
             tmp_path / f"s{seed}")
         corpus = load_corpus(out)
-        for perf in researcher_performance(corpus).values():
+        for perf in views.of(corpus).performance.values():
             assert perf.fss <= perf.output, perf
             assert perf.fss >= 0.0
             checked += 1
@@ -164,7 +153,7 @@ def test_sector_share_ordering(tmp_path, corpus40):
     for corpus in corpora:
         for level in (LEVEL_SDS, LEVEL_UDA):
             for row in sector_intensity(corpus, level):
-                if row.pct_of_all is not None and row.pct_of_coauth is not None:
+                if row.pct_of_coauth is not None:
                     assert row.pct_of_all <= row.pct_of_coauth + 1e-12, row
                     rows += 1
     return f"{rows} sector rows ordered"
@@ -180,17 +169,18 @@ def test_t_distribution_accuracy():
         tm, dfm = mpmath.mpf(t), mpmath.mpf(df)
         x = dfm / (dfm + tm * tm)
         tail = mpmath.betainc(dfm / 2, mpmath.mpf("0.5"), 0, x, regularized=True) / 2
-        return float(1 - tail) if t >= 0 else float(tail)
+        return float(tail)
 
     grid_points = 0
     for df in (1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1000.0):
         t = -8.0
         while t <= 8.0:
-            assert abs(t_cdf(t, df) - reference(t, df)) <= 1e-10, (t, df)
+            assert abs(_tail(t, df) - reference(t, df)) <= 1e-10, (t, df)
             grid_points += 1
             t += 0.25
     for t, df, expected in TCDF_CASES:
-        assert abs(t_cdf(t, df) - expected) <= 1e-9, (t, df)
+        cdf = 1.0 - _tail(t, df) if t >= 0 else _tail(t, df)
+        assert abs(cdf - expected) <= 1e-9, (t, df)
     for kind, xs, ys, t, df, p_one, p_two in PAIRED_WELCH_CASES:
         if kind == "paired":
             r = paired_t(list(xs), list(ys))

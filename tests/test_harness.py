@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collabmap import errors
+from collabmap import errors, views
 from collabmap.collab import count_collaborations
 from collabmap.corpus import load_corpus, validate_corpus
 from collabmap.harness import (
@@ -22,10 +22,9 @@ from collabmap.harness import (
     oracle_researcher_fss,
     oracle_researcher_outputs,
 )
-from collabmap.indicators import ifpr_by_publication, researcher_performance
 from collabmap.views import midrank_percentiles
 
-from conftest import assert_comparison_layer
+from conftest import assert_comparison_layer, ifpr_by_pub_id
 
 
 def reference_splitmix64(seed, count):
@@ -290,13 +289,13 @@ def test_generated_corpus_matches_oracles(tmp_path):
 
     assert asdict(oracle_collab_counts(out)) == asdict(count_collaborations(corpus))
 
-    engine_ifpr = ifpr_by_publication(corpus)
+    engine_ifpr = ifpr_by_pub_id(corpus)
     oracle_ifpr = oracle_ifpr_by_publication(out)
     assert set(engine_ifpr) == set(oracle_ifpr)
     for pub_id, value in oracle_ifpr.items():
         assert engine_ifpr[pub_id] == value, pub_id
 
-    perf = researcher_performance(corpus)
+    perf = views.of(corpus).performance
     assert oracle_researcher_outputs(out) == {r: p.output for r, p in perf.items()}
     for rid, fss in oracle_researcher_fss(out).items():
         assert perf[rid].fss == fss, rid
@@ -323,13 +322,13 @@ def test_oracle_sees_window(tmp_path):
     assert asdict(count_collaborations(corpus)) == asdict(oracle_collab_counts(out, window=narrow))
     assert corpus.window_excluded > 0
 
-    engine_ifpr = ifpr_by_publication(corpus)
+    engine_ifpr = ifpr_by_pub_id(corpus)
     oracle_ifpr = oracle_ifpr_by_publication(out, window=narrow)
     assert engine_ifpr.keys() == oracle_ifpr.keys()
     for pub_id, value in oracle_ifpr.items():
         assert engine_ifpr[pub_id] == value, pub_id
 
-    perf = researcher_performance(corpus)
+    perf = views.of(corpus).performance
     assert oracle_researcher_outputs(out, window=narrow) == {
         r: p.output for r, p in perf.items()}
     for rid, fss in oracle_researcher_fss(out, window=narrow).items():

