@@ -14,7 +14,6 @@ from typing import Iterator
 
 from . import views
 from .corpus import Corpus, Publication
-from .errors import UnknownSelector
 
 CASE_ONE_ONE = "one_one"
 CASE_M_ONE = "m_one"
@@ -96,8 +95,5 @@ def subset_mask(corpus: Corpus, selector: str) -> int:
     ``industry_coauthored`` requires at least one collaboration. The three
     sets nest: industry_coauthored <= extramural_collab <= all.
     """
-    if selector not in SELECTORS:
-        raise UnknownSelector(
-            f"unknown selector {selector!r}; expected one of {tuple(SELECTORS)}")
     return getattr(views.of(corpus), SELECTORS[selector])
 

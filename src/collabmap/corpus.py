@@ -94,9 +94,6 @@ class Taxonomy:
     def uda_of(self, sds_id: str) -> str:
         return self.sectors[sds_id].uda_id
 
-    def __len__(self) -> int:
-        return len(self.sectors)
-
 
 @dataclass(frozen=True)
 class Organization:
@@ -199,9 +196,6 @@ class Corpus:
         lo, hi = _check_window(self.window)
         if not self.publications:
             raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")
-        if not is_alpha2(self.home_country):
-            raise ValueError(
-                f"home country must be an alpha-2 code, got {self.home_country!r}")
         _read_only(self, "organizations", "journals", "researchers")
         object.__setattr__(
             self, "publications", tuple(sorted(self.publications, key=attrgetter("pub_id"))))
@@ -372,8 +366,6 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
 def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load the sector/area classification table."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     sectors: dict[str, SectorEntry] = {}
     uda_names: dict[str, str] = {}
     for _, (sds_id, sds_name, uda_id, uda_name) in _read_csv_rows(path, TAXONOMY_FIELDS):

@@ -67,28 +67,14 @@ class InvariantViolation(CollabmapError):
     """Loaded records are individually well-formed but mutually inconsistent."""
 
 
-# -- collaboration analysis ---------------------------------------------------
-
-class UnknownSelector(CollabmapError):
-    """A publication subset selector name is not recognized."""
-
-
 # -- statistics ----------------------------------------------------------------
 
 class StatsError(CollabmapError):
     """Base class for statistics kernel errors."""
 
 
-class EmptySample(StatsError):
-    """A sample with zero observations was supplied."""
-
-
 class InsufficientData(StatsError):
     """Too few observations to run the requested test."""
-
-
-class LengthMismatch(StatsError):
-    """Paired samples differ in length."""
 
 
 class ZeroVariance(StatsError):
@@ -103,18 +89,8 @@ class InsufficientSectors(StatsError):
     """Fewer than two comparison units survive the exclusion thresholds."""
 
 
-class UnknownGrouping(StatsError):
-    """A comparison grouping name is not recognized."""
-
-
 class UnknownIndicator(StatsError):
     """An indicator name is not valid for the requested grouping."""
-
-
-# -- reporting -----------------------------------------------------------------
-
-class UnknownMetric(CollabmapError):
-    """A ranking metric name is not recognized."""
 
 
 # -- synthetic data harness -----------------------------------------------------

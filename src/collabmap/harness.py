@@ -28,7 +28,7 @@ from .corpus import (
     ROSTER_FIELDS,
     TAXONOMY_FIELDS,
 )
-from .errors import EmptySample, InvalidConfig, MissingFile
+from .errors import InvalidConfig, MissingFile
 
 _MASK64 = (1 << 64) - 1
 
@@ -374,8 +374,6 @@ def oracle_collab_counts(
 def oracle_percentiles(values: Sequence[float]) -> list[float]:
     """Quadratic midrank percentiles: count below and equal, pair by pair."""
     n = len(values)
-    if n == 0:
-        raise EmptySample("cannot rank an empty distribution")
     out = []
     for v in values:
         below = 0

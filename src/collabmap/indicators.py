@@ -22,8 +22,6 @@ LEVEL_UDA = "uda"
 
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
-    if level not in (LEVEL_SDS, LEVEL_UDA):
-        raise ValueError(f"level must be 'sds' or 'uda', got {level!r}")
     counts: dict[str, int] = {}
     for researcher in corpus.researchers.values():
         scope = researcher.sds_id
@@ -55,7 +53,6 @@ def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorInten
     listed has an article, and so a roster researcher who wrote it.
     """
     index = views.of(corpus)
-    # sector_headcounts checks the level
     headcounts = index.memo(("headcounts", level), lambda: sector_headcounts(corpus, level))
     attributed = index.by_sds if level == LEVEL_SDS else index.by_uda
 

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import collab, indicators, stats
 from .corpus import Corpus
-from .errors import UnknownMetric
 
 # each metric: the SectorIntensityRow field it ranks by, and its title words
 _METRICS = {
@@ -74,10 +73,6 @@ def build_rank_table(
     undefined are dropped, and ties order by sector id. Rendering puts the
     metric in the ``value`` column and the other three after it.
     """
-    if metric not in METRICS:
-        raise UnknownMetric(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     intensity = indicators.sector_intensity(corpus, level)
     field, words = _METRICS[metric]
     scored = sorted((row for row in intensity if getattr(row, field) is not None),
@@ -223,15 +218,11 @@ def _render_multidisc(table: MultidiscTable, fmt: str) -> str:
 
 def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv") -> str:
     """Render a table to one of FORMATS."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected csv, json or md")
     if isinstance(table, RankTable):
         return _render_rank(table, fmt)
     if isinstance(table, ComparisonTable):
         return _render_comparison(table, fmt)
-    if isinstance(table, MultidiscTable):
-        return _render_multidisc(table, fmt)
-    raise TypeError(f"cannot render {type(table).__name__}")
+    return _render_multidisc(table, fmt)
 
 
 def edges_csv(corpus: Corpus) -> str:

@@ -17,12 +17,9 @@ from typing import Sequence
 from . import indicators, views
 from .corpus import Corpus
 from .errors import (
-    EmptySample,
     InsufficientData,
     InsufficientSectors,
-    LengthMismatch,
     NoConvergence,
-    UnknownGrouping,
     UnknownIndicator,
     ZeroVariance,
 )
@@ -145,8 +142,6 @@ class Comparison:
 def descriptive(values: Sequence[float], label: str = "") -> Sample:
     """Mean and sample variance, computed in input order."""
     n = len(values)
-    if n == 0:
-        raise EmptySample("descriptive statistics need at least one value")
     mean = sum(values) / n
     if n == 1:
         variance = None
@@ -225,8 +220,6 @@ def _p_values(t: float, df: float) -> tuple[float, float]:
 
 def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     """Paired t-test on aligned samples: t = mean(d) / (sd(d) / sqrt(n))."""
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"paired samples differ in length: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise InsufficientData("paired test needs at least 2 pairs")
@@ -320,15 +313,11 @@ def compare(
     per-scope means; the researcher grouping runs Welch's test on within-sector
     percentile ranks of the population in sectors with at least one article.
     """
-    if grouping not in INDICATORS_BY_GROUPING:
-        raise UnknownGrouping(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
     if indicator not in INDICATORS_BY_GROUPING[grouping]:
         raise UnknownIndicator(
             f"indicator {indicator!r} is not valid for {grouping!r}; "
             f"expected one of {INDICATORS_BY_GROUPING[grouping]}"
         )
-    if min_collab_pubs < 0:
-        raise ValueError(f"min_collab_pubs must be at least 0, got {min_collab_pubs}")
     spec = COMPARISONS[(grouping, indicator)]
     index = views.of(corpus)
 

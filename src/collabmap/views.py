@@ -36,7 +36,6 @@ from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .corpus import Corpus, JournalYear
-from .errors import EmptySample
 
 T = TypeVar("T")
 
@@ -102,8 +101,6 @@ def midrank_percentiles(values: Sequence[float]) -> list[float]:
     ranks unchanged.
     """
     n = len(values)
-    if n == 0:
-        raise EmptySample("cannot rank an empty distribution")
     order = sorted(range(n), key=lambda i: values[i])
     out = [0.0] * n
     i = 0

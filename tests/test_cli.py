@@ -6,7 +6,7 @@ import pytest
 from collabmap.cli import build_parser, main
 from collabmap.harness import SynthConfig, generate
 
-from conftest import FIXTURE40, GOLDEN
+from conftest import FIXTURE40, GOLDEN, MALFORMED, write_malformed
 
 
 def test_validate_summarizes_clean_corpus(capsys):
@@ -213,3 +213,10 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_validate_reports_malformed_copy(name, tmp_path, capsys):
+    argv, error = write_malformed(name, tmp_path / "data")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == error

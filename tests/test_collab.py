@@ -1,8 +1,6 @@
 import dataclasses
 
-import pytest
-
-from collabmap import errors, views
+from collabmap import views
 from collabmap.collab import (
     CASE_M_N,
     CASE_M_ONE,
@@ -192,11 +190,6 @@ def test_subsets(corpus40):
     assert extramural == EXTRAMURAL
     assert industry == frozenset({"P01", "P02", "P03", "P04"})
     assert industry <= extramural <= all_ids
-
-
-def test_subset_unknown_selector(corpus40):
-    with pytest.raises(errors.UnknownSelector):
-        subset_mask(corpus40, "everything")
 
 
 def test_parties_and_edges_are_repeatable(corpus40):

@@ -49,7 +49,7 @@ def test_load_counts(corpus40):
     assert len(c.researchers) == 16
     assert len(c.journals) == 9
     assert c.journal_ids == {"JRN-A", "JRN-B", "JRN-G"}
-    assert len(c.taxonomy) == 6
+    assert len(c.taxonomy.sectors) == 6
     assert c.taxonomy.uda_of("ELEC") == "ENG"
     assert c.taxonomy.uda_names == {"BIO": "Biology", "CHEM": "Chemistry", "ENG": "Engineering"}
 
@@ -843,7 +843,7 @@ def test_effective_journal_exact_and_fallback(fixture_copy):
 
 def test_full_size_taxonomy():
     tax = load_taxonomy(DATA / "taxonomy_full.csv")
-    assert len(tax) == 183
+    assert len(tax.sectors) == 183
     assert len(tax.uda_names) == 8
     assert tax.uda_of("S001") == "A01"
     assert tax.uda_of("S183") == "A07"
@@ -873,11 +873,11 @@ def test_corpus_mappings_are_read_only(corpus40):
 
 
 @pytest.mark.parametrize("code", ["it", "", "ITA", "I1", "ÄÖ"])
-def test_home_country_must_be_alpha2(corpus40, code):
-    with pytest.raises(ValueError):
-        load_corpus(FIXTURE40, home_country=code)
-    with pytest.raises(ValueError):
-        dataclasses.replace(corpus40, home_country=code)
+def test_home_country_must_be_alpha2(code):
+    # argparse checks the code before any file is read; the loader takes it as given
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--data-dir", str(FIXTURE40), "--home-country", code])
+    assert exc.value.code == 2
 
 
 def test_corpus_copies_the_mappings_it_is_given(corpus40):

@@ -63,7 +63,7 @@ def _tables(corpus):
     for level in (LEVEL_SDS, LEVEL_UDA):
         for metric in report.METRICS:
             builders[f"rank_{level}_{metric}"] = partial(
-                report.build_rank_table, corpus, level, metric, len(corpus.taxonomy))
+                report.build_rank_table, corpus, level, metric, len(corpus.taxonomy.sectors))
     for selector in SELECTORS:
         builders[f"multidisc_{selector}"] = partial(
             report.build_multidisc_table, corpus, selector)
