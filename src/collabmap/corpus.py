@@ -95,23 +95,53 @@ class Taxonomy:
         return self.sectors[sds_id].uda_id
 
 
+_SHOWN_CHARS = 40
+
+
+def _shown(value: str, show: Callable[[str], str] = repr) -> str:
+    """``show(value)`` for an error message, cut to its first characters if long."""
+    if len(value) <= _SHOWN_CHARS:
+        return show(value)
+    return f"{show(value[:_SHOWN_CHARS])}... ({len(value)} characters)"
+
+
 @dataclass(frozen=True)
 class Organization:
+    """An organization; construction rejects a bad kind or country."""
+
     org_id: str
     canonical_name: str
     kind: str  # one of ORG_KINDS
     country: str  # ISO 3166 alpha-2
 
+    def __post_init__(self) -> None:
+        where = f"organization {_shown(self.org_id, str)}"
+        if self.kind not in ORG_KINDS:
+            raise InvariantViolation(f"{where}: unknown kind {_shown(self.kind)}")
+        if not is_alpha2(self.country):
+            raise InvariantViolation(
+                f"{where}: country must be an alpha-2 code, got {_shown(self.country)}")
+
 
 @dataclass(frozen=True)
 class JournalYear:
-    """A journal's record for one year: impact factor and category codes."""
+    """A journal's impact factor and categories for one year; construction rejects bad ones."""
 
     journal_id: str
     name: str
     year: int
     impact_factor: float
     sci_categories: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        where = f"journal {_shown(f'{self.journal_id}@{self.year}', str)}"
+        if not (math.isfinite(self.impact_factor) and self.impact_factor >= 0):
+            raise InvariantViolation(f"{where}: impact_factor {self.impact_factor} "
+                                     "is not a finite number >= 0")
+        cats = self.sci_categories
+        if not cats or list(cats) != sorted(set(cats)):
+            raise InvariantViolation(f"{where}: categories {_shown(';'.join(cats))} "
+                                     "are not a non-empty sorted set")
 
 
 @dataclass(frozen=True)
@@ -147,21 +177,18 @@ class Corpus:
     Construction rejects a reversed window (``ValueError``) and an empty
     corpus (:class:`EmptyCorpus`), sorts ``publications`` by pub_id,
     rejects a repeated pub_id (:class:`DuplicateId`) and raises the first
-    rule broken. It checks the organizations first, in their own order: each
-    kind must be one of ``ORG_KINDS`` and each country an alpha-2 code
-    (:class:`InvariantViolation`). Then the roster, in its own order: each
-    entry's university must exist (:class:`DanglingReference`) and be a
-    university (:class:`InvariantViolation`), and its sector must be in the
-    taxonomy (:class:`DanglingReference`). Then, in ``journals`` order, each
-    journal record's impact factor must be a number >= 0 and its categories a
-    non-empty sorted set (:class:`InvariantViolation`). Then it scans the
-    publications in pub_id order for an unknown journal, organization or
-    researcher (:class:`DanglingReference`), a year outside the window, a
-    journal with no usable year, an address list that is not a sorted set,
-    no authors, or a roster author whose university is not in the address
-    list (:class:`InvariantViolation`).
-    This holds for a loaded corpus, a constructed one and a
-    ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
+    rule broken. It checks the roster first, in its own order: each entry's
+    university must exist (:class:`DanglingReference`) and be a university
+    (:class:`InvariantViolation`), and its sector must be in the taxonomy
+    (:class:`DanglingReference`). Then it scans the publications in pub_id
+    order for an unknown journal, organization or researcher
+    (:class:`DanglingReference`), a year outside the window, a journal with
+    no usable year, an address list that is not a sorted set, no authors, or
+    a roster author whose university is not in the address list
+    (:class:`InvariantViolation`). Each organization and journal record has
+    already rejected a bad kind, country, impact factor or category list
+    when it was built. This holds for a loaded corpus, a constructed one and
+    a ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
     address lists, so two corpora loaded from row-permuted copies of the
     same files compare equal. The loader validates a row outside the window
     in full but builds no record for it. Within one load, every id a loaded
@@ -213,15 +240,8 @@ class Corpus:
         self._check_closed()
 
     def _check_closed(self) -> None:
-        """Raise the first broken rule: organizations, roster, journals, then pub_id order."""
+        """Raise the first broken rule: the roster, then the publications in pub_id order."""
         organizations, researchers = self.organizations, self.researchers
-        for org in organizations.values():
-            if org.kind not in ORG_KINDS:
-                raise InvariantViolation(
-                    f"organization {org.org_id}: unknown kind {org.kind!r}")
-            if not is_alpha2(org.country):
-                raise InvariantViolation(f"organization {org.org_id}: country must be "
-                                         f"an alpha-2 code, got {org.country!r}")
         for researcher in researchers.values():
             where = f"roster entry {researcher.researcher_id}"
             org = organizations.get(researcher.university_org_id)
@@ -234,14 +254,6 @@ class Corpus:
                 )
             if researcher.sds_id not in self.taxonomy.sectors:
                 raise DanglingReference("sds", researcher.sds_id, where)
-        for rec in self.journals.values():
-            if not (math.isfinite(rec.impact_factor) and rec.impact_factor >= 0):
-                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: impact_factor "
-                                         f"{rec.impact_factor} is not a finite number >= 0")
-            cats = rec.sci_categories
-            if not cats or list(cats) != sorted(set(cats)):
-                raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "
-                                         f"categories {cats} are not a non-empty sorted set")
         lo, hi = self.window
         for pub in self.publications:
             where = f"publication {pub.pub_id}"
@@ -321,16 +333,6 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(str(path), lineno, f"byte 0x{byte:02x} is not valid UTF-8 ({exc.reason})")
 
 
-_SHOWN_CHARS = 40
-
-
-def _shown(value: str, show: Callable[[str], str] = repr) -> str:
-    """``show(value)`` for an error message, cut to its first characters if long."""
-    if len(value) <= _SHOWN_CHARS:
-        return show(value)
-    return f"{show(value[:_SHOWN_CHARS])}... ({len(value)} characters)"
-
-
 def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line_number, values) from a strict-header CSV file.
 
@@ -387,14 +389,13 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 def _load_organizations(path: Path) -> dict[str, Organization]:
     orgs: dict[str, Organization] = {}
     for lineno, (org_id, name, kind, country) in _read_csv_rows(path, ORGANIZATION_FIELDS):
-        if kind not in ORG_KINDS:
-            raise ParseError(str(path), lineno, f"unknown organization kind {_shown(kind)}")
-        if not is_alpha2(country):
-            raise ParseError(
-                str(path), lineno, f"country must be an alpha-2 code, got {_shown(country)}")
+        try:
+            org = Organization(org_id, name, kind, country)
+        except InvariantViolation as exc:
+            raise ParseError(str(path), lineno, str(exc))
         if org_id in orgs:
             raise DuplicateId("org_id", org_id)
-        orgs[org_id] = Organization(org_id, name, kind, country)
+        orgs[org_id] = org
     return orgs
 
 
@@ -413,17 +414,15 @@ def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
             raise ParseError(
                 str(path), lineno, f"impact_factor must be a number, got {_shown(impact_text)}"
             )
-        if not (math.isfinite(impact_factor) and impact_factor >= 0):
-            raise ParseError(str(path), lineno, "impact_factor must be a finite number >= 0")
-        cats = [c.strip() for c in categories.split(";") if c.strip()]
-        if not cats:
-            raise ParseError(str(path), lineno, "sci_categories must list at least one code")
-        if len(set(cats)) != len(cats):
-            raise ParseError(str(path), lineno, "duplicate category code on one journal row")
+        cats = tuple(sorted(c.strip() for c in categories.split(";") if c.strip()))
+        try:
+            record = JournalYear(journal_id, name, year, impact_factor, cats)
+        except InvariantViolation as exc:
+            raise ParseError(str(path), lineno, str(exc))
         key = (journal_id, year)
         if key in journals:
             raise DuplicateId("journal_id/year", f"{journal_id}/{year}")
-        journals[key] = JournalYear(journal_id, name, year, impact_factor, tuple(sorted(cats)))
+        journals[key] = record
     return journals
 
 

@@ -64,7 +64,7 @@ class EmptyCorpus(CollabmapError):
 
 
 class InvariantViolation(CollabmapError):
-    """Loaded records are individually well-formed but mutually inconsistent."""
+    """A record breaks a rule of its own, or records break one together."""
 
 
 # -- statistics ----------------------------------------------------------------

@@ -141,21 +141,24 @@ MALFORMED = {
                               "{dir}/journals.csv:3: impact_factor must be a number, got 'x'"),
     "journal_negative_impact_factor": (
         {_JOURNALS: _replace(",2002,1.200,", ",2002,-1.200,")}, [],
-        "{dir}/journals.csv:3: impact_factor must be a finite number >= 0"),
+        "{dir}/journals.csv:3: journal JRN-A@2002: "
+        "impact_factor -1.2 is not a finite number >= 0"),
     "journal_no_category": ({_JOURNALS: _replace(",2002,1.200,CAT-A", ",2002,1.200,;")}, [],
-                            "{dir}/journals.csv:3: sci_categories must list at least one code"),
+                            "{dir}/journals.csv:3: journal JRN-A@2002: "
+                            "categories '' are not a non-empty sorted set"),
     "journal_repeated_category": (
         {_JOURNALS: _replace(",2002,1.200,CAT-A", ",2002,1.200,CAT-A;CAT-A")}, [],
-        "{dir}/journals.csv:3: duplicate category code on one journal row"),
+        "{dir}/journals.csv:3: journal JRN-A@2002: "
+        "categories 'CAT-A;CAT-A' are not a non-empty sorted set"),
     "journals_utf8": ({_JOURNALS: _replace("Annals", "Ann\udcffls")}, [],
                       "{dir}/journals.csv:2: byte 0xff is not valid UTF-8 (invalid start byte)"),
     "organization_kind": ({_ORGS: _replace(",consortium,", ",firm,")}, [],
-                          "{dir}/organizations.csv:2: unknown organization kind 'firm'"),
+                          "{dir}/organizations.csv:2: organization CNS-1: unknown kind 'firm'"),
     "long_value": ({_ORGS: _replace(",consortium,", "," + "x" * 41 + ",")}, [],
-                   "{dir}/organizations.csv:2: unknown organization kind "
+                   "{dir}/organizations.csv:2: organization CNS-1: unknown kind "
                    "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (41 characters)"),
     "organization_country": ({_ORGS: _replace(",consortium,IT", ",consortium,Italy")}, [],
-                             "{dir}/organizations.csv:2: "
+                             "{dir}/organizations.csv:2: organization CNS-1: "
                              "country must be an alpha-2 code, got 'Italy'"),
     "csv_empty": ({_TAXONOMY: lambda text: ""}, [], "{dir}/taxonomy.csv:1: empty file"),
     "csv_header": ({_ROSTER: _replace("researcher_id,full_name", "id,full_name")}, [],

@@ -184,7 +184,7 @@ def test_infinite_impact_factor(fixture_copy):
     _rewrite(fixture_copy / "journals.csv", "2001,1.000", "2001,inf")
     with pytest.raises(errors.ParseError) as exc:
         load_corpus(fixture_copy)
-    assert exc.value.message == "impact_factor must be a finite number >= 0"
+    assert exc.value.message == "journal JRN-A@2001: impact_factor inf is not a finite number >= 0"
 
 
 def test_duplicate_category_on_journal(fixture_copy):
@@ -536,16 +536,31 @@ def test_short_csv_header_echoed_whole(fixture_copy):
                                  "sds_id, got id,full_name,university_org_id,sds_id")
 
 
-@pytest.mark.parametrize("name, line, old, new, message", [
+_FIELDS = [
     ("journals.csv", 3, ",2002,1.200,", ",{},1.200,", "year must be an integer, got {}"),
     ("journals.csv", 3, ",2002,1.200,", ",2002,{},", "impact_factor must be a number, got {}"),
-    ("organizations.csv", 2, ",consortium,", ",{},", "unknown organization kind {}"),
+    ("organizations.csv", 2, ",consortium,", ",{},", "organization CNS-1: unknown kind {}"),
     ("organizations.csv", 2, "consortium,IT", "consortium,{}",
-     "country must be an alpha-2 code, got {}"),
-])
-@pytest.mark.parametrize("value, shown", [
-    ("x" * 40, repr("x" * 40)),
-    ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+     "organization CNS-1: country must be an alpha-2 code, got {}"),
+]
+_SIZES = [("x" * 40, repr("x" * 40)), ("x" * 41, repr("x" * 40) + "... (41 characters)")]
+_REPEATED_CODE = "x" * 20 + ";" + "x" * 20  # a 41-character category list
+
+
+@pytest.mark.parametrize("value, shown, name, line, old, new, message", [
+    *((*size, *field) for size in _SIZES for field in _FIELDS),
+    (_REPEATED_CODE, repr(_REPEATED_CODE[:40]) + "... (41 characters)",
+     "journals.csv", 3, ",2002,1.200,CAT-A", ",2002,1.200,{}",
+     "journal JRN-A@2002: categories {} are not a non-empty sorted set"),
+    # a record's name is cut too; a 4000-digit year parses, as int() allows 4300 digits
+    pytest.param("9" * 4000, "9" * 40 + "... (4000 characters)",
+                 "organizations.csv", 2, "CNS-1,Consorzio Ricerche Applicate,consortium,",
+                 "{},Consorzio Ricerche Applicate,firm,", "organization {}: unknown kind 'firm'",
+                 id="long_organization_id"),
+    pytest.param("9" * 4000, "JRN-A@" + "9" * 34 + "... (4006 characters)",
+                 "journals.csv", 3, ",2002,1.200,", ",{},-1.0,",
+                 "journal {}: impact_factor -1.0 is not a finite number >= 0",
+                 id="long_journal_year"),
 ])
 def test_csv_field_errors_show_at_most_a_prefix(fixture_copy, name, line, old, new, message,
                                                 value, shown):
@@ -718,77 +733,64 @@ def test_construction_rejects_publication_outside_window(fixture_copy):
     assert str(exc.value) == "publication P99: year 1995 is outside the window 2001-2003"
 
 
-def _no_authors(corpus):
-    pub = dataclasses.replace(corpus.publications[0], authors=())
-    return {"publications": (pub,) + corpus.publications[1:]}
-
-
-def _categories(categories):
-    def change(corpus):
-        record = dataclasses.replace(corpus.journals[("JRN-A", 2002)],
-                                     sci_categories=categories)
-        return {"journals": {**corpus.journals, ("JRN-A", 2002): record}}
-    return change
-
-
-def _impact_factor(value):
-    def change(corpus):
-        record = dataclasses.replace(corpus.journals[("JRN-G", 2002)], impact_factor=value)
-        return {"journals": {**corpus.journals, ("JRN-G", 2002): record}}
-    return change
-
-
-def _organization(org_id, **changes):
-    def change(corpus):
-        org = dataclasses.replace(corpus.organizations[org_id], **changes)
-        return {"organizations": {**corpus.organizations, org_id: org}}
-    return change
+def test_construction_rejects_publication_without_authors(corpus40):
+    pub = dataclasses.replace(corpus40.publications[0], authors=())
+    with pytest.raises(errors.InvariantViolation) as exc:
+        dataclasses.replace(corpus40, publications=(pub,) + corpus40.publications[1:])
+    assert str(exc.value) == "publication P01: no authors"
 
 
 _NOT_A_SET = "are not a non-empty sorted set"
 
 
-# the loader rejects each of these; a constructed corpus that let them through
-# would fail later with a ZeroDivisionError, shift impact percentiles or
-# classify an organization as OTHER
-@pytest.mark.parametrize("change, message", [
-    (_no_authors, "publication P01: no authors"),
-    (_categories(()), "journal JRN-A@2002: categories () " + _NOT_A_SET),
-    (_categories(("CAT-A", "CAT-A")),
-     "journal JRN-A@2002: categories ('CAT-A', 'CAT-A') " + _NOT_A_SET),
-    (_impact_factor(float("nan")),
+# each record rule as a changed field of one fixture40 record and as the same
+# change to its file row; a corpus holding such a record would fail later with
+# a ZeroDivisionError, shift impact percentiles or classify an organization as OTHER
+@pytest.mark.parametrize("table, key, field, value, file, old, new, message", [
+    ("journals", ("JRN-A", 2002), "sci_categories", (),
+     "journals.csv", ",2002,1.200,CAT-A", ",2002,1.200,;",
+     "journal JRN-A@2002: categories '' " + _NOT_A_SET),
+    ("journals", ("JRN-A", 2002), "sci_categories", ("CAT-A", "CAT-A"),
+     "journals.csv", ",2002,1.200,CAT-A", ",2002,1.200,CAT-A;CAT-A",
+     "journal JRN-A@2002: categories 'CAT-A;CAT-A' " + _NOT_A_SET),
+    ("journals", ("JRN-G", 2002), "impact_factor", float("nan"),
+     "journals.csv", ",2002,3.200,", ",2002,nan,",
      "journal JRN-G@2002: impact_factor nan is not a finite number >= 0"),
-    (_impact_factor(-1.0),
+    ("journals", ("JRN-G", 2002), "impact_factor", -1.0,
+     "journals.csv", ",2002,3.200,", ",2002,-1.0,",
      "journal JRN-G@2002: impact_factor -1.0 is not a finite number >= 0"),
-    (_impact_factor(float("inf")),
+    ("journals", ("JRN-G", 2002), "impact_factor", float("inf"),
+     "journals.csv", ",2002,3.200,", ",2002,inf,",
      "journal JRN-G@2002: impact_factor inf is not a finite number >= 0"),
-    (_organization("FRM-X", kind="bogus"), "organization FRM-X: unknown kind 'bogus'"),
-    (_organization("UNI-B", country="italy"),
+    ("organizations", "FRM-X", "kind", "bogus",
+     "organizations.csv", "SpA,private_firm,IT", "SpA,bogus,IT",
+     "organization FRM-X: unknown kind 'bogus'"),
+    ("organizations", "UNI-B", "country", "italy",
+     "organizations.csv", "Bassano,university,IT", "Bassano,university,italy",
      "organization UNI-B: country must be an alpha-2 code, got 'italy'"),
-], ids=["no_authors", "no_categories", "repeated_category", "nan_impact_factor",
-        "negative_impact_factor", "infinite_impact_factor", "unknown_org_kind",
-        "bad_org_country"])
-def test_construction_rejects_what_the_loader_rejects(corpus40, change, message):
-    with pytest.raises(errors.InvariantViolation) as exc:
-        dataclasses.replace(corpus40, **change(corpus40))
-    assert str(exc.value) == message
+], ids=["no_categories", "repeated_category", "nan_impact_factor", "negative_impact_factor",
+        "infinite_impact_factor", "unknown_org_kind", "bad_org_country"])
+def test_construction_rejects_what_the_loader_rejects(corpus40, fixture_copy, table, key, field,
+                                                      value, file, old, new, message):
+    with pytest.raises(errors.InvariantViolation) as built:
+        dataclasses.replace(getattr(corpus40, table)[key], **{field: value})
+    assert str(built.value) == message
+    _rewrite(fixture_copy / file, old, new)
+    with pytest.raises(errors.ParseError) as loaded:
+        load_corpus(fixture_copy)
+    assert loaded.value.message == message
 
 
-def test_journals_checked_after_roster_before_publications(corpus40):
-    unsorted = _categories(("CAT-B", "CAT-A"))(corpus40)
+def test_journals_checked_when_built_before_roster_and_publications(corpus40, fixture_copy):
     with pytest.raises(errors.InvariantViolation, match="journal JRN-A@2002"):
-        dataclasses.replace(corpus40, **unsorted, **_no_authors(corpus40))
-    researchers = {**corpus40.researchers, "RES-ZZ": Researcher("RES-ZZ", "Zed", "UNI-A", "NOPE")}
-    with pytest.raises(errors.DanglingReference, match="roster entry RES-ZZ"):
-        dataclasses.replace(corpus40, **unsorted, researchers=researchers)
-    # organizations come before the roster, in their own order
-    organizations = dict(corpus40.organizations)
-    organizations["FRM-X"] = dataclasses.replace(organizations["FRM-X"], country="italy")
-    organizations["FRM-Y"] = dataclasses.replace(organizations["FRM-Y"], kind="bogus")
-    with pytest.raises(errors.InvariantViolation) as exc:
-        dataclasses.replace(corpus40, **unsorted, researchers=researchers,
-                            organizations=organizations)
-    assert str(exc.value) == "organization FRM-X: country must be an alpha-2 code, got 'italy'"
+        dataclasses.replace(corpus40.journals[("JRN-A", 2002)], sci_categories=("CAT-B", "CAT-A"))
+    # the loader reads journals.csv before the roster and the publications
+    _rewrite(fixture_copy / "journals.csv", ",2002,1.200,CAT-A", ",2002,1.200,CAT-A;CAT-A")
+    _rewrite(fixture_copy / "roster.csv", "UNI-A,ELEC", "UNI-A,NOPE")
+    _append_pub(fixture_copy, _p99(journal_id="JRN-Q"))
+    with pytest.raises(errors.ParseError) as exc:
+        load_corpus(fixture_copy)
+    assert (exc.value.path, exc.value.line) == (str(fixture_copy / "journals.csv"), 3)
 
 
 def test_roster_checked_first_in_roster_order(corpus40):

@@ -37,8 +37,8 @@ WHOLE = None  # an ALLOWED entry whose every line never runs
 
 _ORACLES = "item 3A: the raw-file oracles move to tests/oracles.py"
 _BUNDLE = "item 1: collabmap bundle reports the m x n case counts and writes every table"
-_RECHECK = ("item 9: construction re-checks a rule the loader already enforces; the "
-            "publication-level ones stay for dataclasses.replace copies")
+_RECHECK = ("no item: construction re-checks a publication rule the loader already "
+            "enforces, for the dataclasses.replace copies that never pass the loader")
 _DATA = "no item: a data-dependent statistics branch that no corpus here reaches"
 
 # function or method -> (why it never runs, with the ROADMAP item that
@@ -56,10 +56,6 @@ ALLOWED = {
     "corpus.Corpus.__post_init__": (_RECHECK, (
         'raise DuplicateId("pub_id", pub.pub_id)',)),
     "corpus.Corpus._check_closed": (_RECHECK, (
-        "raise InvariantViolation(",  # organization kind
-        'raise InvariantViolation(f"organization {org.org_id}: country must be "',
-        'raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: impact_factor "',
-        'raise InvariantViolation(f"journal {rec.journal_id}@{rec.year}: "',
         "raise InvariantViolation(",  # year outside the window
         'raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")',
         'raise InvariantViolation(f"{where}: no authors")')),
