@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "for a sector to qualify")
     _add_output_options(p)
     p.set_defaults(func=_cmd_table, format="json",
-                   build_table=lambda corpus, args: report.build_comparison_table(
+                   build_table=lambda corpus, args: stats.compare(
                        corpus, args.grouping, args.indicator,
                        min_collab_pubs=args.min_collab_pubs))
 

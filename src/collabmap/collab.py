@@ -26,7 +26,11 @@ COLLAB_CASES = (CASE_ONE_ONE, CASE_M_ONE, CASE_ONE_N, CASE_M_N)
 SELECTOR_ALL = "all"
 SELECTOR_EXTRAMURAL = "extramural_collab"
 SELECTOR_INDUSTRY = "industry_coauthored"
-# each selector and the Views attribute that holds its publications
+# each selector and the Views attribute that holds its publications, as a
+# bitmask: ``all`` is everything; ``extramural_collab`` requires at least two
+# distinct address organizations, one of them a university;
+# ``industry_coauthored`` requires at least one collaboration. The three sets
+# nest: industry_coauthored <= extramural_collab <= all.
 SELECTORS = {
     SELECTOR_ALL: "everything",
     SELECTOR_EXTRAMURAL: "extramural",
@@ -85,15 +89,3 @@ def extract_edges(corpus: Corpus) -> list[tuple[str, str, str]]:
     return [(pub.pub_id, univ, firm)
             for pub, univs, firms in _parties_of(corpus)
             for univ in univs for firm in firms]
-
-
-def subset_mask(corpus: Corpus, selector: str) -> int:
-    """The publications a selector keeps, as a bitmask (see :mod:`.views`).
-
-    ``all`` is everything; ``extramural_collab`` requires at least two
-    distinct address organizations, one of them a university;
-    ``industry_coauthored`` requires at least one collaboration. The three
-    sets nest: industry_coauthored <= extramural_collab <= all.
-    """
-    return getattr(views.of(corpus), SELECTORS[selector])
-

@@ -211,7 +211,8 @@ class Corpus:
     window: tuple[int, int]
     window_excluded: int
     home_country: str = HOME_COUNTRY
-    # derived lookup, excluded from equality
+    # derived lookup, excluded from equality: each journal's years inside the
+    # window, empty for a journal whose rows all lie outside it
     _years_by_journal: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -229,14 +230,11 @@ class Corpus:
         for before, pub in zip(self.publications, self.publications[1:]):
             if before.pub_id == pub.pub_id:
                 raise DuplicateId("pub_id", pub.pub_id)
-        by_journal: dict[str, list[int]] = {}
+        by_journal: dict[str, tuple[int, ...]] = {jid: () for jid, _ in self.journals}
         for jid, year in self.journals:
-            by_journal.setdefault(jid, []).append(year)
-        object.__setattr__(
-            self,
-            "_years_by_journal",
-            {jid: tuple(sorted(years)) for jid, years in by_journal.items()},
-        )
+            if lo <= year <= hi:
+                by_journal[jid] += (year,)
+        object.__setattr__(self, "_years_by_journal", by_journal)
         self._check_closed()
 
     def _check_closed(self) -> None:
@@ -260,9 +258,10 @@ class Corpus:
             if not lo <= pub.year <= hi:
                 raise InvariantViolation(
                     f"{where}: year {pub.year} is outside the window {lo}-{hi}")
-            if pub.journal_id not in self._years_by_journal:
+            years = self._years_by_journal.get(pub.journal_id)
+            if years is None:
                 raise DanglingReference("journal", pub.journal_id, where)
-            if self.effective_journal(pub.journal_id, pub.year) is None:
+            if not years:
                 raise DanglingReference(
                     "journal_year", f"{pub.journal_id}@{pub.year}", where)
             addresses = pub.address_org_ids
@@ -297,17 +296,14 @@ class Corpus:
     def effective_journal(self, journal_id: str, year: int) -> JournalYear | None:
         """The journal record an article of the given year uses.
 
-        Exact year if inside the window and present, else the nearest year in
-        the window (ties break toward the earlier year). None when none is usable.
+        The journal's nearest year inside the window, the earlier of two
+        equally near, so the exact year when it is inside and present. None
+        when the journal has no year inside the window.
         """
-        lo, hi = self.window
-        rec = self.journals.get((journal_id, year)) if lo <= year <= hi else None
-        if rec is not None:
-            return rec
-        candidates = [y for y in self._years_by_journal.get(journal_id, ()) if lo <= y <= hi]
-        if not candidates:
+        years = self._years_by_journal.get(journal_id)
+        if not years:
             return None
-        best = min(candidates, key=lambda y: (abs(y - year), y))
+        best = min(years, key=lambda y: (abs(y - year), y))
         return self.journals[(journal_id, best)]
 
 
@@ -340,27 +336,28 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
     first two fields are a row's id and name, which must be non-empty.
     """
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
+            header = next(reader, None)
+            if header is None:
                 raise ParseError(str(path), 1, "empty file")
-            if list(reader.fieldnames) != fields:
+            if header != fields:
                 raise ParseError(
                     str(path), 1,
-                    f"expected header {','.join(fields)}, "
-                    f"got {_shown(','.join(reader.fieldnames), str)}",
+                    f"expected header {','.join(fields)}, got {_shown(','.join(header), str)}",
                 )
             for row in reader:
-                if None in row or any(v is None for v in row.values()):
+                if not row:
+                    continue
+                if len(row) != len(fields):
                     raise ParseError(str(path), reader.line_num, "wrong number of fields")
-                values = tuple(value.strip() for value in row.values())
+                values = tuple(value.strip() for value in row)
                 if not values[0] or not values[1]:
                     raise ParseError(str(path), reader.line_num,
                                      f"{fields[0]} and {fields[1]} must be non-empty")
                 yield reader.line_num, values
         except csv.Error as exc:
-            # DictReader.line_num only moves after a row parses; its reader's is current
-            raise ParseError(str(path), reader.reader.line_num, str(exc))
+            raise ParseError(str(path), reader.line_num, str(exc))
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc)
 

@@ -115,8 +115,8 @@ def multidisc_by_scope(corpus: Corpus, selector: str) -> list[MultidiscIndex]:
     Sector scopes carry the author-sector index, category scopes the journal
     category index; scopes with no publication in the subset are omitted.
     """
-    chosen = collab.subset_mask(corpus, selector)
     index = views.of(corpus)
+    chosen = getattr(index, collab.SELECTORS[selector])
     rows = []
     for groups, counts, field in ((index.by_sds, index.sector_counts, "ii_sds"),
                                   (index.by_category, index.category_counts, "ii_sci")):

@@ -48,13 +48,6 @@ class RankTable:
 
 
 @dataclass(frozen=True)
-class ComparisonTable:
-    title: str
-    comparison: stats.Comparison
-    exclusion_note: str
-
-
-@dataclass(frozen=True)
 class MultidiscTable:
     title: str
     subset: str
@@ -79,19 +72,6 @@ def build_rank_table(
                     key=lambda row: (-getattr(row, field), row.sector_id))
     title = f"Top {k} {_LEVEL_WORD[level]} by {words}"
     return RankTable(title=title, level=level, metric=metric, k=k, rows=tuple(scored[:k]))
-
-
-def build_comparison_table(
-    corpus: Corpus,
-    grouping: str,
-    indicator: str,
-    *,
-    min_collab_pubs: int = stats.MIN_COLLAB_PUBS,
-) -> ComparisonTable:
-    comparison = stats.compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
-    spec = stats.COMPARISONS[(grouping, indicator)]
-    note = spec.note.format(excluded=comparison.excluded, min_collab_pubs=min_collab_pubs)
-    return ComparisonTable(title=spec.title, comparison=comparison, exclusion_note=note)
 
 
 def build_multidisc_table(corpus: Corpus, selector: str) -> MultidiscTable:
@@ -167,8 +147,7 @@ def _render_rank(table: RankTable, fmt: str) -> str:
     return _render_rows(table.title, ["sector", *columns], rows, fmt, meta)
 
 
-def _render_comparison(table: ComparisonTable, fmt: str) -> str:
-    cmp = table.comparison
+def _render_comparison(cmp: stats.Comparison, fmt: str) -> str:
     a, b, r = cmp.sample_a, cmp.sample_b, cmp.result
     if fmt != "json":
         rows = [
@@ -180,28 +159,19 @@ def _render_comparison(table: ComparisonTable, fmt: str) -> str:
             ["p_one", _fmt_p(r.p_one), None],
             ["p_two", _fmt_p(r.p_two), None],
         ]
-        text = _render_rows(table.title, ["field", a.label, b.label], rows, fmt, {})
-        return text + "\n" + table.exclusion_note + "\n" if fmt == "md" else text
+        text = _render_rows(cmp.title, ["field", a.label, b.label], rows, fmt, {})
+        return text + "\n" + cmp.exclusion_note + "\n" if fmt == "md" else text
     return _dump_json(
         {
-            "title": table.title,
+            "title": cmp.title,
             "grouping": cmp.grouping,
             "indicator": cmp.indicator,
-            "exclusion_note": table.exclusion_note,
+            "exclusion_note": cmp.exclusion_note,
             "n_units": cmp.n_units,
             "excluded": cmp.excluded,
-            "sample_a": {
-                "label": a.label,
-                "n": a.n,
-                "mean": _json_cell(a.mean),
-                "variance": _json_cell(a.variance),
-            },
-            "sample_b": {
-                "label": b.label,
-                "n": b.n,
-                "mean": _json_cell(b.mean),
-                "variance": _json_cell(b.variance),
-            },
+            **{key: {"label": s.label, "n": s.n, "mean": _json_cell(s.mean),
+                     "variance": _json_cell(s.variance)}
+               for key, s in (("sample_a", a), ("sample_b", b))},
             "t": float(_fmt_t(r.t)),
             "df": float(_fmt_real(r.df)),
             "p_one": float(_fmt_p(r.p_one)),
@@ -216,11 +186,11 @@ def _render_multidisc(table: MultidiscTable, fmt: str) -> str:
     return _render_rows(table.title, header, rows, fmt, {"subset": table.subset})
 
 
-def render(table: RankTable | ComparisonTable | MultidiscTable, fmt: str = "csv") -> str:
-    """Render a table to one of FORMATS."""
+def render(table: RankTable | stats.Comparison | MultidiscTable, fmt: str = "csv") -> str:
+    """Render a table, or a comparison, to one of FORMATS."""
     if isinstance(table, RankTable):
         return _render_rank(table, fmt)
-    if isinstance(table, ComparisonTable):
+    if isinstance(table, stats.Comparison):
         return _render_comparison(table, fmt)
     return _render_multidisc(table, fmt)
 
@@ -250,7 +220,6 @@ def render_all(
     out["edges.csv"] = edges_csv(corpus)
 
     for grouping, indicator in stats.COMPARISONS:
-        table = build_comparison_table(corpus, grouping, indicator,
-                                       min_collab_pubs=min_collab_pubs)
-        out[f"compare_{grouping}_{indicator}.json"] = render(table, "json")
+        comparison = stats.compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
+        out[f"compare_{grouping}_{indicator}.json"] = render(comparison, "json")
     return out

@@ -38,8 +38,8 @@ class ComparisonSpec:
     ``floor`` publications (None: the caller's ``min_collab_pubs``), and
     pairs the mean ``value`` over side a with the mean over side b. The
     researcher comparison has no ``scopes``; its ``value`` names a
-    :class:`views.ResearcherPerformance` field. ``note`` is formatted
-    with ``excluded`` and ``min_collab_pubs``.
+    :class:`views.ResearcherPerformance` field. :func:`compare` formats ``note``
+    with ``excluded`` and ``min_collab_pubs`` into ``Comparison.exclusion_note``.
     """
 
     title: str
@@ -98,10 +98,6 @@ COMPARISONS: dict[tuple[str, str], ComparisonSpec] = {
 
 GROUPINGS = tuple(dict.fromkeys(grouping for grouping, _ in COMPARISONS))
 
-INDICATORS_BY_GROUPING: dict[str, tuple[str, ...]] = {
-    grouping: tuple(i for g, i in COMPARISONS if g == grouping) for grouping in GROUPINGS
-}
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -128,15 +124,17 @@ class TestResult:
 
 @dataclass(frozen=True)
 class Comparison:
-    """A finished comparison: the two samples, the test, the exclusions."""
+    """A finished comparison: its title, the two samples, the test, the exclusions."""
 
     grouping: str
     indicator: str
+    title: str
     sample_a: Sample
     sample_b: Sample
     result: TestResult
     n_units: int
     excluded: int
+    exclusion_note: str
 
 
 def descriptive(values: Sequence[float], label: str = "") -> Sample:
@@ -277,9 +275,10 @@ def _paired_scope_samples(
     return xs, ys, excluded
 
 
-def _researcher_comparison(corpus: Corpus, grouping: str, indicator: str) -> Comparison:
+def _researcher_comparison(
+    corpus: Corpus, grouping: str, indicator: str, spec: ComparisonSpec
+) -> Comparison:
     """Welch's test on within-sector percentile ranks, collaborators vs the rest."""
-    spec = COMPARISONS[(grouping, indicator)]
     index = views.of(corpus)
     perf = index.performance
     population = [
@@ -297,7 +296,8 @@ def _researcher_comparison(corpus: Corpus, grouping: str, indicator: str) -> Com
     sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)
     sample_b = descriptive([ranks[r] for r in group_b], spec.label_b)
     result = welch_t(sample_a, sample_b)
-    return Comparison(grouping, indicator, sample_a, sample_b, result, len(population), excluded)
+    return Comparison(grouping, indicator, spec.title, sample_a, sample_b, result,
+                      len(population), excluded, spec.note.format(excluded=excluded))
 
 
 def compare(
@@ -313,17 +313,18 @@ def compare(
     per-scope means; the researcher grouping runs Welch's test on within-sector
     percentile ranks of the population in sectors with at least one article.
     """
-    if indicator not in INDICATORS_BY_GROUPING[grouping]:
+    spec = COMPARISONS.get((grouping, indicator))
+    if spec is None:
         raise UnknownIndicator(
-            f"indicator {indicator!r} is not valid for {grouping!r}; "
-            f"expected one of {INDICATORS_BY_GROUPING[grouping]}"
+            f"indicator {indicator!r} is not valid for {grouping!r}; expected one of "
+            f"{tuple(i for g, i in COMPARISONS if g == grouping)}"
         )
-    spec = COMPARISONS[(grouping, indicator)]
     index = views.of(corpus)
 
     if spec.scopes is None:
+        # its note names no floor, so one result serves every min_collab_pubs
         return index.memo(("compare", grouping, indicator),
-                          lambda: _researcher_comparison(corpus, grouping, indicator))
+                          lambda: _researcher_comparison(corpus, grouping, indicator, spec))
 
     floor = min_collab_pubs if spec.floor is None else spec.floor
     xs, ys, excluded = _paired_scope_samples(index, spec, floor)
@@ -334,4 +335,6 @@ def compare(
     sample_a = descriptive(xs, spec.label_a)
     sample_b = descriptive(ys, spec.label_b)
     result = paired_t(xs, ys)
-    return Comparison(grouping, indicator, sample_a, sample_b, result, n_units, excluded)
+    note = spec.note.format(excluded=excluded, min_collab_pubs=min_collab_pubs)
+    return Comparison(grouping, indicator, spec.title, sample_a, sample_b, result, n_units,
+                      excluded, note)

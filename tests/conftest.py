@@ -11,7 +11,7 @@ from collabmap.corpus import load_corpus
 from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
 from collabmap.harness import ComparisonOracle
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, multidisc_by_scope, sector_intensity
-from collabmap.stats import INDICATORS_BY_GROUPING, compare
+from collabmap.stats import COMPARISONS, compare
 
 DATA = Path(__file__).parent / "data"
 FIXTURE40 = DATA / "fixture40"
@@ -261,28 +261,27 @@ def assert_comparison_layer(corpus, out, min_collab_pubs, seed):
         rows = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs)
                 for r in multidisc_by_scope(corpus, selector)]
         assert_close(rows, oracle.multidisc_by_scope(selector), (seed, selector))
-    for grouping, indicators in INDICATORS_BY_GROUPING.items():
-        for indicator in indicators:
-            context = (seed, grouping, indicator)
+    for grouping, indicator in COMPARISONS:
+        context = (seed, grouping, indicator)
+        if grouping == RESEARCHERS:
+            xs, ys, excluded = oracle.researcher_groups(indicator)
+            n_units = len(xs) + len(ys)
+        else:
+            xs, ys, excluded = oracle.paired_samples(grouping, indicator,
+                                                     min_collab_pubs)
+            n_units = len(xs)
+        try:
+            c = compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
+        except (InsufficientData, InsufficientSectors):
+            assert min(len(xs), len(ys)) < 2, context
+            continue
+        except ZeroVariance:
             if grouping == RESEARCHERS:
-                xs, ys, excluded = oracle.researcher_groups(indicator)
-                n_units = len(xs) + len(ys)
+                constant = (xs, ys)
             else:
-                xs, ys, excluded = oracle.paired_samples(grouping, indicator,
-                                                         min_collab_pubs)
-                n_units = len(xs)
-            try:
-                c = compare(corpus, grouping, indicator, min_collab_pubs=min_collab_pubs)
-            except (InsufficientData, InsufficientSectors):
-                assert min(len(xs), len(ys)) < 2, context
-                continue
-            except ZeroVariance:
-                if grouping == RESEARCHERS:
-                    constant = (xs, ys)
-                else:
-                    constant = ([x - y for x, y in zip(xs, ys)],)
-                assert all(max(v) - min(v) <= 1e-9 for v in constant), context
-                continue
-            assert_close(c.sample_a.values, xs, context)
-            assert_close(c.sample_b.values, ys, context)
-            assert (c.n_units, c.excluded) == (n_units, excluded), context
+                constant = ([x - y for x, y in zip(xs, ys)],)
+            assert all(max(v) - min(v) <= 1e-9 for v in constant), context
+            continue
+        assert_close(c.sample_a.values, xs, context)
+        assert_close(c.sample_b.values, ys, context)
+        assert (c.n_units, c.excluded) == (n_units, excluded), context

@@ -7,12 +7,12 @@ from collabmap.collab import (
     CASE_ONE_N,
     CASE_ONE_ONE,
     COLLAB_CASES,
+    SELECTORS,
     SELECTOR_ALL,
     SELECTOR_EXTRAMURAL,
     SELECTOR_INDUSTRY,
     count_collaborations,
     extract_edges,
-    subset_mask,
 )
 from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
 from collabmap.harness import SynthConfig, generate
@@ -22,7 +22,8 @@ from conftest import FIXTURE40
 
 def _ids(corpus, selector):
     pubs = corpus.publications
-    return frozenset(pubs[i].pub_id for i in views.members(subset_mask(corpus, selector)))
+    chosen = getattr(views.of(corpus), SELECTORS[selector])
+    return frozenset(pubs[i].pub_id for i in views.members(chosen))
 
 
 EXPECTED_EDGES = [

@@ -1,6 +1,6 @@
-"""Metamorphic relations: input rewrites that must leave every table unchanged.
+"""Metamorphic relations: input rewrites and what they must do to the tables.
 
-Each relation is checked on fixture40 and on a generated corpus:
+Each of these relations is checked on fixture40 and on a generated corpus:
 
 - shuffling the data rows of all five input files, since the loader sorts
   and every aggregate iterates in id order;
@@ -16,19 +16,41 @@ Each relation is checked on fixture40 and on a generated corpus:
 
 Under each, every rank, multidisc and comparison table and the edge list
 stay byte-identical, and a table that cannot be computed fails the same way.
+
+Two more are checked on fixture40 and on small generated shapes:
+
+- adding one foreign private firm to every address list leaves the edge
+  list and every table built on industry co-authorship alone identical,
+  since a firm abroad is never industry; it does make single-university
+  articles extramural, so the tables of extramural output may change;
+- copying an industry article whose address list holds m universities and
+  n domestic firms, m * n > 1, under a new pub_id adds exactly m * n
+  collaborations to its case of ``count_collaborations``, and the copy's
+  m * n pairs to the edge list.
 """
 
 import csv
 import json
 import random
 import shutil
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collabmap import report, stats
-from collabmap.collab import SELECTORS
-from collabmap.corpus import load_corpus
+from collabmap.collab import (
+    CASE_M_N,
+    CASE_M_ONE,
+    CASE_ONE_N,
+    SELECTORS,
+    count_collaborations,
+    extract_edges,
+)
+from collabmap.corpus import DEFAULT_WINDOW, HOME_COUNTRY, load_corpus
 from collabmap.errors import CollabmapError
 from collabmap.harness import SynthConfig, generate
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
@@ -140,8 +162,7 @@ def _tables(corpus):
             report.build_multidisc_table, corpus, selector)
     for grouping, indicator in stats.COMPARISONS:
         builders[f"compare_{grouping}_{indicator}"] = partial(
-            report.build_comparison_table, corpus, grouping, indicator,
-            min_collab_pubs=MIN_COLLAB_PUBS)
+            stats.compare, corpus, grouping, indicator, min_collab_pubs=MIN_COLLAB_PUBS)
     out = {"edges": report.edges_csv(corpus)}
     for name, build in builders.items():
         try:
@@ -163,16 +184,17 @@ def generated(tmp_path_factory):
     return generate(SynthConfig(seed=7, n_pubs=5000), tmp_path_factory.mktemp("generated"))
 
 
-def _check_relation(source, tmp_path, rewrite):
+def _check_relation(source, tmp_path, rewrite, names=None):
     """Tables of ``source`` and of a copy changed by ``rewrite``, which may
-    return the ``load_corpus`` arguments the copy is loaded with."""
+    return the ``load_corpus`` arguments the copy is loaded with; the tables
+    ``names`` lists, or all of them, must be identical."""
     before = load_corpus(source)
     data_dir = shutil.copytree(source, tmp_path / "rewritten")
     after = load_corpus(data_dir, **(rewrite(data_dir) or {}))
     want, got = _tables(before), _tables(after)
     assert want.keys() == got.keys()
     # the names alone: a diff of two large tables takes pytest minutes to print
-    changed = [name for name in want if got[name] != want[name]]
+    changed = [name for name in names or want if got[name] != want[name]]
     assert not changed, changed
     return before, after, want
 
@@ -202,3 +224,94 @@ def test_tied_impact_factors_ignore_journal_id_order(request, tmp_path, source):
     tied = shutil.copytree(source, tmp_path / "tied")
     _tie_impact_factors(tied)
     _check_relation(tied, tmp_path, _reverse_journal_ids)
+
+
+# small generated corpora: few enough publications that a shape loads in
+# milliseconds, with few universities and firms so that m * n > 1 is common
+SHAPES = st.builds(
+    SynthConfig, seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n_pubs=st.integers(min_value=20, max_value=120),
+    n_universities=st.integers(min_value=1, max_value=4),
+    n_firms=st.integers(min_value=1, max_value=6),
+    n_researchers=st.integers(min_value=2, max_value=30),
+    n_journals=st.integers(min_value=1, max_value=8),
+    industry_rate=st.floats(min_value=0.2, max_value=1.0))
+
+FOREIGN_FIRM = "FRM-ABROAD"
+# the tables that read industry co-authorship and never the extramural subset
+INDUSTRY_ONLY = ("edges", "compare_sds_all_vs_industry_ifpr",
+                 "compare_multidisc_all_vs_industry_ii_sds",
+                 "compare_multidisc_all_vs_industry_ii_sci",
+                 "compare_researchers_industry_vs_rest_o",
+                 "compare_researchers_industry_vs_rest_fss")
+
+
+def _add_foreign_firm(data_dir):
+    def edit(header, rows):
+        rows.append([FOREIGN_FIRM, "Firma Estera GmbH", "private_firm", "DE"])
+    _edit_csv(data_dir / "organizations.csv", edit)
+    _edit_publications(data_dir, lambda record: record["address_org_ids"].append(FOREIGN_FIRM))
+
+
+def _parties(data_dir):
+    """Each in-window publication record, read from the raw files, with its
+    number of universities m and domestic firms n."""
+    with (data_dir / "organizations.csv").open(encoding="utf-8", newline="") as fh:
+        orgs = list(csv.DictReader(fh))
+    universities = {o["org_id"] for o in orgs if o["kind"] == "university"}
+    firms = {o["org_id"] for o in orgs
+             if o["kind"] == "private_firm" and o["country"] == HOME_COUNTRY}
+    lo, hi = DEFAULT_WINDOW
+    for line in (data_dir / "publications.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if lo <= record["year"] <= hi:
+            addresses = set(record["address_org_ids"])
+            yield record, len(addresses & universities), len(addresses & firms)
+
+
+def _check_copied_article(source, tmp_path):
+    """Copy the first article with m * n > 1; False when there is none."""
+    found = next(((record, m, n) for record, m, n in _parties(source) if m * n > 1), None)
+    if found is None:
+        return False
+    record, m, n = found
+    data_dir = shutil.copytree(source, tmp_path / "copied")
+    copy = dict(record, pub_id=record["pub_id"] + "-copy")
+    with (data_dir / "publications.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(copy) + "\n")
+    before, after = load_corpus(source), load_corpus(data_dir)
+    case = CASE_ONE_N if m == 1 else CASE_M_ONE if n == 1 else CASE_M_N
+    want, got = count_collaborations(before), count_collaborations(after)
+    assert got.collaborations_by_case == {
+        c: k + m * n * (c == case) for c, k in want.collaborations_by_case.items()}
+    assert got.articles_by_case == {
+        c: k + (c == case) for c, k in want.articles_by_case.items()}
+    assert got.total_collaborations == want.total_collaborations + m * n
+    edges = extract_edges(before)
+    added = [(copy["pub_id"], u, f) for pub_id, u, f in edges if pub_id == record["pub_id"]]
+    assert len(added) == m * n
+    assert extract_edges(after) == sorted(edges + added)
+    return True
+
+
+def test_fixture40_foreign_firm_keeps_industry_tables(tmp_path):
+    _check_relation(FIXTURE40, tmp_path, _add_foreign_firm, INDUSTRY_ONLY)
+
+
+def test_fixture40_copied_article_adds_m_times_n(tmp_path):
+    assert _check_copied_article(FIXTURE40, tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SHAPES)
+def test_generated_foreign_firm_keeps_industry_tables(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = generate(config, Path(tmp) / "source")
+        _check_relation(source, Path(tmp), _add_foreign_firm, INDUSTRY_ONLY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SHAPES)
+def test_generated_copied_article_adds_m_times_n(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        assume(_check_copied_article(generate(config, Path(tmp) / "source"), Path(tmp)))

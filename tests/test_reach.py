@@ -144,7 +144,13 @@ def _statements_per_function():
 # well-formed copies of fixture40 that reach what fixture40 itself does
 # not: {file: edit} as in conftest.MALFORMED, a command, and its exit code
 VARIANTS = {
-    "blank_lines": ({"publications.jsonl": lambda text: text + "\n\n"}, ["validate"], 0),
+    "blank_lines": ({"publications.jsonl": lambda text: text + "\n\n",
+                     "roster.csv": lambda text: text.replace("\n", "\n\n", 1)},
+                    ["validate"], 0),
+    # a journal ranked only before the window: no record in any year's ranking
+    "journal_outside_window": (
+        {"journals.csv": lambda text: text + "JRN-OLD,Old Journal,1995,1.0,CAT-X\n"},
+        ["compare", "--grouping", "sds_all_vs_industry", "--indicator", "ifpr"], 0),
     # one category per journal: every category's paired difference is 0
     "one_category_per_journal": (
         {"journals.csv": lambda text: text.replace("CAT-A;CAT-B;CAT-C", "CAT-C")

@@ -14,15 +14,13 @@ from collabmap.report import (
     METRICS,
     TOP_SDS,
     TOP_UDA,
-    ComparisonTable,
-    build_comparison_table,
     build_multidisc_table,
     build_rank_table,
     edges_csv,
     render,
     render_all,
 )
-from collabmap.stats import COMPARISONS
+from collabmap.stats import COMPARISONS, Comparison, compare
 
 from conftest import FIXTURE40, GOLDEN, GOLDEN_FORMATS, oracle_edges
 
@@ -62,10 +60,9 @@ def test_golden_byte_identical(rendered, name):
 FORMAT_GOLDENS = {
     "rank_sds_pct_coauth.json": lambda c: build_rank_table(c, LEVEL_SDS, "pct_coauth"),
     "compare_sds_all_vs_collab_ifpr.csv":
-        lambda c: build_comparison_table(c, "sds_all_vs_collab", "ifpr", min_collab_pubs=3),
+        lambda c: compare(c, "sds_all_vs_collab", "ifpr", min_collab_pubs=3),
     "compare_researchers_industry_vs_rest_fss.md":
-        lambda c: build_comparison_table(c, "researchers_industry_vs_rest", "fss",
-                                         min_collab_pubs=3),
+        lambda c: compare(c, "researchers_industry_vs_rest", "fss", min_collab_pubs=3),
     **{f"multidisc_industry_coauthored.{fmt}":
        lambda c: build_multidisc_table(c, "industry_coauthored") for fmt in FORMATS},
 }
@@ -129,7 +126,7 @@ def test_rank_table_render_roundtrip(corpus40):
 
 
 def test_comparison_csv_and_json_agree(corpus40):
-    table = build_comparison_table(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
+    table = compare(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
     payload = json.loads(render(table, "json"))
     rows = {r[0]: r[1:] for r in csv.reader(io.StringIO(render(table, "csv")))}
     assert float(rows["mean"][0]) == payload["sample_a"]["mean"]
@@ -143,7 +140,7 @@ def test_comparison_csv_and_json_agree(corpus40):
 
 
 def test_comparison_exclusion_note_carries_floor(corpus40):
-    table = build_comparison_table(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
+    table = compare(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
     assert "3" in table.exclusion_note
     md = render(table, "md")
     assert table.exclusion_note in md
@@ -151,7 +148,7 @@ def test_comparison_exclusion_note_carries_floor(corpus40):
 
 
 def test_small_p_values_use_scientific_notation(corpus40):
-    table = build_comparison_table(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
+    table = compare(corpus40, "sds_all_vs_collab", "ifpr", min_collab_pubs=3)
     patched = json.loads(render(table, "json"))
     assert patched["p_two"] == 0.737
     # a tiny p-value formats as d.dddE-dd and survives the JSON round trip
@@ -189,7 +186,7 @@ def _cell_agrees(cell, value):
 def _assert_formats_agree(table, context):
     payload = json.loads(render(table, "json"))
     csv_rows = list(csv.reader(io.StringIO(render(table, "csv"))))
-    if isinstance(table, ComparisonTable):
+    if isinstance(table, Comparison):
         a, b = payload["sample_a"], payload["sample_b"]
         want = [["field", a["label"], b["label"]],
                 *([f, a[f], b[f]] for f in ("mean", "variance", "n")),
@@ -219,7 +216,7 @@ def test_csv_json_and_markdown_agree(corpus40, tmp_path):
         corpora[f"seed{seed}"] = load_corpus(out)
     for name, corpus in corpora.items():
         # at min_collab_pubs=3 every comparison computes on these four corpora
-        tables = [build_comparison_table(corpus, grouping, indicator, min_collab_pubs=3)
+        tables = [compare(corpus, grouping, indicator, min_collab_pubs=3)
                   for grouping, indicator in COMPARISONS]
         tables += [build_rank_table(corpus, level, metric)
                    for level in (LEVEL_SDS, LEVEL_UDA) for metric in METRICS]

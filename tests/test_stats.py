@@ -9,7 +9,6 @@ from collabmap import errors
 from collabmap.stats import (
     COMPARISONS,
     GROUPINGS,
-    INDICATORS_BY_GROUPING,
     Sample,
     _beta_contfrac,
     _p_values,
@@ -370,8 +369,8 @@ def test_compare_pinned(corpus40, grouping, indicator):
 
 
 def test_compare_groupings_cover_all_indicators():
-    assert set(INDICATORS_BY_GROUPING) == set(GROUPINGS)
-    assert sum(len(v) for v in INDICATORS_BY_GROUPING.values()) == 8
+    assert {grouping for grouping, _ in COMPARISONS} == set(GROUPINGS)
+    assert len(COMPARISONS) == 8
 
 
 def test_compare_sample_details(corpus40):
@@ -422,5 +421,7 @@ def test_compare_rejects_negative_floor(corpus40):
 
 
 def test_compare_rejects_unknown_names(corpus40):
+    with pytest.raises(errors.UnknownIndicator, match=r"expected one of \('o', 'fss'\)$"):
+        compare(corpus40, "researchers_industry_vs_rest", "ifpr")
     with pytest.raises(errors.UnknownIndicator):
         compare(corpus40, "sds_all_vs_collab", "fss")
