@@ -335,7 +335,7 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
     Values come in header order, stripped of surrounding whitespace. The
     first two fields are a row's id and name, which must be non-empty.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -541,7 +541,7 @@ def _load_publications(
     kept: list[Publication] = []
     seen: set[str] = set()
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

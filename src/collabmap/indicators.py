@@ -8,6 +8,7 @@ order, so all results are deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,13 +23,10 @@ LEVEL_UDA = "uda"
 
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
-    counts: dict[str, int] = {}
-    for researcher in corpus.researchers.values():
-        scope = researcher.sds_id
-        if level == LEVEL_UDA:
-            scope = corpus.taxonomy.uda_of(scope)
-        counts[scope] = counts.get(scope, 0) + 1
-    return counts
+    sectors = (researcher.sds_id for researcher in corpus.researchers.values())
+    if level == LEVEL_UDA:
+        sectors = map(corpus.taxonomy.uda_of, sectors)
+    return Counter(sectors)
 
 
 @dataclass(frozen=True)

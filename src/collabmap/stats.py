@@ -1,11 +1,11 @@
 """Statistics kernel and corpus comparison assembly.
 
 The kernel is self-contained: descriptive statistics, the paired t-test, the
-Welch two-sample t-test, and the t-distribution tail ``_tail`` that both
-p-values come from, evaluated through the regularized incomplete beta function
-(Lentz continued fraction). On top of it, :func:`compare` assembles the
-aligned samples for each corpus comparison listed in :data:`COMPARISONS` and
-runs the appropriate test.
+Welch two-sample t-test, and the t-distribution tail ``_tail``, the only
+source of both p-values, evaluated through the regularized incomplete beta
+function (Lentz continued fraction). On top of it, :func:`compare` assembles
+the aligned samples for each corpus comparison listed in :data:`COMPARISONS`
+and runs the appropriate test.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ def descriptive(values: Sequence[float], label: str = "") -> Sample:
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
-    # modified Lentz evaluation of the continued fraction for I_x(a, b)
+    # modified Lentz evaluation of the continued fraction for I_x(a, b); each
+    # iteration takes the even step, then the odd one, and tests convergence
+    # on the odd step's factor
     tiny = 1e-300
     eps = 1e-16
     qab = a + b
@@ -163,26 +165,17 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= d * c
+        if abs(d * c - 1.0) < eps:
             return h
     raise NoConvergence(f"incomplete beta fraction for a={a!r}, b={b!r}, x={x!r}")
 
@@ -202,18 +195,13 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
 
 
 def _tail(t: float, df: float) -> float:
-    """P(T > |t|) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
-    return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
+    """P(T > |t|) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
 
-
-def _p_values(t: float, df: float) -> tuple[float, float]:
-    """One-tail p on the observed side, and the symmetric two-tail p.
-
+    This is the one-tail p on the observed side, and twice it the two-tail p.
     Both come from the tail itself, never from 1 - cdf, so they keep full
     relative precision however small they get.
     """
-    p_one = _tail(t, df)
-    return p_one, 2.0 * p_one
+    return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
 
 
 def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
@@ -221,15 +209,13 @@ def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     n = len(xs)
     if n < 2:
         raise InsufficientData("paired test needs at least 2 pairs")
-    diffs = [x - y for x, y in zip(xs, ys)]
-    mean_d = sum(diffs) / n
-    var_d = sum((d - mean_d) ** 2 for d in diffs) / (n - 1)
-    if var_d == 0.0:
+    diffs = descriptive([x - y for x, y in zip(xs, ys)])
+    if diffs.variance == 0.0:
         raise ZeroVariance("all pairwise differences are equal")
-    t = mean_d / (sqrt(var_d) / sqrt(n))
+    t = diffs.mean / (sqrt(diffs.variance) / sqrt(n))
     df = float(n - 1)
-    p_one, p_two = _p_values(t, df)
-    return TestResult(t=t, df=df, p_one=p_one, p_two=p_two, kind="paired")
+    p_one = _tail(t, df)
+    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one, kind="paired")
 
 
 def welch_t(a: Sample, b: Sample) -> TestResult:
@@ -244,8 +230,8 @@ def welch_t(a: Sample, b: Sample) -> TestResult:
         raise ZeroVariance("both groups have zero variance")
     t = (a.mean - b.mean) / sqrt(pooled)
     df = pooled * pooled / (se_a * se_a / (a.n - 1) + se_b * se_b / (b.n - 1))
-    p_one, p_two = _p_values(t, df)
-    return TestResult(t=t, df=df, p_one=p_one, p_two=p_two, kind="welch")
+    p_one = _tail(t, df)
+    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one, kind="welch")
 
 
 # -- comparison assembly ----------------------------------------------------------

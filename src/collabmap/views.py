@@ -29,6 +29,7 @@ that ``ifpr`` and the researcher comparisons rank with live here too.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, count
@@ -101,19 +102,11 @@ def midrank_percentiles(values: Sequence[float]) -> list[float]:
     ranks unchanged.
     """
     n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    out = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        equal = j - i + 1
-        pct = 100.0 * (i + 0.5 * equal) / n
-        for k in range(i, j + 1):
-            out[order[k]] = pct
-        i = j + 1
-    return out
+    ordered = sorted(values)
+    # 50 * (below + below + equal) is the exact integer 100 * below + 50 * equal;
+    # ties share one float, as the rankings keep one per researcher and journal
+    pct = {v: 50.0 * (bisect_left(ordered, v) + bisect_right(ordered, v)) / n for v in ordered}
+    return [pct[v] for v in values]
 
 
 def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:

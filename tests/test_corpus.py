@@ -438,6 +438,15 @@ def test_shared_records_equal_unshared_copies(corpus40):
     assert render_all(unshared, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
 
 
+def test_byte_order_mark_is_accepted(fixture_copy, corpus40):
+    # spreadsheet exports often start a UTF-8 file with an invisible BOM
+    for path in fixture_copy.iterdir():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    corpus = load_corpus(fixture_copy)
+    assert corpus == corpus40
+    assert render_all(corpus, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
+
+
 def test_loaded_corpus_memory_bound(tmp_path):
     # retained bytes per in-window publication, measured as perfbench's memory pass does
     generate(SynthConfig(seed=1234, n_pubs=5000), tmp_path)

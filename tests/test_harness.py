@@ -309,9 +309,11 @@ def test_generated_corpus_loads_under_its_own_years(tmp_path):
 
 
 def test_oracle_percentiles_matches_engine():
+    # negative values, and -0.0 tied with 0.0
     rng = SplitMix64(3)
     for _ in range(50):
-        values = [float(rng.below(20)) for _ in range(1 + rng.below(40))]
+        values = [float(rng.below(20)) - 8.0 for _ in range(1 + rng.below(40))]
+        values += [0.0, -0.0][: rng.below(3)]
         assert oracle_percentiles(values) == midrank_percentiles(values)
 
 

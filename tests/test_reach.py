@@ -60,7 +60,7 @@ ALLOWED = {
         'raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")',
         'raise InvariantViolation(f"{where}: no authors")')),
     "stats._beta_contfrac": (_DATA, (
-        "d = tiny", "d = tiny", "c = tiny", "d = tiny", "c = tiny",
+        "d = tiny", "d = tiny", "c = tiny",
         'raise NoConvergence(f"incomplete beta fraction for a={a!r}, b={b!r}, x={x!r}")')),
     "stats._reg_inc_beta": (_DATA, ("return 0.0", "return 1.0")),
     "stats.welch_t": (_DATA, ('raise ZeroVariance("both groups have zero variance")',)),
