@@ -1,15 +1,14 @@
-"""Synthetic corpus generation and naive verification oracles.
+"""Synthetic corpus generation and the one oracle the benchmark needs.
 
 The generator is fully determined by its seed: it draws from SplitMix64, a
 documented 64-bit generator, in a fixed order, so equal configs produce
 byte-identical data directories.
 
-The oracles re-derive collaboration counts, per-researcher indicators, sector
-intensity, multidisciplinarity and the samples of every comparison by brute
-force, parsing the raw files directly. They share no logic with the analysis
-modules: collaboration pairs are enumerated one by one, percentiles are
-computed by quadratic pairwise counting, and every scope is rebuilt by
-filtering the full publication list.
+``oracle_collab_counts`` re-derives the collaboration totals by brute force
+from the raw files, sharing no logic with the analysis modules. The other
+raw-file oracles live with the tests, in ``tests/oracles.py``; this one stays
+in the package because the benchmark (``perfbench/run.py``) imports it to
+check every edge list it times.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import (
     DEFAULT_WINDOW,
@@ -28,7 +26,7 @@ from .corpus import (
     ROSTER_FIELDS,
     TAXONOMY_FIELDS,
 )
-from .errors import InvalidConfig, MissingFile
+from .errors import InvalidConfig
 
 _MASK64 = (1 << 64) - 1
 
@@ -255,59 +253,10 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     return out_dir
 
 
-# -- oracles -------------------------------------------------------------------------
+# -- oracle ----------------------------------------------------------------------------
 #
-# Everything below reads the raw files with csv/json directly and recomputes
-# results naively. Intentionally no imports from the analysis modules.
-
-def _read_raw(data_dir: str | Path) -> dict:
-    data_dir = Path(data_dir)
-    for name in ("organizations.csv", "journals.csv", "roster.csv", "publications.jsonl"):
-        if not (data_dir / name).is_file():
-            raise MissingFile(str(data_dir / name))
-
-    org_kind = {}
-    org_country = {}
-    with (data_dir / "organizations.csv").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            org_kind[row["org_id"]] = row["kind"]
-            org_country[row["org_id"]] = row["country"]
-
-    journal_rows = []
-    with (data_dir / "journals.csv").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            journal_rows.append(
-                {
-                    "journal_id": row["journal_id"],
-                    "year": int(row["year"]),
-                    "impact_factor": float(row["impact_factor"]),
-                    "categories": [c.strip() for c in row["sci_categories"].split(";") if c.strip()],
-                }
-            )
-
-    roster = {}
-    with (data_dir / "roster.csv").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            roster[row["researcher_id"]] = row["sds_id"]
-
-    pubs = []
-    with (data_dir / "publications.jsonl").open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                pubs.append(json.loads(line))
-
-    return {
-        "org_kind": org_kind,
-        "org_country": org_country,
-        "journal_rows": journal_rows,
-        "roster": roster,
-        "pubs": pubs,
-    }
-
-
-def _in_window(pub: dict, window: tuple[int, int]) -> bool:
-    return window[0] <= pub["year"] <= window[1]
-
+# Reads the raw files with csv/json directly and tallies naively.
+# Intentionally no imports from the analysis modules.
 
 @dataclass(frozen=True)
 class OracleCollabCounts:
@@ -324,44 +273,49 @@ def oracle_collab_counts(
     window: tuple[int, int] = DEFAULT_WINDOW,
     home_country: str = HOME_COUNTRY,
 ) -> OracleCollabCounts:
-    """Brute-force collaboration totals from the raw files.
+    """Brute-force collaboration totals from organizations.csv and
+    publications.jsonl.
 
     Every (university, domestic firm) pair of every in-window publication is
     enumerated explicitly and tallied.
     """
-    raw = _read_raw(data_dir)
-    org_kind = raw["org_kind"]
-    org_country = raw["org_country"]
+    data_dir = Path(data_dir)
+    with (data_dir / "organizations.csv").open(newline="", encoding="utf-8") as fh:
+        orgs = {row["org_id"]: (row["kind"], row["country"]) for row in csv.DictReader(fh)}
 
     cases = ("one_one", "m_one", "one_n", "m_n")
     articles = {case: 0 for case in cases}
     collaborations = {case: 0 for case in cases}
-    for pub in raw["pubs"]:
-        if not _in_window(pub, window):
-            continue
-        universities = []
-        firms = []
-        for org_id in set(pub["address_org_ids"]):
-            if org_kind[org_id] == "university":
-                universities.append(org_id)
-            elif org_kind[org_id] == "private_firm" and org_country[org_id] == home_country:
-                firms.append(org_id)
-        pairs = []
-        for univ in universities:
-            for firm in firms:
-                pairs.append((univ, firm))
-        if not pairs:
-            continue  # case: none
-        if len(universities) == 1 and len(firms) == 1:
-            case = "one_one"
-        elif len(firms) == 1:
-            case = "m_one"
-        elif len(universities) == 1:
-            case = "one_n"
-        else:
-            case = "m_n"
-        articles[case] += 1
-        collaborations[case] += len(pairs)
+    with (data_dir / "publications.jsonl").open(encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            pub = json.loads(line)
+            if not window[0] <= pub["year"] <= window[1]:
+                continue
+            universities = []
+            firms = []
+            for org_id in set(pub["address_org_ids"]):
+                if orgs[org_id][0] == "university":
+                    universities.append(org_id)
+                elif orgs[org_id] == ("private_firm", home_country):
+                    firms.append(org_id)
+            pairs = []
+            for univ in universities:
+                for firm in firms:
+                    pairs.append((univ, firm))
+            if not pairs:
+                continue  # case: none
+            if len(universities) == 1 and len(firms) == 1:
+                case = "one_one"
+            elif len(firms) == 1:
+                case = "m_one"
+            elif len(universities) == 1:
+                case = "one_n"
+            else:
+                case = "m_n"
+            articles[case] += 1
+            collaborations[case] += len(pairs)
 
     return OracleCollabCounts(
         total_collaborations=sum(collaborations.values()),
@@ -369,219 +323,3 @@ def oracle_collab_counts(
         articles_by_case=articles,
         collaborations_by_case=collaborations,
     )
-
-
-def oracle_percentiles(values: Sequence[float]) -> list[float]:
-    """Quadratic midrank percentiles: count below and equal, pair by pair."""
-    n = len(values)
-    out = []
-    for v in values:
-        below = 0
-        equal = 0
-        for w in values:
-            if w < v:
-                below += 1
-            elif w == v:
-                equal += 1
-        out.append(100.0 * (below + 0.5 * equal) / n)
-    return out
-
-
-def _oracle_journal_record(raw: dict, journal_id: str, year: int,
-                           window: tuple[int, int]) -> dict | None:
-    rows = [r for r in raw["journal_rows"] if r["journal_id"] == journal_id]
-    in_window = [r for r in rows if window[0] <= r["year"] <= window[1]]
-    exact = [r for r in in_window if r["year"] == year]
-    if exact:
-        return exact[0]
-    if not in_window:
-        return None
-    return min(in_window, key=lambda r: (abs(r["year"] - year), r["year"]))
-
-
-def oracle_ifpr_by_publication(
-    data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW
-) -> dict[str, float]:
-    """Per-article impact percentile, recomputed naively per year."""
-    raw = _read_raw(data_dir)
-    pubs = [p for p in raw["pubs"] if _in_window(p, window)]
-    journal_ids = sorted({r["journal_id"] for r in raw["journal_rows"]})
-
-    result = {}
-    for year in sorted({p["year"] for p in pubs}):
-        records = {}
-        for journal_id in journal_ids:
-            record = _oracle_journal_record(raw, journal_id, year, window)
-            if record is not None:
-                records[journal_id] = record
-        categories = sorted({c for r in records.values() for c in r["categories"]})
-        rank: dict[tuple[str, str], float] = {}
-        for cat in categories:
-            members = sorted(j for j, r in records.items() if cat in r["categories"])
-            pcts = oracle_percentiles([records[j]["impact_factor"] for j in members])
-            for journal_id, pct in zip(members, pcts):
-                rank[(journal_id, cat)] = pct
-        for pub in pubs:
-            if pub["year"] != year:
-                continue
-            cats = sorted(records[pub["journal_id"]]["categories"])
-            total = 0.0
-            for cat in cats:
-                total += rank[(pub["journal_id"], cat)]
-            result[pub["pub_id"]] = total / len(cats)
-    return result
-
-
-def oracle_researcher_outputs(
-    data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW
-) -> dict[str, int]:
-    """Publication counts per roster researcher, by direct scan."""
-    raw = _read_raw(data_dir)
-    counts = {rid: 0 for rid in raw["roster"]}
-    for pub in raw["pubs"]:
-        if not _in_window(pub, window):
-            continue
-        linked = {a["researcher_id"] for a in pub["authors"] if a["researcher_id"] is not None}
-        for rid in linked:
-            counts[rid] += 1
-    return counts
-
-
-def oracle_researcher_fss(
-    data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW
-) -> dict[str, float]:
-    """Fractional scientific strength per researcher, by direct scan."""
-    raw = _read_raw(data_dir)
-    ifpr = oracle_ifpr_by_publication(data_dir, window)
-    totals = {rid: 0.0 for rid in raw["roster"]}
-    for pub in raw["pubs"]:
-        if not _in_window(pub, window):
-            continue
-        linked = {a["researcher_id"] for a in pub["authors"] if a["researcher_id"] is not None}
-        for rid in sorted(linked):
-            totals[rid] += (ifpr[pub["pub_id"]] / 100.0) / len(pub["authors"])
-    return totals
-
-
-class ComparisonOracle:
-    """Naive sector intensity, multidisciplinarity and comparison samples.
-
-    Reads a data directory once and reduces each in-window publication, in
-    pub_id order, to its author sectors and areas, journal categories, impact
-    percentile, linked researchers, and two flags: extramural (two or more
-    address organizations, one a university) and industry (a university and
-    a domestic firm). Every query filters that full list scope by scope.
-    """
-
-    def __init__(self, data_dir: str | Path, window: tuple[int, int] = DEFAULT_WINDOW,
-                 home_country: str = HOME_COUNTRY):
-        self._data_dir, self._window = data_dir, window
-        raw = _read_raw(data_dir)
-        ifpr = oracle_ifpr_by_publication(data_dir, window)
-        with (Path(data_dir) / "taxonomy.csv").open(newline="", encoding="utf-8") as fh:
-            self._sds_area = {row["sds_id"]: row["uda_id"] for row in csv.DictReader(fh)}
-        self._roster = raw["roster"]
-        self._facts = []
-        for pub in sorted((p for p in raw["pubs"] if _in_window(p, window)),
-                          key=lambda p: p["pub_id"]):
-            orgs = set(pub["address_org_ids"])
-            kinds = {raw["org_kind"][o] for o in orgs}
-            domestic_firm = any(raw["org_kind"][o] == "private_firm"
-                                and raw["org_country"][o] == home_country for o in orgs)
-            researchers = {a["researcher_id"] for a in pub["authors"]} - {None}
-            sectors = {raw["roster"][r] for r in researchers}
-            record = _oracle_journal_record(raw, pub["journal_id"], pub["year"], window)
-            self._facts.append({
-                "sds": sectors,
-                "uda": {self._sds_area[s] for s in sectors},
-                "categories": set(record["categories"]),
-                "ifpr": ifpr[pub["pub_id"]],
-                "researchers": researchers,
-                "extramural": len(orgs) >= 2 and "university" in kinds,
-                "industry": "university" in kinds and domestic_firm,
-            })
-
-    def _scopes(self, key: str) -> list[str]:
-        return sorted({s for f in self._facts for s in f[key]})
-
-    def sector_intensity(self, level: str = "sds") -> list[tuple]:
-        """(sector, industry articles, % of all, % of extramural, per
-        researcher) per sector ("sds") or area ("uda"); undefined is None."""
-        heads: dict[str, int] = {}
-        for sds_id in self._roster.values():
-            scope = sds_id if level == "sds" else self._sds_area[sds_id]
-            heads[scope] = heads.get(scope, 0) + 1
-        rows = []
-        for scope in self._scopes(level):
-            members = [f for f in self._facts if scope in f[level]]
-            n_extramural = sum(1 for f in members if f["extramural"])
-            n_industry = sum(1 for f in members if f["industry"])
-            rows.append((scope, n_industry, 100.0 * n_industry / len(members),
-                         100.0 * n_industry / n_extramural if n_extramural else None,
-                         n_industry / heads[scope] if heads.get(scope) else None))
-        return rows
-
-    def multidisc_by_scope(self, selector: str) -> list[tuple]:
-        """(scope, mean sectors, mean categories, n) over the articles the
-        selector keeps: sectors first, then categories, empty scopes left out."""
-        flag = {"extramural_collab": "extramural", "industry_coauthored": "industry"}
-        chosen = [f for f in self._facts if selector == "all" or f[flag[selector]]]
-        rows = []
-        for key in ("sds", "categories"):
-            for scope in self._scopes(key):
-                counts = [len(f[key]) for f in chosen if scope in f[key]]
-                if counts:
-                    mean = sum(counts) / len(counts)
-                    rows.append((scope, mean, None, len(counts)) if key == "sds"
-                                else (scope, None, mean, len(counts)))
-        return rows
-
-    def paired_samples(self, grouping: str, indicator: str,
-                       min_collab_pubs: int = 7) -> tuple[list[float], list[float], int]:
-        """Aligned per-scope means of a paired comparison, and its exclusions.
-
-        Scopes are sectors, or categories for ``ii_sci``. Side a is a scope's
-        articles (its extramural ones for ``multidisc_collab_vs_industry``),
-        side b its industry ones (extramural for ``sds_all_vs_collab``). An
-        empty side a skips the scope. ``sds_all_vs_collab`` also skips a
-        scope with no extramural article and excludes one with fewer than
-        ``min_collab_pubs``; the others exclude an empty side b.
-        """
-        key = "categories" if indicator == "ii_sci" else "sds"
-        xs: list[float] = []
-        ys: list[float] = []
-        excluded = 0
-        for scope in self._scopes(key):
-            side_a = [f for f in self._facts if scope in f[key]]
-            if grouping == "multidisc_collab_vs_industry":
-                side_a = [f for f in side_a if f["extramural"]]
-            side_b = [f for f in self._facts if scope in f[key]
-                      and f["extramural" if grouping == "sds_all_vs_collab" else "industry"]]
-            if not side_a or (grouping == "sds_all_vs_collab" and not side_b):
-                continue
-            if len(side_b) < (min_collab_pubs if grouping == "sds_all_vs_collab" else 1):
-                excluded += 1
-                continue
-            for side, out in ((side_a, xs), (side_b, ys)):
-                values = [f["ifpr"] if indicator == "ifpr" else len(f[key]) for f in side]
-                out.append(sum(values) / len(values))
-        return xs, ys, excluded
-
-    def researcher_groups(self, indicator: str) -> tuple[list[float], list[float], int]:
-        """Within-sector percentile ranks of output ("o") or fss of the
-        industry collaborators and of the rest, in researcher id order, and
-        the count of researchers whose sector has no article."""
-        if indicator == "o":
-            values = oracle_researcher_outputs(self._data_dir, self._window)
-        else:
-            values = oracle_researcher_fss(self._data_dir, self._window)
-        active = set(self._scopes("sds"))
-        population = sorted(r for r, s in self._roster.items() if s in active)
-        ranks = {}
-        for sector in active:
-            members = [r for r in population if self._roster[r] == sector]
-            ranks.update(zip(members, oracle_percentiles([values[r] for r in members])))
-        collaborators = {r for f in self._facts if f["industry"] for r in f["researchers"]}
-        group_a = [ranks[r] for r in population if r in collaborators]
-        group_b = [ranks[r] for r in population if r not in collaborators]
-        return group_a, group_b, len(self._roster) - len(population)

@@ -1,4 +1,3 @@
-import csv
 import json
 import shutil
 from pathlib import Path
@@ -9,9 +8,10 @@ from collabmap import views
 from collabmap.collab import SELECTORS
 from collabmap.corpus import load_corpus
 from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
-from collabmap.harness import ComparisonOracle
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, multidisc_by_scope, sector_intensity
 from collabmap.stats import COMPARISONS, compare
+
+from oracles import Oracle
 
 DATA = Path(__file__).parent / "data"
 FIXTURE40 = DATA / "fixture40"
@@ -48,26 +48,6 @@ def assert_close(got, want, context):
             assert g is not None and abs(g - w) <= 1e-9, (context, g, w)
         else:
             assert g == w, (context, g, w)
-
-
-def oracle_edges(data_dir, window, home_country):
-    """Sorted (pub, university, domestic firm) triples of the in-window
-    articles, read from organizations.csv and publications.jsonl alone."""
-    with (Path(data_dir) / "organizations.csv").open(newline="", encoding="utf-8") as fh:
-        orgs = {row["org_id"]: (row["kind"], row["country"]) for row in csv.DictReader(fh)}
-    triples = []
-    with (Path(data_dir) / "publications.jsonl").open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            pub = json.loads(line)
-            if not window[0] <= pub["year"] <= window[1]:
-                continue
-            addresses = set(pub["address_org_ids"])
-            universities = [o for o in addresses if orgs[o][0] == "university"]
-            firms = [o for o in addresses if orgs[o] == ("private_firm", home_country)]
-            triples += [(pub["pub_id"], u, f) for u in universities for f in firms]
-    return sorted(triples)
 
 
 def _replace(old, new):
@@ -252,7 +232,7 @@ RESEARCHERS = "researchers_industry_vs_rest"
 def assert_comparison_layer(corpus, out, min_collab_pubs, seed):
     """Sector intensity, multidisc rows and every comparison's samples of
     ``corpus`` equal the raw-file oracles of ``out`` over the same window."""
-    oracle = ComparisonOracle(out, window=corpus.window)
+    oracle = Oracle(out, corpus.window, corpus.home_country)
     for level in (LEVEL_SDS, LEVEL_UDA):
         rows = [(r.sector_id, r.n_industry_coauth, r.pct_of_all, r.pct_of_coauth,
                  r.per_researcher) for r in sector_intensity(corpus, level)]

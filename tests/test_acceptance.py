@@ -13,21 +13,14 @@ import pytest
 from collabmap import views
 from collabmap.collab import count_collaborations, extract_edges
 from collabmap.corpus import load_corpus
-from collabmap.harness import (
-    SplitMix64,
-    SynthConfig,
-    generate,
-    oracle_collab_counts,
-    oracle_ifpr_by_publication,
-    oracle_researcher_fss,
-    oracle_researcher_outputs,
-)
+from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, sector_intensity
 from collabmap.report import render_all
 from collabmap.stats import _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 from conftest import GOLDEN, assert_comparison_layer, ifpr_by_pub_id
+from oracles import Oracle
 from test_collab import _assert_grid_cell, _grid
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
@@ -72,16 +65,15 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
         assert dataclasses.asdict(summary) == dataclasses.asdict(oracle_collab_counts(out)), seed
         assert len(extract_edges(corpus)) == summary.total_collaborations, seed
 
+        oracle = Oracle(out, corpus.window, corpus.home_country)
         perf = views.of(corpus).performance
-        assert oracle_researcher_outputs(out) == {
-            r: p.output for r, p in perf.items()}, seed
-        for rid, fss in oracle_researcher_fss(out).items():
+        assert oracle.outputs == {r: p.output for r, p in perf.items()}, seed
+        for rid, fss in oracle.fss.items():
             assert perf[rid].fss == fss, (seed, rid)
 
         engine_ifpr = ifpr_by_pub_id(corpus)
-        oracle_ifpr = oracle_ifpr_by_publication(out)
-        assert set(engine_ifpr) == set(oracle_ifpr), seed
-        for pub_id, value in oracle_ifpr.items():
+        assert set(engine_ifpr) == set(oracle.ifpr), seed
+        for pub_id, value in oracle.ifpr.items():
             assert engine_ifpr[pub_id] == value, (seed, pub_id)
 
         # a second shape per seed, from 20 single-author articles to a sparse

@@ -545,22 +545,26 @@ def test_short_csv_header_echoed_whole(fixture_copy):
                                  "sds_id, got id,full_name,university_org_id,sds_id")
 
 
-_FIELDS = [
-    ("journals.csv", 3, ",2002,1.200,", ",{},1.200,", "year must be an integer, got {}"),
-    ("journals.csv", 3, ",2002,1.200,", ",2002,{},", "impact_factor must be a number, got {}"),
-    ("organizations.csv", 2, ",consortium,", ",{},", "organization CNS-1: unknown kind {}"),
-    ("organizations.csv", 2, "consortium,IT", "consortium,{}",
-     "organization CNS-1: country must be an alpha-2 code, got {}"),
-]
+_FIELDS = {
+    "year": ("journals.csv", 3, ",2002,1.200,", ",{},1.200,", "year must be an integer, got {}"),
+    "impact_factor": ("journals.csv", 3, ",2002,1.200,", ",2002,{},",
+                      "impact_factor must be a number, got {}"),
+    "kind": ("organizations.csv", 2, ",consortium,", ",{},",
+             "organization CNS-1: unknown kind {}"),
+    "country": ("organizations.csv", 2, "consortium,IT", "consortium,{}",
+                "organization CNS-1: country must be an alpha-2 code, got {}"),
+}
 _SIZES = [("x" * 40, repr("x" * 40)), ("x" * 41, repr("x" * 40) + "... (41 characters)")]
 _REPEATED_CODE = "x" * 20 + ";" + "x" * 20  # a 41-character category list
 
 
 @pytest.mark.parametrize("value, shown, name, line, old, new, message", [
-    *((*size, *field) for size in _SIZES for field in _FIELDS),
-    (_REPEATED_CODE, repr(_REPEATED_CODE[:40]) + "... (41 characters)",
-     "journals.csv", 3, ",2002,1.200,CAT-A", ",2002,1.200,{}",
-     "journal JRN-A@2002: categories {} are not a non-empty sorted set"),
+    *(pytest.param(*size, *field, id=f"{key}_{len(size[0])}")
+      for size in _SIZES for key, field in _FIELDS.items()),
+    pytest.param(_REPEATED_CODE, repr(_REPEATED_CODE[:40]) + "... (41 characters)",
+                 "journals.csv", 3, ",2002,1.200,CAT-A", ",2002,1.200,{}",
+                 "journal JRN-A@2002: categories {} are not a non-empty sorted set",
+                 id="categories_41"),
     # a record's name is cut too; a 4000-digit year parses, as int() allows 4300 digits
     pytest.param("9" * 4000, "9" * 40 + "... (4000 characters)",
                  "organizations.csv", 2, "CNS-1,Consorzio Ricerche Applicate,consortium,",

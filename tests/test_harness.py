@@ -12,19 +12,11 @@ from hypothesis import strategies as st
 from collabmap import errors, views
 from collabmap.collab import count_collaborations
 from collabmap.corpus import load_corpus, validate_corpus
-from collabmap.harness import (
-    SplitMix64,
-    SynthConfig,
-    generate,
-    oracle_collab_counts,
-    oracle_ifpr_by_publication,
-    oracle_percentiles,
-    oracle_researcher_fss,
-    oracle_researcher_outputs,
-)
+from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
 from collabmap.views import midrank_percentiles
 
 from conftest import assert_comparison_layer, ifpr_by_pub_id
+from oracles import Oracle, oracle_percentiles
 
 
 def reference_splitmix64(seed, count):
@@ -289,15 +281,15 @@ def test_generated_corpus_matches_oracles(tmp_path):
 
     assert asdict(oracle_collab_counts(out)) == asdict(count_collaborations(corpus))
 
+    oracle = Oracle(out, corpus.window, corpus.home_country)
     engine_ifpr = ifpr_by_pub_id(corpus)
-    oracle_ifpr = oracle_ifpr_by_publication(out)
-    assert set(engine_ifpr) == set(oracle_ifpr)
-    for pub_id, value in oracle_ifpr.items():
+    assert set(engine_ifpr) == set(oracle.ifpr)
+    for pub_id, value in oracle.ifpr.items():
         assert engine_ifpr[pub_id] == value, pub_id
 
     perf = views.of(corpus).performance
-    assert oracle_researcher_outputs(out) == {r: p.output for r, p in perf.items()}
-    for rid, fss in oracle_researcher_fss(out).items():
+    assert oracle.outputs == {r: p.output for r, p in perf.items()}
+    for rid, fss in oracle.fss.items():
         assert perf[rid].fss == fss, rid
 
 
@@ -324,16 +316,15 @@ def test_oracle_sees_window(tmp_path):
     assert asdict(count_collaborations(corpus)) == asdict(oracle_collab_counts(out, window=narrow))
     assert corpus.window_excluded > 0
 
+    oracle = Oracle(out, narrow, corpus.home_country)
     engine_ifpr = ifpr_by_pub_id(corpus)
-    oracle_ifpr = oracle_ifpr_by_publication(out, window=narrow)
-    assert engine_ifpr.keys() == oracle_ifpr.keys()
-    for pub_id, value in oracle_ifpr.items():
+    assert engine_ifpr.keys() == oracle.ifpr.keys()
+    for pub_id, value in oracle.ifpr.items():
         assert engine_ifpr[pub_id] == value, pub_id
 
     perf = views.of(corpus).performance
-    assert oracle_researcher_outputs(out, window=narrow) == {
-        r: p.output for r, p in perf.items()}
-    for rid, fss in oracle_researcher_fss(out, window=narrow).items():
+    assert oracle.outputs == {r: p.output for r, p in perf.items()}
+    for rid, fss in oracle.fss.items():
         assert perf[rid].fss == fss, rid
 
     assert_comparison_layer(corpus, out, 3, "window")

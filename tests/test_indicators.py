@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from collabmap import views
 from collabmap.corpus import load_corpus
-from collabmap.harness import oracle_ifpr_by_publication, oracle_percentiles
 from collabmap.indicators import (
     LEVEL_SDS,
     LEVEL_UDA,
@@ -19,6 +18,7 @@ from collabmap.report import render_all
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 from conftest import ifpr_by_pub_id
+from oracles import Oracle, oracle_percentiles
 
 A = Fraction(1, 6)
 B = Fraction(3, 8)
@@ -152,7 +152,7 @@ def test_if_percentile_ranks_skip_journal_outside_window(fixture_copy, corpus40)
         assert if_percentile_ranks(c, year) == if_percentile_ranks(corpus40, year)
     assert render_all(c, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
     assert ifpr_by_pub_id(c) == pytest.approx(
-        oracle_ifpr_by_publication(fixture_copy), abs=1e-12)
+        Oracle(fixture_copy, c.window, c.home_country).ifpr, abs=1e-12)
 
 
 def test_ifpr_by_publication(corpus40):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -91,8 +92,8 @@ def test_no_import_inside_a_function():
 UNREFERENCED_ALLOWED = {
     "count_collaborations": "item 1: collabmap bundle reports the m x n case counts",
     "render_all": "item 1: collabmap bundle writes the tables render_all builds",
-    "oracle_collab_counts": "item 3A: the raw-file oracles move to tests/oracles.py",
-    "ComparisonOracle": "item 3A: the raw-file oracles move to tests/oracles.py",
+    "oracle_collab_counts": ("item 2: perfbench/run.py imports it until perfbench/checks.py "
+                             "counts collaborations itself"),
 }
 
 
@@ -117,8 +118,32 @@ def test_every_public_name_is_used_in_src():
 
 
 def test_harness_imports_no_analysis_module():
-    # the oracles must not share code with what they check
+    # the oracles must not share code with what they check: harness imports
+    # only corpus constants and the errors, tests/oracles.py nothing at all
     assert set(_relative_imports("harness")) <= {"corpus", "errors"}
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "collabmap"] == []
+
+
+def test_perfbench_imports_exist():
+    # a module or name perfbench imports from the package that is gone fails
+    # every benchmark run, including the imports inside its functions
+    checked = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").split(".")[0] == "collabmap"):
+                for alias in node.names:
+                    if node.module == "collabmap":
+                        importlib.import_module(f"collabmap.{alias.name}")
+                    else:
+                        module = importlib.import_module(node.module)
+                        assert hasattr(module, alias.name), (path.name, node.module, alias.name)
+                    checked.add((node.module, alias.name))
+    assert ("collabmap.harness", "oracle_collab_counts") in checked
 
 
 def test_readme_library_example_runs(monkeypatch):

@@ -35,7 +35,6 @@ PACKAGE = Path(collabmap.__file__).parent
 
 WHOLE = None  # an ALLOWED entry whose every line never runs
 
-_ORACLES = "item 3A: the raw-file oracles move to tests/oracles.py"
 _BUNDLE = "item 1: collabmap bundle reports the m x n case counts and writes every table"
 _RECHECK = ("no item: construction re-checks a publication rule the loader already "
             "enforces, for the dataclasses.replace copies that never pass the loader")
@@ -44,12 +43,8 @@ _DATA = "no item: a data-dependent statistics branch that no corpus here reaches
 # function or method -> (why it never runs, with the ROADMAP item that
 # empties the entry, if any; its statements that never run, or WHOLE)
 ALLOWED = {
-    **{f"harness.{name}": (_ORACLES, WHOLE) for name in (
-        "_read_raw", "_in_window", "oracle_collab_counts", "oracle_percentiles",
-        "_oracle_journal_record", "oracle_ifpr_by_publication", "oracle_researcher_outputs",
-        "oracle_researcher_fss", "ComparisonOracle.__init__", "ComparisonOracle._scopes",
-        "ComparisonOracle.sector_intensity", "ComparisonOracle.multidisc_by_scope",
-        "ComparisonOracle.paired_samples", "ComparisonOracle.researcher_groups")},
+    "harness.oracle_collab_counts": ("item 2: perfbench/run.py imports it until "
+                                     "perfbench/checks.py counts collaborations itself", WHOLE),
     "collab._case_for": (_BUNDLE, WHOLE),
     "collab.count_collaborations": (_BUNDLE, WHOLE),
     "report.render_all": (_BUNDLE, WHOLE),

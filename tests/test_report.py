@@ -7,7 +7,7 @@ import pytest
 
 from collabmap.collab import SELECTORS, extract_edges
 from collabmap.corpus import load_corpus
-from collabmap.harness import ComparisonOracle, SynthConfig, generate
+from collabmap.harness import SynthConfig, generate
 from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
 from collabmap.report import (
     FORMATS,
@@ -22,7 +22,8 @@ from collabmap.report import (
 )
 from collabmap.stats import COMPARISONS, Comparison, compare
 
-from conftest import FIXTURE40, GOLDEN, GOLDEN_FORMATS, oracle_edges
+from conftest import FIXTURE40, GOLDEN, GOLDEN_FORMATS
+from oracles import Oracle
 
 GOLDEN_NAMES = (
     "compare_multidisc_all_vs_industry_ii_sci.json",
@@ -242,7 +243,7 @@ def test_rank_tables_and_edges_match_raw_file_oracles(tmp_path):
                         max_authors=1 + seed % 5),
             tmp_path / f"c{seed}")
         corpus = load_corpus(out)
-        oracle = ComparisonOracle(out, window=corpus.window)
+        oracle = Oracle(out, corpus.window, corpus.home_country)
         for level, k in ((LEVEL_SDS, TOP_SDS), (LEVEL_UDA, TOP_UDA)):
             intensity = oracle.sector_intensity(level)
             # oracle rows are (sector, count, pct_all, pct_coauth, per_researcher)
@@ -254,7 +255,7 @@ def test_rank_tables_and_edges_match_raw_file_oracles(tmp_path):
                          r.per_researcher) for r in table.rows] == expected, (seed, level, metric)
                 n_tables += 1
         edges = extract_edges(corpus)
-        assert edges == oracle_edges(out, corpus.window, corpus.home_country), seed
+        assert edges == oracle.edges, seed
         n_edges += len(edges)
     assert n_tables == 320
     assert n_edges > 0
