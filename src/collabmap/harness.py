@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .corpus import (
     DEFAULT_WINDOW,
@@ -29,25 +32,41 @@ from .corpus import (
 from .errors import InvalidConfig
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_LANES = 1024  # draws mixed per block
 
 
 class SplitMix64:
     """SplitMix64 generator (Steele, Lea, Flood 2014).
 
-    next_u64 advances the state by the golden-gamma constant and scrambles it
-    with two xor-multiply rounds. random() keeps the top 53 bits; below(n) is
-    next_u64() % n, whose modulo bias is negligible for n far below 2**64.
+    Draw i (from 1) scrambles the state ``seed + i * gamma`` (mod 2**64), for
+    the golden-gamma constant, with two xor-shift-multiply rounds and a final
+    xor-shift. random() keeps the top 53 bits; below(n) is next_u64() % n,
+    whose modulo bias is negligible for n far below 2**64.
+
+    The draws are mixed ``_LANES`` at a time, in one Python int per block:
+    the state of the block's j-th draw sits in bits 128*j to 128*j + 63, so
+    every lane has a 128-bit slot whose upper half is zero before each
+    product. No operation carries into the next slot. A right shift by at
+    most 31 moves a lane's lowest bits into the top 31 bits of the slot
+    below, and the mask that follows clears them (the last shift's are never
+    read). A lane below 2**64 times a constant below 2**64 stays below
+    2**128, and a lane plus the block step stays below 2**65; the mask then
+    keeps each low half, which is the value mod 2**64. The blocks are packed
+    and unpacked little-endian, whatever the host's byte order.
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        slots = struct.Struct("<" + "Q8x" * _LANES)
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        def pack(lanes: list[int]) -> int:
+            return int.from_bytes(slots.pack(*lanes), "little")
+
+        mask = pack([_MASK64] * _LANES)
+        step = pack([_LANES * _GAMMA & _MASK64] * _LANES)
+        states = pack([(seed + j * _GAMMA) & _MASK64 for j in range(1, _LANES + 1)])
+        blocks = _mixed_blocks(states, step, mask, slots.unpack)
+        self.next_u64: Callable[[], int] = chain.from_iterable(blocks).__next__
 
     def random(self) -> float:
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -72,6 +91,17 @@ class SplitMix64:
         while len(chosen) < k:
             chosen[below(n)] = None
         return list(chosen)
+
+
+def _mixed_blocks(states: int, step: int, mask: int,
+                  unpack: Callable[[bytes], tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """SplitMix64's draws, one block of lanes at a time (see SplitMix64)."""
+    size = 16 * _LANES
+    while True:
+        z = ((states ^ (states >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        yield unpack((z ^ (z >> 31)).to_bytes(size, "little"))
+        states = (states + step) & mask
 
 
 _CATEGORY_POOL = (
@@ -144,6 +174,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = SplitMix64(config.seed)
+    draw, distinct, random = rng.next_u64, rng.distinct, rng.random
 
     # taxonomy: no draws
     n_sds = min(12, max(2, config.n_researchers))
@@ -178,11 +209,11 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     journal_ids = [f"J{i + 1:03d}" for i in range(config.n_journals)]
     journal_rows = []
     for i, journal_id in enumerate(journal_ids):
-        n_cats = 1 + rng.below(3)
-        cat_idx = rng.distinct(len(_CATEGORY_POOL), n_cats)
+        n_cats = 1 + draw() % 3
+        cat_idx = distinct(len(_CATEGORY_POOL), n_cats)
         cats = ";".join(_CATEGORY_POOL[c] for c in sorted(cat_idx))
         for year in years:
-            impact = round(0.1 + rng.random() * 9.9, 3)
+            impact = round(0.1 + random() * 9.9, 3)
             journal_rows.append(
                 [journal_id, f"Synthetic Journal {i + 1:03d}", str(year), f"{impact:.3f}", cats]
             )
@@ -193,8 +224,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     researcher_univ = []
     roster_rows = []
     for i, researcher_id in enumerate(researcher_ids):
-        univ = university_ids[rng.below(config.n_universities)]
-        sds = sds_ids[rng.below(n_sds)]
+        univ = university_ids[draw() % config.n_universities]
+        sds = sds_ids[draw() % n_sds]
         researcher_univ.append(univ)
         roster_rows.append([researcher_id, f"Synthetic Researcher {i + 1:05d}", univ, sds])
     _write_csv(out_dir / "roster.csv", ROSTER_FIELDS, roster_rows)
@@ -211,7 +242,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     ]
     journal_json = [f'"{journal_id}"' for journal_id in journal_ids]
 
-    below, distinct, random = rng.below, rng.distinct, rng.random
     year_min, n_years, n_journals = config.year_min, len(years), config.n_journals
     industry_rate, n_researchers = config.industry_rate, config.n_researchers
     n_universities, n_public = config.n_universities, len(public_ids)
@@ -220,16 +250,16 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
     firm_cap = min(2, n_domestic)
     with (out_dir / "publications.jsonl").open("w", encoding="utf-8") as fh:
         for p in range(1, config.n_pubs + 1):
-            year = year_min + below(n_years)
-            journal = journal_json[below(n_journals)]
+            year = year_min + draw() % n_years
+            journal = journal_json[draw() % n_journals]
             industry = random() < industry_rate
 
-            picked = distinct(n_researchers, 1 + below(author_cap))
+            picked = distinct(n_researchers, 1 + draw() % author_cap)
             bylines = [researcher_bylines[idx] for idx in picked]
             addresses = {researcher_univ[idx] for idx in picked}
 
             if industry and n_domestic:
-                for slot, pos in enumerate(distinct(n_domestic, 1 + below(firm_cap)), 1):
+                for slot, pos in enumerate(distinct(n_domestic, 1 + draw() % firm_cap), 1):
                     firm = domestic_firms[pos]
                     addresses.add(firm)
                     bylines.append(
@@ -237,13 +267,13 @@ def generate(config: SynthConfig, out_dir: str | Path) -> Path:
                         f'"researcher_id": null, "org_id": "{firm}"}}'
                     )
             else:
-                extra = below(4)
+                extra = draw() % 4
                 if extra == 1 and n_public:
-                    addresses.add(public_ids[below(n_public)])
+                    addresses.add(public_ids[draw() % n_public])
                 elif extra == 2 and n_foreign:
-                    addresses.add(foreign_firms[below(n_foreign)])
+                    addresses.add(foreign_firms[draw() % n_foreign])
                 elif extra == 3:
-                    addresses.add(university_ids[below(n_universities)])
+                    addresses.add(university_ids[draw() % n_universities])
 
             orgs = '", "'.join(sorted(addresses))
             fh.write(

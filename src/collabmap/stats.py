@@ -138,13 +138,23 @@ class Comparison:
 
 
 def descriptive(values: Sequence[float], label: str = "") -> Sample:
-    """Mean and sample variance, computed in input order."""
+    """Mean and sample variance, computed in input order.
+
+    Both sums add left to right in plain loops: the builtin ``sum`` rounds
+    float totals differently from Python 3.12 on.
+    """
     n = len(values)
-    mean = sum(values) / n
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
     if n == 1:
         variance = None
     else:
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+        squares = 0.0
+        for v in values:
+            squares += (v - mean) ** 2
+        variance = squares / (n - 1)
     return Sample(label=label, values=tuple(values), n=n, mean=mean, variance=variance)
 
 

@@ -74,8 +74,12 @@ def members(mask: int) -> list[int]:
 
 
 def mean_over(mask: int, values: Sequence[float]) -> float:
-    """Mean of ``values`` at the positions set in a non-empty ``mask``."""
-    return sum(compress(values, _flags(mask))) / mask.bit_count()
+    """Mean of ``values`` at the positions set in a non-empty ``mask``,
+    added left to right as ``stats.descriptive`` adds."""
+    total = 0.0
+    for v in compress(values, _flags(mask)):
+        total += v
+    return total / mask.bit_count()
 
 
 def _group(scopes_per_pub: Iterable[Iterable[str]], size: int) -> dict[str, int]:

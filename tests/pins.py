@@ -1,0 +1,170 @@
+"""Frozen outputs that every interpreter ``requires-python`` admits must
+reproduce bit for bit, and a stdlib-only check of them.
+
+The generated-corpus digests (``PINNED_SHAPES``) and the statistics kernel
+digest (``KERNEL_DIGEST``) are read by the pytest suite and by this file's
+own check, which also renders fixture40 and compares it with every file in
+``tests/golden/``. Run the check under any interpreter, without pytest:
+
+    python tests/pins.py
+
+It prints one line per check and exits 1 if any output differs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+from collabmap.corpus import load_corpus  # noqa: E402
+from collabmap.harness import SplitMix64, SynthConfig, generate  # noqa: E402
+from collabmap.report import render_all  # noqa: E402
+from collabmap.stats import _tail, descriptive, paired_t, welch_t  # noqa: E402
+from collabmap.views import midrank_percentiles  # noqa: E402
+
+GENERATED_FILES = ("taxonomy.csv", "organizations.csv", "journals.csv",
+                   "roster.csv", "publications.jsonl")
+
+# sha256 of every generated file, for shapes that reach each branch of the
+# publication loop: the default shape, the bundle-50k and edges-200k perfbench
+# shapes cut to 2000 publications, all-industry single-author records with one
+# firm and no public bodies, no industry at all, and five researchers with two
+# domestic firms (the academic draw swaps within the dense branch, and a firm
+# draw can take both firms).
+PINNED_SHAPES = {
+    "default": (
+        SynthConfig(seed=7, n_pubs=150),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "9aa22bdb8006f6b1b17267e636e37cd4d79d2b50e1effeb13d48c932e7516088",
+            "roster.csv": "5435f0c1c88a257f8a099b85275d393a2beb83092dc279ab87cbfa1806d26e7f",
+            "publications.jsonl": "f796c28b542e01e758d17d664d4a1c959ed5dbb16623d9fb4878045ea5fec3de",
+        },
+    ),
+    "bundle-50k shape": (
+        SynthConfig(seed=1, n_pubs=2000, n_researchers=6000, n_journals=60,
+                    industry_rate=0.05),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "a150a1dd5820d2b7f387336254d6fb14c1382f8c706a33d67b8a6d94e7c206c0",
+            "roster.csv": "dd5722671137cb793cea9b9687eda67a24ae47c69cf4f1af5d401f43de718c0f",
+            "publications.jsonl": "acfafc18c1201025acd2ac1a5a6aff5595a2bce6189503b98e309b848fe0a7bf",
+        },
+    ),
+    "edges-200k shape": (
+        SynthConfig(seed=1, n_pubs=2000, n_researchers=20_000, n_journals=60,
+                    industry_rate=0.25, year_min=1999, year_max=2003),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "98bb5f251ee250a8185686fe769c8e0fd98162ad00a30b988a9267eae15278b0",
+            "roster.csv": "f654f9226e29827e3044f77c8961f2d8915661fb100f8368cd7204353ac46619",
+            "publications.jsonl": "832a05e4a6adb7d025577edd98b3c20131543ccf4e513e3a116d75f5776a3e54",
+        },
+    ),
+    "all industry": (
+        SynthConfig(seed=3, n_pubs=150, industry_rate=1.0, max_authors=1,
+                    n_public_orgs=0, n_firms=1),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "ee42ac4c87f01077b28b2d643e0927acaaea9e8896726e3ac748aa3e73eaeab9",
+            "journals.csv": "586880c9339847c66a0fa07206e2f1094a486d925ccfc9a3787f81efe872f483",
+            "roster.csv": "c6c8fb8e8ee678a535efda448f184e67dc857c88a0333651eb1a5831ff1d1439",
+            "publications.jsonl": "fdd23cc3d070850697b1018e8201d52efd4d6b05cba5716cf2325091f2bf022b",
+        },
+    ),
+    "no industry": (
+        SynthConfig(seed=5, n_pubs=150, industry_rate=0.0),
+        {
+            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
+            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
+            "journals.csv": "bb5e3da8b065ad36816271ff0913bf63196c7186a4b30591ffec04312fcad8bf",
+            "roster.csv": "a5b3990044b6144cea99e476b9a31170960f9ff4b2c92a702f6bf640467c65c5",
+            "publications.jsonl": "a3c0c7adfdfa7512de2e8285af23eb44f2d05bb2118f18f54fa0f289cfe141c1",
+        },
+    ),
+    "five researchers": (
+        SynthConfig(seed=9, n_pubs=150, n_researchers=5, max_authors=6, n_firms=2),
+        {
+            "taxonomy.csv": "9ad09c15a67ec9c122020e1c211933dff3bcf3831452efa8c557575a72190151",
+            "organizations.csv": "8ba3616b898a41fa0a1c287de6e3729881e8933754da2fa73ec0368ed84fa72d",
+            "journals.csv": "20346ac112a27f3ea6a34269ecf6552aafb7509fa8eb172f662128891d0bdd2f",
+            "roster.csv": "c30d1ef3941804c7327b71fdb598c77f4aba529ff883550404d3ac5130c5ff15",
+            "publications.jsonl": "17c372dd97fec0b8be064c98b1cb8f3e17df7cde3fb330286e0706e99b0cda5c",
+        },
+    ),
+}
+
+
+def generated_digests(out: Path) -> dict[str, str]:
+    """sha256 of each file ``generate`` wrote to ``out``."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GENERATED_FILES}
+
+
+# frozen from the loop-over-ties midranks and the two-body Lentz loop that
+# the kernels replaced; a change to any single output bit changes it
+KERNEL_DIGEST = "49597d7f68292bbdc583928092020f1b1ae9e669026857ba96ea007dc39b33f2"
+
+TAIL_DFS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.25, 10.0, 33.0, 120.0, 1e3, 1e4, 1e5)
+
+
+def kernel_outputs():
+    """Every float the kernels return on a fixed input set, as ``.hex()``.
+
+    The t grid runs from 0 to 1e3 on both signs, so ``x = df / (df + t^2)``
+    falls on both sides of ``_reg_inc_beta``'s crossover for every df.
+    """
+    ts = [0.0] + [10.0 ** (k / 8) for k in range(-24, 25)]
+    for df in TAIL_DFS:
+        for t in ts:
+            yield _tail(t, df).hex()
+            yield _tail(-t, df).hex()
+    rng = SplitMix64(24)
+    for _ in range(300):
+        xs = [rng.below(41) / 4 - 5.0 for _ in range(2 + rng.below(30))]
+        ys = [rng.below(41) / 4 - 5.0 for _ in range(len(xs))]
+        zs = [rng.random() * 100.0 for _ in range(2 + rng.below(30))]
+        for r in (paired_t(xs, ys), welch_t(descriptive(xs), descriptive(zs))):
+            yield from (v.hex() for v in (r.t, r.df, r.p_one, r.p_two))
+        ties = [float(rng.below(1 + rng.below(12))) - 4.0 for _ in range(1 + rng.below(60))]
+        ties += [0.0, -0.0][: rng.below(3)]
+        yield from (v.hex() for v in midrank_percentiles(ties))
+
+
+def kernel_digest() -> str:
+    return hashlib.sha256(" ".join(kernel_outputs()).encode()).hexdigest()
+
+
+def _checks():
+    """(name, whether the output matches its pin) for every pin."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, (config, pinned) in PINNED_SHAPES.items():
+            out = generate(config, Path(tmp) / label.replace(" ", "_"))
+            yield f"generate {label}", generated_digests(out) == pinned
+    yield "kernel digest", kernel_digest() == KERNEL_DIGEST
+    rendered = render_all(load_corpus(HERE / "data" / "fixture40"), min_collab_pubs=3)
+    goldens = sorted((HERE / "golden").iterdir())
+    yield "golden names", sorted(rendered) == [path.name for path in goldens]
+    for path in goldens:
+        yield f"golden {path.name}", rendered.get(path.name, "").encode() == path.read_bytes()
+
+
+def main() -> int:
+    failed = 0
+    for name, ok in _checks():
+        print(f"{'ok' if ok else 'MISMATCH'} {name}")
+        failed += not ok
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

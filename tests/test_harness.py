@@ -1,22 +1,22 @@
 import csv
-import hashlib
 import json
 import re
 import tracemalloc
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmap import errors, views
 from collabmap.collab import count_collaborations
 from collabmap.corpus import load_corpus, validate_corpus
-from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
+from collabmap.harness import _LANES, SplitMix64, SynthConfig, generate, oracle_collab_counts
 from collabmap.views import midrank_percentiles
 
 from conftest import assert_comparison_layer, ifpr_by_pub_id
 from oracles import Oracle, oracle_percentiles
+from pins import GENERATED_FILES, PINNED_SHAPES, generated_digests
 
 
 def reference_splitmix64(seed, count):
@@ -33,10 +33,11 @@ def reference_splitmix64(seed, count):
     return out
 
 
-def reference_distinct(seed, n, k):
-    """Direct transcription of the documented draws: a partial Fisher-Yates
-    when k > n // 2, otherwise reject repeats until k values are drawn."""
-    draws = iter(reference_splitmix64(seed, 4 * k + 64))
+def reference_distinct(seed, n, k, skip=0):
+    """Direct transcription of the documented draws, past the first ``skip``:
+    a partial Fisher-Yates when k > n // 2, otherwise reject repeats until k
+    values are drawn."""
+    draws = iter(reference_splitmix64(seed, skip + 4 * k + 64)[skip:])
     if k > n // 2:
         pool = list(range(n))
         for i in range(k):
@@ -61,10 +62,17 @@ def test_splitmix_known_stream():
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
+@example(0)
+@example(42)
+@example(2**64 - 1)
+@example(2**64 + 5)
+@example(-1)
 @settings(max_examples=100)
 def test_splitmix_matches_reference(seed):
+    # two whole blocks of lanes and three draws into the third
+    count = 2 * _LANES + 3
     rng = SplitMix64(seed)
-    assert [rng.next_u64() for _ in range(5)] == reference_splitmix64(seed, 5)
+    assert [rng.next_u64() for _ in range(count)] == reference_splitmix64(seed, count)
 
 
 def test_splitmix_random_unit_interval():
@@ -95,9 +103,16 @@ def test_splitmix_distinct():
 
 
 def test_splitmix_distinct_matches_reference():
+    # from the first draw, and from two draws before the end of the first
+    # block of lanes, so that one pick straddles the boundary
     for seed in range(20):
-        for n, k in ((10, 9), (10, 3), (5, 5), (100, 2), (20000, 6), (16, 2), (1, 1)):
-            assert SplitMix64(seed).distinct(n, k) == reference_distinct(seed, n, k), (seed, n, k)
+        for skip in (0, _LANES - 2):
+            for n, k in ((10, 9), (10, 3), (5, 5), (100, 2), (20000, 6), (16, 2), (1, 1)):
+                rng = SplitMix64(seed)
+                for _ in range(skip):
+                    rng.next_u64()
+                assert rng.distinct(n, k) == reference_distinct(seed, n, k, skip), \
+                    (seed, skip, n, k)
 
 
 def test_splitmix_distinct_rejects_bad_counts():
@@ -120,98 +135,19 @@ def test_synth_config_validation():
         SynthConfig(seed=1, n_pubs=10, max_authors=0)
 
 
-_GENERATED_FILES = ("taxonomy.csv", "organizations.csv", "journals.csv",
-                    "roster.csv", "publications.jsonl")
-
-
 def test_generate_is_deterministic(tmp_path):
     cfg = SynthConfig(seed=11, n_pubs=200)
     d1 = generate(cfg, tmp_path / "a")
     d2 = generate(cfg, tmp_path / "b")
-    for name in _GENERATED_FILES:
+    for name in GENERATED_FILES:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
         assert b"\r" not in (d1 / name).read_bytes(), name
 
 
-# sha256 of every generated file, for shapes that reach each branch of the
-# publication loop: the default shape, the bundle-50k and edges-200k perfbench
-# shapes cut to 2000 publications, all-industry single-author records with one
-# firm and no public bodies, no industry at all, and five researchers with two
-# domestic firms (the academic draw swaps within the dense branch, and a firm
-# draw can take both firms).
-_PINNED_SHAPES = {
-    "default": (
-        SynthConfig(seed=7, n_pubs=150),
-        {
-            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
-            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
-            "journals.csv": "9aa22bdb8006f6b1b17267e636e37cd4d79d2b50e1effeb13d48c932e7516088",
-            "roster.csv": "5435f0c1c88a257f8a099b85275d393a2beb83092dc279ab87cbfa1806d26e7f",
-            "publications.jsonl": "f796c28b542e01e758d17d664d4a1c959ed5dbb16623d9fb4878045ea5fec3de",
-        },
-    ),
-    "bundle-50k shape": (
-        SynthConfig(seed=1, n_pubs=2000, n_researchers=6000, n_journals=60,
-                    industry_rate=0.05),
-        {
-            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
-            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
-            "journals.csv": "a150a1dd5820d2b7f387336254d6fb14c1382f8c706a33d67b8a6d94e7c206c0",
-            "roster.csv": "dd5722671137cb793cea9b9687eda67a24ae47c69cf4f1af5d401f43de718c0f",
-            "publications.jsonl": "acfafc18c1201025acd2ac1a5a6aff5595a2bce6189503b98e309b848fe0a7bf",
-        },
-    ),
-    "edges-200k shape": (
-        SynthConfig(seed=1, n_pubs=2000, n_researchers=20_000, n_journals=60,
-                    industry_rate=0.25, year_min=1999, year_max=2003),
-        {
-            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
-            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
-            "journals.csv": "98bb5f251ee250a8185686fe769c8e0fd98162ad00a30b988a9267eae15278b0",
-            "roster.csv": "f654f9226e29827e3044f77c8961f2d8915661fb100f8368cd7204353ac46619",
-            "publications.jsonl": "832a05e4a6adb7d025577edd98b3c20131543ccf4e513e3a116d75f5776a3e54",
-        },
-    ),
-    "all industry": (
-        SynthConfig(seed=3, n_pubs=150, industry_rate=1.0, max_authors=1,
-                    n_public_orgs=0, n_firms=1),
-        {
-            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
-            "organizations.csv": "ee42ac4c87f01077b28b2d643e0927acaaea9e8896726e3ac748aa3e73eaeab9",
-            "journals.csv": "586880c9339847c66a0fa07206e2f1094a486d925ccfc9a3787f81efe872f483",
-            "roster.csv": "c6c8fb8e8ee678a535efda448f184e67dc857c88a0333651eb1a5831ff1d1439",
-            "publications.jsonl": "fdd23cc3d070850697b1018e8201d52efd4d6b05cba5716cf2325091f2bf022b",
-        },
-    ),
-    "no industry": (
-        SynthConfig(seed=5, n_pubs=150, industry_rate=0.0),
-        {
-            "taxonomy.csv": "5b12e25d6108dd460f4f0c4434bf7b0c8b9065533785c7f7092ebd8ca5527851",
-            "organizations.csv": "e36ec4dac431ceee552c7b6ba7e613f6f0616cdb942e5a03d61203736c63e153",
-            "journals.csv": "bb5e3da8b065ad36816271ff0913bf63196c7186a4b30591ffec04312fcad8bf",
-            "roster.csv": "a5b3990044b6144cea99e476b9a31170960f9ff4b2c92a702f6bf640467c65c5",
-            "publications.jsonl": "a3c0c7adfdfa7512de2e8285af23eb44f2d05bb2118f18f54fa0f289cfe141c1",
-        },
-    ),
-    "five researchers": (
-        SynthConfig(seed=9, n_pubs=150, n_researchers=5, max_authors=6, n_firms=2),
-        {
-            "taxonomy.csv": "9ad09c15a67ec9c122020e1c211933dff3bcf3831452efa8c557575a72190151",
-            "organizations.csv": "8ba3616b898a41fa0a1c287de6e3729881e8933754da2fa73ec0368ed84fa72d",
-            "journals.csv": "20346ac112a27f3ea6a34269ecf6552aafb7509fa8eb172f662128891d0bdd2f",
-            "roster.csv": "c30d1ef3941804c7327b71fdb598c77f4aba529ff883550404d3ac5130c5ff15",
-            "publications.jsonl": "17c372dd97fec0b8be064c98b1cb8f3e17df7cde3fb330286e0706e99b0cda5c",
-        },
-    ),
-}
-
-
 def test_generate_bytes_pinned(tmp_path):
-    for label, (cfg, pinned) in _PINNED_SHAPES.items():
+    for label, (cfg, pinned) in PINNED_SHAPES.items():
         out = generate(cfg, tmp_path / label.replace(" ", "_"))
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in _GENERATED_FILES}
-        assert digests == pinned, label
+        assert generated_digests(out) == pinned, label
 
 
 _PLAIN_TEXT = re.compile(r"[A-Za-z0-9 -]+")
@@ -221,7 +157,7 @@ def test_generate_writes_canonical_json(tmp_path):
     # generate assembles each line by hand from fragments it never escapes:
     # the line must be what json.dumps writes, and no id or name may hold a
     # character that JSON would escape
-    for label, (cfg, _) in _PINNED_SHAPES.items():
+    for label, (cfg, _) in PINNED_SHAPES.items():
         out = generate(cfg, tmp_path / label.replace(" ", "_"))
         texts = []
         with (out / "publications.jsonl").open(encoding="utf-8", newline="") as fh:

@@ -128,6 +128,19 @@ def test_harness_imports_no_analysis_module():
     assert [name for name in imported if name.split(".")[0] == "collabmap"] == []
 
 
+def test_kernel_modules_call_no_builtin_sum():
+    # from Python 3.12 on, the builtin sum adds floats with compensated
+    # summation; the statistics add left to right in loops, so they give the
+    # same bits on every interpreter (test_interpreters.py checks the bits)
+    calls = []
+    for module in ("stats", "views"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        calls += [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "sum"]
+    assert calls == []
+
+
 def test_perfbench_imports_exist():
     # a module or name perfbench imports from the package that is gone fails
     # every benchmark run, including the imports inside its functions

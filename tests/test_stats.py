@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmap import errors
-from collabmap.harness import SplitMix64
 from collabmap.stats import (
     COMPARISONS,
     GROUPINGS,
@@ -19,7 +17,8 @@ from collabmap.stats import (
     paired_t,
     welch_t,
 )
-from collabmap.views import midrank_percentiles
+
+from pins import KERNEL_DIGEST, kernel_digest
 
 # expected cumulative probabilities computed with 40-digit arithmetic via
 # the regularized incomplete beta function, then frozen; the tail P(T > |t|)
@@ -429,34 +428,8 @@ def test_compare_rejects_unknown_names(corpus40):
 
 # -- bit-for-bit pin ---------------------------------------------------------------
 
-TAIL_DFS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.25, 10.0, 33.0, 120.0, 1e3, 1e4, 1e5)
-
-
-def _kernel_outputs():
-    """Every float the kernels return on a fixed input set, as ``.hex()``.
-
-    The t grid runs from 0 to 1e3 on both signs, so ``x = df / (df + t^2)``
-    falls on both sides of ``_reg_inc_beta``'s crossover for every df.
-    """
-    ts = [0.0] + [10.0 ** (k / 8) for k in range(-24, 25)]
-    for df in TAIL_DFS:
-        for t in ts:
-            yield _tail(t, df).hex()
-            yield _tail(-t, df).hex()
-    rng = SplitMix64(24)
-    for _ in range(300):
-        xs = [rng.below(41) / 4 - 5.0 for _ in range(2 + rng.below(30))]
-        ys = [rng.below(41) / 4 - 5.0 for _ in range(len(xs))]
-        zs = [rng.random() * 100.0 for _ in range(2 + rng.below(30))]
-        for r in (paired_t(xs, ys), welch_t(descriptive(xs), descriptive(zs))):
-            yield from (v.hex() for v in (r.t, r.df, r.p_one, r.p_two))
-        ties = [float(rng.below(1 + rng.below(12))) - 4.0 for _ in range(1 + rng.below(60))]
-        ties += [0.0, -0.0][: rng.below(3)]
-        yield from (v.hex() for v in midrank_percentiles(ties))
-
 
 def test_kernels_bit_for_bit():
-    # frozen from the loop-over-ties midranks and the two-body Lentz loop that
-    # these kernels replaced; a change to any single output bit fails
-    digest = hashlib.sha256(" ".join(_kernel_outputs()).encode()).hexdigest()
-    assert digest == "49597d7f68292bbdc583928092020f1b1ae9e669026857ba96ea007dc39b33f2"
+    # a change to any single output bit fails; tests/pins.py checks the same
+    # digest under every other interpreter (test_interpreters.py)
+    assert kernel_digest() == KERNEL_DIGEST
