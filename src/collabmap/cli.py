@@ -15,7 +15,7 @@ from . import collab, report, stats
 from .corpus import DEFAULT_WINDOW, HOME_COUNTRY, is_alpha2, load_corpus, validate_corpus
 from .errors import CollabmapError
 from .harness import SynthConfig, generate
-from .indicators import LEVEL_SDS, LEVEL_UDA
+from .report import LEVEL_SDS, LEVEL_UDA
 
 _SUBSETS = {
     "all": collab.SELECTOR_ALL,

@@ -51,12 +51,11 @@ class MissingFile(CollabmapError):
 class DanglingReference(CollabmapError):
     """A record references an identifier that does not exist."""
 
-    def __init__(self, entity: str, ref_id: str, context: str = ""):
+    def __init__(self, entity: str, ref_id: str, context: str):
         self.entity = entity
         self.ref_id = ref_id
         self.context = context
-        detail = f" ({context})" if context else ""
-        super().__init__(f"unknown {entity}: {ref_id!r}{detail}")
+        super().__init__(f"unknown {entity}: {ref_id!r} ({context})")
 
 
 class EmptyCorpus(CollabmapError):

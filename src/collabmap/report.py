@@ -1,12 +1,15 @@
 """Report tables and their renderers.
 
 Three table shapes: sector rankings, two-sample comparisons, and
-multidisciplinarity listings. Each renders to CSV, JSON or Markdown through
-one row layout, ``_render_rows`` (a comparison keeps its own nested JSON),
-with fixed numeric formatting (3 decimals for percentages and indices, 4 for t
-statistics, scientific notation for p-values below 1e-3), LF newlines, and
-deterministic byte output. JSON carries the same formatted values as numbers,
-so CSV and JSON renders of one table parse to equal values.
+multidisciplinarity listings. The rank rows (each sector's industry
+co-authorship intensity) and the multidisc rows are computed here from the
+views, the comparisons in :mod:`.stats`. Each table renders to CSV, JSON or
+Markdown through one row layout, ``_render_rows`` (a comparison keeps its
+own nested JSON), with fixed numeric formatting (3 decimals for percentages
+and indices, 4 for t statistics, scientific notation for p-values below
+1e-3), LF newlines, and deterministic byte output. JSON carries the same
+formatted values as numbers, so CSV and JSON renders of one table parse to
+equal values.
 """
 
 from __future__ import annotations
@@ -14,11 +17,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import collab, indicators, stats
+from . import collab, stats, views
 from .corpus import Corpus
+
+LEVEL_SDS = "sds"
+LEVEL_UDA = "uda"
 
 # each metric: the SectorIntensityRow field it ranks by, and its title words
 _METRICS = {
@@ -30,12 +37,75 @@ _METRICS = {
 METRICS = tuple(_METRICS)
 FORMATS = ("csv", "json", "md")
 
-_LEVEL_WORD = {indicators.LEVEL_SDS: "sectors", indicators.LEVEL_UDA: "areas"}
+_LEVEL_WORD = {LEVEL_SDS: "sectors", LEVEL_UDA: "areas"}
 
 # rows kept in the sector and area rankings of render_all; TOP_SDS is also
 # build_rank_table's and `map --top`'s default
 TOP_SDS = 10
 TOP_UDA = 4
+
+
+def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
+    """Roster headcount per sector (or per area)."""
+    sectors = (researcher.sds_id for researcher in corpus.researchers.values())
+    if level == LEVEL_UDA:
+        sectors = map(corpus.taxonomy.uda_of, sectors)
+    return Counter(sectors)
+
+
+@dataclass(frozen=True)
+class SectorIntensityRow:
+    """Industry co-authorship intensity of one sector.
+
+    Only ``pct_of_coauth`` can be None, never 0: a sector with no extramural
+    output has no defined share of collaborative articles.
+    """
+
+    sector_id: str
+    n_industry_coauth: int
+    pct_of_all: float
+    pct_of_coauth: float | None
+    per_researcher: float
+
+
+def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorIntensityRow]:
+    """The four intensity indicators per sector, sorted by sector id.
+
+    Sectors with no attributed articles are omitted entirely. Every sector
+    listed has an article, and so a roster researcher who wrote it.
+    """
+    index = views.of(corpus)
+    headcounts = index.memo(("headcounts", level), lambda: sector_headcounts(corpus, level))
+    attributed = index.by_sds if level == LEVEL_SDS else index.by_uda
+
+    rows = []
+    for sector_id in sorted(attributed):
+        pubs = attributed[sector_id]
+        n_all = pubs.bit_count()
+        n_extramural = (pubs & index.extramural).bit_count()
+        n_industry = (pubs & index.industry).bit_count()
+        headcount = headcounts[sector_id]
+        rows.append(
+            SectorIntensityRow(
+                sector_id=sector_id,
+                n_industry_coauth=n_industry,
+                pct_of_all=100.0 * n_industry / n_all,
+                pct_of_coauth=100.0 * n_industry / n_extramural if n_extramural else None,
+                per_researcher=n_industry / headcount,
+            )
+        )
+    return rows
+
+
+@dataclass(frozen=True)
+class MultidiscIndex:
+    """Multidisciplinarity of one scope (a sector or a journal category)."""
+
+    scope_id: str
+    subset: str
+    ii_sds: float | None
+    ii_sci: float | None
+    n_pubs: int
 
 
 @dataclass(frozen=True)
@@ -44,19 +114,19 @@ class RankTable:
     level: str
     metric: str
     k: int
-    rows: tuple[indicators.SectorIntensityRow, ...]
+    rows: tuple[SectorIntensityRow, ...]
 
 
 @dataclass(frozen=True)
 class MultidiscTable:
     title: str
     subset: str
-    rows: tuple[indicators.MultidiscIndex, ...]
+    rows: tuple[MultidiscIndex, ...]
 
 
 def build_rank_table(
     corpus: Corpus,
-    level: str = indicators.LEVEL_SDS,
+    level: str = LEVEL_SDS,
     metric: str = "count",
     k: int = TOP_SDS,
 ) -> RankTable:
@@ -66,7 +136,7 @@ def build_rank_table(
     undefined are dropped, and ties order by sector id. Rendering puts the
     metric in the ``value`` column and the other three after it.
     """
-    intensity = indicators.sector_intensity(corpus, level)
+    intensity = sector_intensity(corpus, level)
     field, words = _METRICS[metric]
     scored = sorted((row for row in intensity if getattr(row, field) is not None),
                     key=lambda row: (-getattr(row, field), row.sector_id))
@@ -75,7 +145,27 @@ def build_rank_table(
 
 
 def build_multidisc_table(corpus: Corpus, selector: str) -> MultidiscTable:
-    rows = indicators.multidisc_by_scope(corpus, selector)
+    """Multidisciplinarity per scope, restricted to a publication subset.
+
+    Sector scopes carry the author-sector index, category scopes the journal
+    category index; scopes with no publication in the subset are omitted.
+    Each index is a scope mean kept on the views, shared with the paired
+    comparisons.
+    """
+    index = views.of(corpus)
+    side = collab.SELECTORS[selector]
+    chosen = getattr(index, side)
+    rows = []
+    for scopes, value, field in (("by_sds", "sector_counts", "ii_sds"),
+                                 ("by_category", "category_counts", "ii_sci")):
+        groups = getattr(index, scopes)
+        for scope_id in sorted(groups):
+            pubs = groups[scope_id] & chosen
+            if not pubs:
+                continue
+            values = {"ii_sds": None, "ii_sci": None,
+                      field: index.mean(scopes, scope_id, side, value)}
+            rows.append(MultidiscIndex(scope_id, selector, n_pubs=pubs.bit_count(), **values))
     return MultidiscTable(
         title=f"Multidisciplinarity by scope, subset: {selector}",
         subset=selector,
@@ -211,10 +301,10 @@ def render_all(
     order, so the result is byte-identical across runs.
     """
     out: dict[str, str] = {}
-    table = build_rank_table(corpus, indicators.LEVEL_UDA, "count", TOP_UDA)
+    table = build_rank_table(corpus, LEVEL_UDA, "count", TOP_UDA)
     out["rank_uda_count.md"] = render(table, "md")
     for metric in METRICS:
-        table = build_rank_table(corpus, indicators.LEVEL_SDS, metric, TOP_SDS)
+        table = build_rank_table(corpus, LEVEL_SDS, metric, TOP_SDS)
         out[f"rank_sds_{metric}.csv"] = render(table, "csv")
 
     out["edges.csv"] = edges_csv(corpus)

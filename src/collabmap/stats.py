@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, sqrt
 from typing import Sequence
 
-from . import indicators, views
+from . import views
 from .corpus import Corpus
 from .errors import (
     InsufficientData,
@@ -288,7 +288,7 @@ def _researcher_comparison(
     if not group_a or not group_b:
         raise InsufficientSectors("one of the researcher groups is empty")
     values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
-    ranks = indicators.rank_within_sector(corpus, values)
+    ranks = views.rank_within_sector(corpus, values)
     sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)
     sample_b = descriptive([ranks[r] for r in group_b], spec.label_b)
     result = welch_t(sample_a, sample_b)

@@ -18,13 +18,15 @@ terms in the same order as a sum over its sorted ids. ``categories`` and
 groupings once per distinct sector set or category tuple.
 
 The tables also share corpus aggregates, kept by :meth:`Views.memo`: each
-scope mean a paired comparison takes, the roster headcount per level, and
-each researcher comparison. None of them depends on ``min_collab_pubs``,
+scope mean a paired comparison or a multidisc table takes, the roster
+headcount per level, and each researcher comparison. None of them depends on ``min_collab_pubs``,
 whose floor only picks which means to read, so ``render_all`` calls on one
 corpus, at any thresholds, compute each of them at most once.
 
 ``parties`` states the collaboration rule itself. The percentile primitives
-that ``ifpr`` and the researcher comparisons rank with live here too.
+live here too: ``midrank_percentiles``, ``if_percentile_ranks``, which
+``ifpr`` reads, and ``rank_within_sector``, which the researcher comparisons
+rank with.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, count
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .corpus import Corpus, JournalYear
 
@@ -111,6 +113,25 @@ def midrank_percentiles(values: Sequence[float]) -> list[float]:
     # ties share one float, as the rankings keep one per researcher and journal
     pct = {v: 50.0 * (bisect_left(ordered, v) + bisect_right(ordered, v)) / n for v in ordered}
     return [pct[v] for v in values]
+
+
+def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str, float]:
+    """Midrank percentile of each researcher's value within their own sector.
+
+    The population of each sector is exactly the roster researchers keyed
+    in ``values``; every sector's ranks average to 50.
+    """
+    groups: dict[str, list[str]] = {}
+    for researcher_id in sorted(values):
+        groups.setdefault(corpus.researchers[researcher_id].sds_id, []).append(researcher_id)
+
+    ranks: dict[str, float] = {}
+    for sds_id in sorted(groups):
+        members = groups[sds_id]
+        pcts = midrank_percentiles([values[r] for r in members])
+        for researcher_id, pct in zip(members, pcts):
+            ranks[researcher_id] = pct
+    return ranks
 
 
 def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:

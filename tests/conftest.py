@@ -8,7 +8,7 @@ from collabmap import views
 from collabmap.collab import SELECTORS
 from collabmap.corpus import load_corpus
 from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
-from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, multidisc_by_scope, sector_intensity
+from collabmap.report import LEVEL_SDS, LEVEL_UDA, build_multidisc_table, sector_intensity
 from collabmap.stats import COMPARISONS, compare
 
 from oracles import Oracle
@@ -239,7 +239,7 @@ def assert_comparison_layer(corpus, out, min_collab_pubs, seed):
         assert_close(rows, oracle.sector_intensity(level), (seed, level))
     for selector in SELECTORS:
         rows = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs)
-                for r in multidisc_by_scope(corpus, selector)]
+                for r in build_multidisc_table(corpus, selector).rows]
         assert_close(rows, oracle.multidisc_by_scope(selector), (seed, selector))
     for grouping, indicator in COMPARISONS:
         context = (seed, grouping, indicator)

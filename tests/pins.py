@@ -26,7 +26,7 @@ from collabmap.corpus import load_corpus  # noqa: E402
 from collabmap.harness import SplitMix64, SynthConfig, generate  # noqa: E402
 from collabmap.report import render_all  # noqa: E402
 from collabmap.stats import _tail, descriptive, paired_t, welch_t  # noqa: E402
-from collabmap.views import midrank_percentiles  # noqa: E402
+from collabmap.views import mean_over, midrank_percentiles  # noqa: E402
 
 GENERATED_FILES = ("taxonomy.csv", "organizations.csv", "journals.csv",
                    "roster.csv", "publications.jsonl")
@@ -151,6 +151,8 @@ def _checks():
             out = generate(config, Path(tmp) / label.replace(" ", "_"))
             yield f"generate {label}", generated_digests(out) == pinned
     yield "kernel digest", kernel_digest() == KERNEL_DIGEST
+    # ten tenths added left to right; the builtin sum of 3.12 on rounds to ...9ap-4
+    yield "mean_over order", mean_over((1 << 10) - 1, [0.1] * 10).hex() == "0x1.9999999999999p-4"
     rendered = render_all(load_corpus(HERE / "data" / "fixture40"), min_collab_pubs=3)
     goldens = sorted((HERE / "golden").iterdir())
     yield "golden names", sorted(rendered) == [path.name for path in goldens]

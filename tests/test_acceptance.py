@@ -14,8 +14,7 @@ from collabmap import views
 from collabmap.collab import count_collaborations, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
-from collabmap.indicators import LEVEL_SDS, LEVEL_UDA, sector_intensity
-from collabmap.report import render_all
+from collabmap.report import LEVEL_SDS, LEVEL_UDA, render_all, sector_intensity
 from collabmap.stats import _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 

@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 
 from collabmap import views
 from collabmap.corpus import load_corpus
-from collabmap.indicators import (
+from collabmap.report import (
     LEVEL_SDS,
     LEVEL_UDA,
-    multidisc_by_scope,
-    rank_within_sector,
+    build_multidisc_table,
+    render_all,
     sector_headcounts,
     sector_intensity,
 )
-from collabmap.report import render_all
-from collabmap.views import if_percentile_ranks, midrank_percentiles
+from collabmap.views import if_percentile_ranks, midrank_percentiles, rank_within_sector
 
 from conftest import ifpr_by_pub_id
 from oracles import Oracle, oracle_percentiles
@@ -262,7 +261,8 @@ def test_rank_within_sector(corpus40):
 
 def _multidisc(corpus, selector, column):
     return {r.scope_id: (getattr(r, column), r.n_pubs)
-            for r in multidisc_by_scope(corpus, selector) if getattr(r, column) is not None}
+            for r in build_multidisc_table(corpus, selector).rows
+            if getattr(r, column) is not None}
 
 
 def test_multidisc_sds(corpus40):
@@ -295,7 +295,7 @@ def test_multidisc_requires_academic_author(tmp_path):
 
 
 def test_multidisc_by_scope_industry(corpus40):
-    rows = multidisc_by_scope(corpus40, "industry_coauthored")
+    rows = build_multidisc_table(corpus40, "industry_coauthored").rows
     as_tuples = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs) for r in rows]
     assert as_tuples[:3] == [("BIO1", 2.0, None, 1), ("CHIM1", 2.0, None, 1),
                              ("ELEC", 1.0, None, 3)]
@@ -306,7 +306,7 @@ def test_multidisc_by_scope_industry(corpus40):
 
 
 def test_multidisc_by_scope_all(corpus40):
-    rows = {r.scope_id: r for r in multidisc_by_scope(corpus40, "all")}
+    rows = {r.scope_id: r for r in build_multidisc_table(corpus40, "all").rows}
     assert len(rows) == 9
     assert rows["ELEC"].ii_sds == 1.0 and rows["ELEC"].n_pubs == 10
     assert rows["CHIM1"].ii_sds == pytest.approx(1.375, abs=1e-12)

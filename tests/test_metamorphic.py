@@ -53,7 +53,7 @@ from collabmap.collab import (
 from collabmap.corpus import DEFAULT_WINDOW, HOME_COUNTRY, load_corpus
 from collabmap.errors import CollabmapError
 from collabmap.harness import SynthConfig, generate
-from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
+from collabmap.report import LEVEL_SDS, LEVEL_UDA
 
 from conftest import FIXTURE40
 

@@ -74,6 +74,26 @@ def test_no_import_cycle():
         visit(module)
 
 
+# each module's layer; a module imports at run time only from lower layers
+LAYERS = {
+    "errors": 0,
+    "corpus": 1,
+    "views": 2, "harness": 2,
+    "collab": 3, "stats": 3,
+    "report": 4,
+    "cli": 5,
+}
+
+
+def test_imports_go_down_the_layers():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert sorted(LAYERS) == modules
+    upward = [f"{module} -> {imported}" for module in modules
+              for imported in sorted(set(_relative_imports(module)))
+              if LAYERS[imported] >= LAYERS[module]]
+    assert upward == []
+
+
 def test_no_import_inside_a_function():
     # every import sits at module level (a TYPE_CHECKING block is one), where
     # the reachability and cycle tests see it if it runs

@@ -8,9 +8,10 @@ import pytest
 from collabmap.collab import SELECTORS, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import SynthConfig, generate
-from collabmap.indicators import LEVEL_SDS, LEVEL_UDA
 from collabmap.report import (
     FORMATS,
+    LEVEL_SDS,
+    LEVEL_UDA,
     METRICS,
     TOP_SDS,
     TOP_UDA,

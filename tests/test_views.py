@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import collabmap
-from collabmap import indicators, views
+from collabmap import views
 from collabmap.corpus import load_corpus
 from collabmap.harness import SynthConfig, generate
-from collabmap.report import render_all
+from collabmap.report import build_multidisc_table, render_all
 
 from conftest import FIXTURE40
 
@@ -91,14 +91,26 @@ def test_second_render_computes_no_mean_and_no_ranking(corpus5k, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(views, "mean_over", counting("mean", views.mean_over))
-    monkeypatch.setattr(indicators, "rank_within_sector",
-                        counting("rank", indicators.rank_within_sector))
+    monkeypatch.setattr(views, "rank_within_sector",
+                        counting("rank", views.rank_within_sector))
     fresh = dataclasses.replace(corpus5k)
     render_all(fresh, min_collab_pubs=3)
     assert calls.count("rank") == 2 and calls.count("mean") > 0
     calls.clear()
     render_all(fresh, min_collab_pubs=7)
     render_all(fresh, min_collab_pubs=3)
+    assert calls == []
+
+
+def test_multidisc_table_reads_the_comparisons_means(corpus40, monkeypatch):
+    # each industry_coauthored scope has an industry article, so the paired
+    # multidisc comparisons of render_all already took every one of its means
+    calls = []
+    original = views.mean_over
+    fresh = dataclasses.replace(corpus40)
+    render_all(fresh, min_collab_pubs=3)
+    monkeypatch.setattr(views, "mean_over", lambda *args: calls.append(args) or original(*args))
+    assert build_multidisc_table(fresh, "industry_coauthored").rows
     assert calls == []
 
 
