@@ -11,16 +11,16 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, get_type_hints
 
-from . import collab, report, stats
+from . import report, stats
 from .corpus import DEFAULT_WINDOW, HOME_COUNTRY, is_alpha2, load_corpus, validate_corpus
 from .errors import CollabmapError
 from .harness import SynthConfig, generate
-from .report import LEVEL_SDS, LEVEL_UDA
+from .report import LEVEL_SDS, LEVEL_UDA, SELECTOR_ALL, SELECTOR_EXTRAMURAL, SELECTOR_INDUSTRY
 
 _SUBSETS = {
-    "all": collab.SELECTOR_ALL,
-    "collab": collab.SELECTOR_EXTRAMURAL,
-    "industry": collab.SELECTOR_INDUSTRY,
+    "all": SELECTOR_ALL,
+    "collab": SELECTOR_EXTRAMURAL,
+    "industry": SELECTOR_INDUSTRY,
 }
 
 

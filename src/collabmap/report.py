@@ -10,6 +10,11 @@ and indices, 4 for t statistics, scientific notation for p-values below
 1e-3), LF newlines, and deterministic byte output. JSON carries the same
 formatted values as numbers, so CSV and JSON renders of one table parse to
 equal values.
+
+The collaboration edge list and its per-case counts are computed here too:
+an article whose address list contains m universities and n domestic
+private firms embeds m*n pairwise collaborations, on the two sides that
+``views.Views.parties`` states.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from . import collab, stats, views
-from .corpus import Corpus
+from . import stats, views
+from .corpus import Corpus, Publication
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
@@ -43,6 +48,28 @@ _LEVEL_WORD = {LEVEL_SDS: "sectors", LEVEL_UDA: "areas"}
 # build_rank_table's and `map --top`'s default
 TOP_SDS = 10
 TOP_UDA = 4
+
+CASE_ONE_ONE = "one_one"
+CASE_M_ONE = "m_one"
+CASE_ONE_N = "one_n"
+CASE_M_N = "m_n"
+
+# the four collaboration cases, in presentation order
+COLLAB_CASES = (CASE_ONE_ONE, CASE_M_ONE, CASE_ONE_N, CASE_M_N)
+
+SELECTOR_ALL = "all"
+SELECTOR_EXTRAMURAL = "extramural_collab"
+SELECTOR_INDUSTRY = "industry_coauthored"
+# each selector and the Views attribute that holds its publications, as a
+# bitmask: ``all`` is everything; ``extramural_collab`` requires at least two
+# distinct address organizations, one of them a university;
+# ``industry_coauthored`` requires at least one collaboration. The three sets
+# nest: industry_coauthored <= extramural_collab <= all.
+SELECTORS = {
+    SELECTOR_ALL: "everything",
+    SELECTOR_EXTRAMURAL: "extramural",
+    SELECTOR_INDUSTRY: "industry",
+}
 
 
 def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
@@ -153,7 +180,7 @@ def build_multidisc_table(corpus: Corpus, selector: str) -> MultidiscTable:
     comparisons.
     """
     index = views.of(corpus)
-    side = collab.SELECTORS[selector]
+    side = SELECTORS[selector]
     chosen = getattr(index, side)
     rows = []
     for scopes, value, field in (("by_sds", "sector_counts", "ii_sds"),
@@ -285,10 +312,65 @@ def render(table: RankTable | stats.Comparison | MultidiscTable, fmt: str = "csv
     return _render_multidisc(table, fmt)
 
 
+# -- collaborations -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CollabSummary:
+    """Corpus-level collaboration totals with the per-case breakdown."""
+
+    total_collaborations: int
+    industry_articles: int
+    articles_by_case: dict[str, int]
+    collaborations_by_case: dict[str, int]
+
+
+def _case_for(m: int, n: int) -> str:
+    if m == 1 and n == 1:
+        return CASE_ONE_ONE
+    if n == 1:
+        return CASE_M_ONE
+    if m == 1:
+        return CASE_ONE_N
+    return CASE_M_N
+
+
+def _parties_of(corpus: Corpus) -> Iterator[tuple[Publication, list[str], list[str]]]:
+    """Each industry co-authored publication with its university and firm ids, in order."""
+    index = views.of(corpus)
+    universities, firms = index.parties
+    for i in views.members(index.industry):
+        pub = corpus.publications[i]
+        yield (pub, [o for o in pub.address_org_ids if o in universities],
+               [o for o in pub.address_org_ids if o in firms])
+
+
+def count_collaborations(corpus: Corpus) -> CollabSummary:
+    """Total collaborations and the article/collaboration split by case."""
+    articles_by_case = {case: 0 for case in COLLAB_CASES}
+    collaborations_by_case = {case: 0 for case in COLLAB_CASES}
+    for _, univs, firms in _parties_of(corpus):
+        case = _case_for(len(univs), len(firms))
+        articles_by_case[case] += 1
+        collaborations_by_case[case] += len(univs) * len(firms)
+    return CollabSummary(
+        total_collaborations=sum(collaborations_by_case.values()),
+        industry_articles=sum(articles_by_case.values()),
+        articles_by_case=articles_by_case,
+        collaborations_by_case=collaborations_by_case,
+    )
+
+
+def extract_edges(corpus: Corpus) -> list[tuple[str, str, str]]:
+    """Every (pub_id, university org id, firm org id) triple, sorted in that order."""
+    return [(pub.pub_id, univ, firm)
+            for pub, univs, firms in _parties_of(corpus)
+            for univ in univs for firm in firms]
+
+
 def edges_csv(corpus: Corpus) -> str:
     """The collaboration edge list as CSV."""
     return _csv_lines([("pub_id", "university_org_id", "firm_org_id"),
-                       *collab.extract_edges(corpus)])
+                       *extract_edges(corpus)])
 
 
 def render_all(

@@ -286,7 +286,7 @@ def _researcher_comparison(
     group_a = [r for r in population if r in index.collaborators]
     group_b = [r for r in population if r not in index.collaborators]
     if not group_a or not group_b:
-        raise InsufficientSectors("one of the researcher groups is empty")
+        raise InsufficientData("one of the researcher groups is empty")
     values = {rid: float(getattr(perf[rid], spec.value)) for rid in population}
     ranks = views.rank_within_sector(corpus, values)
     sample_a = descriptive([ranks[r] for r in group_a], spec.label_a)

@@ -5,10 +5,15 @@ from pathlib import Path
 import pytest
 
 from collabmap import views
-from collabmap.collab import SELECTORS
 from collabmap.corpus import load_corpus
 from collabmap.errors import InsufficientData, InsufficientSectors, ZeroVariance
-from collabmap.report import LEVEL_SDS, LEVEL_UDA, build_multidisc_table, sector_intensity
+from collabmap.report import (
+    LEVEL_SDS,
+    LEVEL_UDA,
+    SELECTORS,
+    build_multidisc_table,
+    sector_intensity,
+)
 from collabmap.stats import COMPARISONS, compare
 
 from oracles import Oracle

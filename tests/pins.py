@@ -110,6 +110,28 @@ def generated_digests(out: Path) -> dict[str, str]:
             for name in GENERATED_FILES}
 
 
+# sha256 of each table render_all writes for the seed-1234 50k corpus of
+# test_large_corpus_fast_and_stable. That corpus reaches two branches the
+# fixture40 goldens do not: its 12 sectors fill each rank_sds_* table's 10
+# rows, and both researcher comparisons print p_two below 1e-3.
+LARGE_BUNDLE_DIGESTS = {
+    "compare_multidisc_all_vs_industry_ii_sci.json": "425e00a4fbf9ce53bd6335bbc2a4bb3466ea849aa9f359fde3c5ce80440bb741",
+    "compare_multidisc_all_vs_industry_ii_sds.json": "f5825e04307dac8fe16f84be5194028098e04d35d83b899b625a5113be95e044",
+    "compare_multidisc_collab_vs_industry_ii_sci.json": "d521bcfce9bfe54837bfe91a2d39ee527bbbd5c92a059231d088ed617bc7e6c4",
+    "compare_multidisc_collab_vs_industry_ii_sds.json": "36c8b881926e865bd024964e8a9477976f1bc5da68ba41adcd754d4a625abc5b",
+    "compare_researchers_industry_vs_rest_fss.json": "3ddaf107908ab8b3bd221e04596bcb8fa59000eccf81cae24c74427b1be53b2a",
+    "compare_researchers_industry_vs_rest_o.json": "66817943ac7f1e2b2c6e27772d90e0efc57d1a0cb07aa4cb56051b801e5f1c63",
+    "compare_sds_all_vs_collab_ifpr.json": "cb876b1ee23a08c8627e60123fed389d2f5373321e81fbecc49b519d8407d741",
+    "compare_sds_all_vs_industry_ifpr.json": "4d191dfc14c69b90d00a344529f38bdbf21d7c26d54a61bfb6fb5593095a155a",
+    "edges.csv": "637e6e1776134cb05dd843d54834dc017ec952c1200503273d0dc0aeb1ec4336",
+    "rank_sds_count.csv": "c63948e799db7bcf25244044fe604905693eac7b93a0890d415043c98fc4aab1",
+    "rank_sds_pct_all.csv": "82f8766cf37be02c3d1e496e1e13588af656f6b0f2de56be1a2b845994d32591",
+    "rank_sds_pct_coauth.csv": "0f2d720666b6a618e07fe0f04bc9b26c317203ffb41b6bf2e0664766b328beff",
+    "rank_sds_per_researcher.csv": "a09fa7bacaf9026011aaea97a2f8b67ed470a6c36a4c791e288a34b58ce3c072",
+    "rank_uda_count.md": "e2b3a31462a1b7e207ed0a325eed2d3d309df5f499ca3b34ebdedfb1412bc713",
+}
+
+
 # frozen from the loop-over-ties midranks and the two-body Lentz loop that
 # the kernels replaced; a change to any single output bit changes it
 KERNEL_DIGEST = "49597d7f68292bbdc583928092020f1b1ae9e669026857ba96ea007dc39b33f2"

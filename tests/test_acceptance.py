@@ -6,20 +6,31 @@ alongside the pytest outcomes.
 
 import dataclasses
 import functools
+import hashlib
+import json
 import time
 
 import pytest
 
 from collabmap import views
-from collabmap.collab import count_collaborations, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
-from collabmap.report import LEVEL_SDS, LEVEL_UDA, render_all, sector_intensity
+from collabmap.report import (
+    LEVEL_SDS,
+    LEVEL_UDA,
+    METRICS,
+    TOP_SDS,
+    count_collaborations,
+    extract_edges,
+    render_all,
+    sector_intensity,
+)
 from collabmap.stats import _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 from conftest import GOLDEN, assert_comparison_layer, ifpr_by_pub_id
 from oracles import Oracle
+from pins import LARGE_BUNDLE_DIGESTS
 from test_collab import _assert_grid_cell, _grid
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
@@ -150,7 +161,8 @@ def test_sector_share_ordering(tmp_path, corpus40):
     return f"{rows} sector rows ordered"
 
 
-@criterion("t distribution versus 30-digit reference, grid 1e-10, fixture 1e-9, paired 1e-12, "
+@criterion("t distribution versus 30-digit reference, grid 1e-10 to df 1000, relative 1e-9 "
+           "at df 19999.3 and 1e-8 at df 1e5, fixture 1e-9, paired 1e-12, "
            "tails to 1e-100 at relative 1e-12")
 def test_t_distribution_accuracy():
     mpmath = pytest.importorskip("mpmath")
@@ -169,6 +181,15 @@ def test_t_distribution_accuracy():
             assert abs(_tail(t, df) - reference(t, df)) <= 1e-10, (t, df)
             grid_points += 1
             t += 0.25
+    # at large df the kernel loses relative precision near t = 0: the worst
+    # errors are 4.9e-10 at df 19999.3, t 0.002 and 4.4e-9 at df 1e5, t 0.001
+    small = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
+    ts = [-8.0 + 0.25 * k for k in range(65)] + [sign * t for t in small for sign in (1, -1)]
+    for df, bound in ((19999.3, 1e-9), (1e5, 1e-8)):
+        for t in ts:
+            want = reference(t, df)
+            assert abs(_tail(t, df) - want) <= bound * want, (t, df)
+            grid_points += 1
     for t, df, expected in TCDF_CASES:
         cdf = 1.0 - _tail(t, df) if t >= 0 else _tail(t, df)
         assert abs(cdf - expected) <= 1e-9, (t, df)
@@ -209,7 +230,8 @@ def test_report_goldens(corpus40):
     return f"{len(golden_names)} tables"
 
 
-@criterion("50000-publication run under 10s, stable across repeats and fresh loads")
+@criterion("50000-publication run under 10s, stable across repeats and fresh loads, "
+           "each table matching its frozen digest")
 def test_large_corpus_fast_and_stable(tmp_path):
     out = generate(SynthConfig(seed=1234, n_pubs=50_000, n_researchers=6000,
                                n_journals=60, industry_rate=0.05), tmp_path)
@@ -222,5 +244,17 @@ def test_large_corpus_fast_and_stable(tmp_path):
     corpus_again = load_corpus(out)
     assert render_all(corpus_again) == first
     assert elapsed < 10.0, f"load+render took {elapsed:.1f}s"
-    return f"load+render {elapsed:.1f}s, {len(first)} tables stable"
+
+    assert sorted(first) == sorted(LARGE_BUNDLE_DIGESTS)
+    for name, digest in LARGE_BUNDLE_DIGESTS.items():
+        assert hashlib.sha256(first[name].encode()).hexdigest() == digest, name
+    # the two branches the fixture40 goldens leave out: a full top-10 of the
+    # 12 sectors, and p-values in scientific form
+    for metric in METRICS:
+        assert len(first[f"rank_sds_{metric}.csv"].splitlines()) == 1 + TOP_SDS, metric
+    for indicator in ("o", "fss"):
+        name = f"compare_researchers_industry_vs_rest_{indicator}.json"
+        p_two = json.loads(first[name])["p_two"]
+        assert p_two < 1e-3, (name, p_two)
+    return f"load+render {elapsed:.1f}s, {len(first)} tables stable and pinned"
 

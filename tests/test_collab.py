@@ -1,7 +1,9 @@
 import dataclasses
 
 from collabmap import views
-from collabmap.collab import (
+from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
+from collabmap.harness import SynthConfig, generate
+from collabmap.report import (
     CASE_M_N,
     CASE_M_ONE,
     CASE_ONE_N,
@@ -12,11 +14,9 @@ from collabmap.collab import (
     SELECTOR_EXTRAMURAL,
     SELECTOR_INDUSTRY,
     count_collaborations,
+    edges_csv,
     extract_edges,
 )
-from collabmap.corpus import AuthorRef, Organization, Publication, load_corpus
-from collabmap.harness import SynthConfig, generate
-from collabmap.report import edges_csv
 
 from conftest import FIXTURE40
 

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabmap import errors, views
-from collabmap.collab import count_collaborations
 from collabmap.corpus import load_corpus, validate_corpus
 from collabmap.harness import _LANES, SplitMix64, SynthConfig, generate, oracle_collab_counts
+from collabmap.report import count_collaborations
 from collabmap.views import midrank_percentiles
 
 from conftest import assert_comparison_layer, ifpr_by_pub_id

@@ -42,18 +42,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from collabmap import report, stats
-from collabmap.collab import (
+from collabmap.corpus import DEFAULT_WINDOW, HOME_COUNTRY, load_corpus
+from collabmap.errors import CollabmapError
+from collabmap.harness import SynthConfig, generate
+from collabmap.report import (
     CASE_M_N,
     CASE_M_ONE,
     CASE_ONE_N,
+    LEVEL_SDS,
+    LEVEL_UDA,
     SELECTORS,
     count_collaborations,
     extract_edges,
 )
-from collabmap.corpus import DEFAULT_WINDOW, HOME_COUNTRY, load_corpus
-from collabmap.errors import CollabmapError
-from collabmap.harness import SynthConfig, generate
-from collabmap.report import LEVEL_SDS, LEVEL_UDA
 
 from conftest import FIXTURE40
 

@@ -79,7 +79,7 @@ LAYERS = {
     "errors": 0,
     "corpus": 1,
     "views": 2, "harness": 2,
-    "collab": 3, "stats": 3,
+    "stats": 3,
     "report": 4,
     "cli": 5,
 }

@@ -45,8 +45,8 @@ _DATA = "no item: a data-dependent statistics branch that no corpus here reaches
 ALLOWED = {
     "harness.oracle_collab_counts": ("item 2: perfbench/run.py imports it until "
                                      "perfbench/checks.py counts collaborations itself", WHOLE),
-    "collab._case_for": (_BUNDLE, WHOLE),
-    "collab.count_collaborations": (_BUNDLE, WHOLE),
+    "report._case_for": (_BUNDLE, WHOLE),
+    "report.count_collaborations": (_BUNDLE, WHOLE),
     "report.render_all": (_BUNDLE, WHOLE),
     "corpus.Corpus.__post_init__": (_RECHECK, (
         'raise DuplicateId("pub_id", pub.pub_id)',)),

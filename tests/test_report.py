@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from collabmap.collab import SELECTORS, extract_edges
 from collabmap.corpus import load_corpus
 from collabmap.harness import SynthConfig, generate
 from collabmap.report import (
@@ -13,11 +12,13 @@ from collabmap.report import (
     LEVEL_SDS,
     LEVEL_UDA,
     METRICS,
+    SELECTORS,
     TOP_SDS,
     TOP_UDA,
     build_multidisc_table,
     build_rank_table,
     edges_csv,
+    extract_edges,
     render,
     render_all,
 )

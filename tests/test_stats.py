@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collabmap import errors
+from collabmap.corpus import load_corpus
+from collabmap.harness import SynthConfig, generate
 from collabmap.stats import (
     COMPARISONS,
     GROUPINGS,
@@ -401,10 +403,24 @@ def test_compare_without_roster_authors_runs_out_of_units(corpus40):
         if indicator == "ii_sci":
             # journal categories do not depend on the roster
             assert compare(unlinked, grouping, indicator).n_units == 3
-        else:
+        elif grouping == "researchers_industry_vs_rest":
             # no sector has a publication, so neither researcher group has a member
+            with pytest.raises(errors.InsufficientData, match="researcher groups is empty"):
+                compare(unlinked, grouping, indicator, min_collab_pubs=0)
+        else:
+            # no sector has a publication, so no sector survives
             with pytest.raises(errors.InsufficientSectors):
                 compare(unlinked, grouping, indicator, min_collab_pubs=0)
+
+
+def test_compare_with_every_researcher_collaborating_has_no_rest_group(tmp_path):
+    # with 5000 articles, each of the 120 researchers co-authors with industry
+    corpus = load_corpus(generate(SynthConfig(seed=7, n_pubs=5000), tmp_path))
+    for indicator in ("o", "fss"):
+        for min_collab_pubs in (1, 3, 7):
+            with pytest.raises(errors.InsufficientData, match="researcher groups is empty"):
+                compare(corpus, "researchers_industry_vs_rest", indicator,
+                        min_collab_pubs=min_collab_pubs)
 
 
 def test_compare_error_names_its_unit(corpus40):
