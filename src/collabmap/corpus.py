@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, pairwise
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -144,7 +144,7 @@ class JournalYear:
                                      "are not a non-empty sorted set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Researcher:
     researcher_id: str
     full_name: str
@@ -193,9 +193,10 @@ class Corpus:
     same files compare equal. The loader validates a row outside the window
     in full but builds no record for it. Within one load, every id a loaded
     record stores (roster university and sector, journal, byline and address
-    ids) is the loaded tables' own string, and repeated bylines and address
-    lists are one object each; nothing is shared across loads. All of it is
-    frozen, so only ``is`` tells a shared record or string from an equal copy.
+    ids) is the loaded tables' own string, and repeated bylines, address
+    lists and years are one object each; nothing is shared across loads.
+    All of it is frozen, so only ``is`` tells a shared record or string from
+    an equal copy.
     ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
@@ -447,8 +448,9 @@ def _parse_publication(
     in place of the ones it read, and an id no table holds stays as read.
     It also hands out one AuthorRef per validated (raw_name, researcher_id,
     org_id) and one tuple per sorted address list, built on the first
-    occurrence from the table strings. An address list is its own key; a
-    byline key starts with the AuthorRef class, so it never equals one. Both
+    occurrence from the table strings, and one ``int`` per year. An address
+    list is its own key; a byline key starts with the AuthorRef class, so it
+    never equals one, and a year never equals a string or a tuple. Both
     keys hold the record's own strings, so no raw id copy outlives its line.
     """
     try:
@@ -516,7 +518,7 @@ def _parse_publication(
         shared[address_org_ids] = address_org_ids
     return pub_id, Publication(
         pub_id=pub_id,
-        year=year,
+        year=shared.setdefault(year, year),
         journal_id=shared.get(journal_id, journal_id),
         authors=tuple(authors),
         address_org_ids=address_org_ids,
@@ -532,28 +534,52 @@ def _load_publications(
     duplicates, so a bad row raises the same error at the same line whether
     or not its year is in the window. No record is built for a row outside
     the window; the check here is the only one those rows get, since the
-    Corpus constructor never sees them. ``shared`` is this load's lookup
-    (see :func:`_parse_publication`): a kept record's ids are the loaded
-    tables' own strings, and the bylines and address lists repeated within
-    the load are one shared object each. They are frozen, so only ``is`` can
-    tell. Nothing is shared across loads.
+    Corpus constructor never sees them. The duplicate check is a sorted pass
+    over the pub_ids read so far (see :func:`_check_unique`). It runs at the
+    end of the file and before any line error is raised, so a repeated id
+    still fails at its own line, in file order with the line errors.
+    ``shared`` is this load's lookup (see :func:`_parse_publication`): a
+    kept record's ids are the loaded tables' own strings, and the bylines,
+    address lists and years repeated within the load are one shared object
+    each. They are frozen, so only ``is`` can tell. Nothing is shared across
+    loads.
     """
     kept: list[Publication] = []
-    seen: set[str] = set()
+    pub_ids: list[str] = []
     try:
         with path.open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                pub_id, pub = _parse_publication(path, lineno, line, window, shared)
-                if pub_id in seen:
-                    raise DuplicateId("pub_id", pub_id)
-                seen.add(pub_id)
+                try:
+                    pub_id, pub = _parse_publication(path, lineno, line, window, shared)
+                except ParseError:
+                    _check_unique(pub_ids)
+                    raise
+                pub_ids.append(pub_id)
                 if pub is not None:
                     kept.append(pub)
     except UnicodeDecodeError as exc:
+        _check_unique(pub_ids)
         raise _decode_error(path, exc)
-    return kept, len(seen) - len(kept)
+    _check_unique(pub_ids)
+    return kept, len(pub_ids) - len(kept)
+
+
+def _check_unique(pub_ids: list[str]) -> None:
+    """Raise DuplicateId for the first pub_id that repeats an earlier one, in list order.
+
+    A sorted copy shows whether any id repeats, so a valid file builds no
+    set of every id; only a failing one walks the list again for the first
+    repeat.
+    """
+    if not any(a == b for a, b in pairwise(sorted(pub_ids))):
+        return
+    seen: set[str] = set()
+    for pub_id in pub_ids:
+        if pub_id in seen:
+            raise DuplicateId("pub_id", pub_id)
+        seen.add(pub_id)
 
 
 def load_corpus(

@@ -24,7 +24,8 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import stats, views
 from .corpus import Corpus, Publication
@@ -233,7 +234,7 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def _csv_lines(rows: Sequence[Sequence[str]]) -> str:
+def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -360,17 +361,17 @@ def count_collaborations(corpus: Corpus) -> CollabSummary:
     )
 
 
-def extract_edges(corpus: Corpus) -> list[tuple[str, str, str]]:
-    """Every (pub_id, university org id, firm org id) triple, sorted in that order."""
-    return [(pub.pub_id, univ, firm)
+def extract_edges(corpus: Corpus) -> Iterator[tuple[str, str, str]]:
+    """Yield every (pub_id, university org id, firm org id) triple, sorted in that order."""
+    return ((pub.pub_id, univ, firm)
             for pub, univs, firms in _parties_of(corpus)
-            for univ in univs for firm in firms]
+            for univ in univs for firm in firms)
 
 
 def edges_csv(corpus: Corpus) -> str:
-    """The collaboration edge list as CSV."""
-    return _csv_lines([("pub_id", "university_org_id", "firm_org_id"),
-                       *extract_edges(corpus)])
+    """The collaboration edge list as CSV, written as it is extracted."""
+    return _csv_lines(chain([("pub_id", "university_org_id", "firm_org_id")],
+                            extract_edges(corpus)))
 
 
 def render_all(

@@ -56,7 +56,7 @@ def criterion(label):
 def test_case_grid_complete_and_fast(corpus40):
     start = time.perf_counter()
     grid = _grid(corpus40)
-    edges = extract_edges(grid)
+    edges = list(extract_edges(grid))
     for pub in grid.publications:
         _assert_grid_cell(grid, edges, pub)
     elapsed = time.perf_counter() - start
@@ -73,7 +73,7 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
 
         summary = count_collaborations(corpus)
         assert dataclasses.asdict(summary) == dataclasses.asdict(oracle_collab_counts(out)), seed
-        assert len(extract_edges(corpus)) == summary.total_collaborations, seed
+        assert len(list(extract_edges(corpus))) == summary.total_collaborations, seed
 
         oracle = Oracle(out, corpus.window, corpus.home_country)
         perf = views.of(corpus).performance

@@ -114,7 +114,7 @@ def _assert_grid_cell(grid, edges, pub):
 
 def test_case_grid(corpus40):
     grid = _grid(corpus40)
-    edges = extract_edges(grid)
+    edges = list(extract_edges(grid))
     for pub in grid.publications:
         _assert_grid_cell(grid, edges, pub)
     s = count_collaborations(grid)
@@ -137,7 +137,7 @@ def test_classification_partitions_org_kinds(corpus40):
     assert firms & set(registry) == {"F0"}
     assert _others(corpus, pub) == frozenset({"P0", "C0", "N0", "G0", "FD"})
     assert _article_case(corpus, pub) == (CASE_ONE_ONE, 1)
-    assert extract_edges(corpus) == [("PX00", "U0", "F0")]
+    assert list(extract_edges(corpus)) == [("PX00", "U0", "F0")]
 
 
 def test_home_country_switch(corpus40):
@@ -149,8 +149,8 @@ def test_home_country_switch(corpus40):
     assert views.of(german).parties[1] & set(registry) == {"FD"}
     assert _others(italian, pub) == frozenset({"FD"})
     assert _others(german, pub) == frozenset({"F0"})
-    assert extract_edges(italian) == [("PX00", "U0", "F0")]
-    assert extract_edges(german) == [("PX00", "U0", "FD")]
+    assert list(extract_edges(italian)) == [("PX00", "U0", "F0")]
+    assert list(extract_edges(german)) == [("PX00", "U0", "FD")]
 
 
 def test_fixture_profiles(corpus40):
@@ -176,11 +176,11 @@ def test_count_collaborations(corpus40):
 
 
 def test_extract_edges(corpus40):
-    assert extract_edges(corpus40) == EXPECTED_EDGES
+    assert list(extract_edges(corpus40)) == EXPECTED_EDGES
 
 
 def test_edge_count_matches_collab_total(corpus40):
-    assert len(extract_edges(corpus40)) == count_collaborations(corpus40).total_collaborations
+    assert len(list(extract_edges(corpus40))) == count_collaborations(corpus40).total_collaborations
 
 
 def test_subsets(corpus40):
@@ -194,14 +194,14 @@ def test_subsets(corpus40):
 
 
 def test_parties_and_edges_are_repeatable(corpus40):
-    parties, edges = views.of(corpus40).parties, extract_edges(corpus40)
+    parties, edges = views.of(corpus40).parties, list(extract_edges(corpus40))
     assert parties == (frozenset({"UNI-A", "UNI-B", "UNI-C", "UNI-D"}),
                        frozenset({"FRM-X", "FRM-Y", "FRM-Z"}))
     assert views.of(corpus40).parties == parties
-    assert extract_edges(corpus40) == edges
+    assert list(extract_edges(corpus40)) == edges
     fresh = load_corpus(FIXTURE40)
     assert views.of(fresh).parties == parties
-    assert extract_edges(fresh) == edges
+    assert list(extract_edges(fresh)) == edges
 
 
 def _assert_views_match_reference(corpus):
@@ -218,7 +218,7 @@ def _assert_views_match_reference(corpus):
         assert bool(index.extramural & bit) == (
             len(pub.address_org_ids) >= 2 and len(universities) >= 1), pub.pub_id
         expected_edges += [(pub.pub_id, univ, firm) for univ in universities for firm in firms]
-    assert extract_edges(corpus) == expected_edges
+    assert list(extract_edges(corpus)) == expected_edges
 
 
 def test_views_match_per_article_reference(corpus40, tmp_path):

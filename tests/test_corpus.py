@@ -40,6 +40,15 @@ def _append_pub(data_dir, record):
         fh.write(json.dumps(record) + "\n")
 
 
+def _copy_of(pub_id, year=2001):
+    """A minimal valid record with the given pub_id and year."""
+    return {
+        "pub_id": pub_id, "year": year, "journal_id": "JRN-A",
+        "authors": [{"raw_name": "X", "researcher_id": None, "org_id": "FRM-X"}],
+        "address_org_ids": ["FRM-X"],
+    }
+
+
 def test_load_counts(corpus40):
     c = corpus40
     assert len(c.publications) == 40
@@ -127,25 +136,45 @@ def test_duplicate_journal_year(fixture_copy):
 
 
 def test_duplicate_publication(fixture_copy):
-    _append_pub(fixture_copy, {
-        "pub_id": "P01", "year": 2001, "journal_id": "JRN-A",
-        "authors": [{"raw_name": "X", "researcher_id": None, "org_id": "FRM-X"}],
-        "address_org_ids": ["FRM-X"],
-    })
+    _append_pub(fixture_copy, _copy_of("P01"))
     with pytest.raises(errors.DuplicateId):
         load_corpus(fixture_copy)
 
 
 def test_duplicate_publication_outside_window(fixture_copy):
     # the window drops the 1995 copy before construction, so only the loader sees it
-    _append_pub(fixture_copy, {
-        "pub_id": "P01", "year": 1995, "journal_id": "JRN-A",
-        "authors": [{"raw_name": "X", "researcher_id": None, "org_id": "FRM-X"}],
-        "address_org_ids": ["FRM-X"],
-    })
+    _append_pub(fixture_copy, _copy_of("P01", 1995))
     with pytest.raises(errors.DuplicateId) as exc:
         load_corpus(fixture_copy)
     assert str(exc.value) == "duplicate pub_id: 'P01'"
+
+
+def _line(pub_id, year=2001):
+    return (json.dumps(_copy_of(pub_id, year)) + "\n").encode()
+
+
+_BAD_LINE = b"{not json\n"
+
+
+# a repeated pub_id fails at its own line, in file order with the line errors;
+# 20000 blank lines put the bad byte well past the text reader's 8 KB chunks
+@pytest.mark.parametrize("tail, error, message", [
+    pytest.param(_line("P01") + _BAD_LINE, errors.DuplicateId, "pub_id: 'P01'",
+                 id="repeat_then_malformed"),
+    pytest.param(_BAD_LINE + _line("P01"), errors.ParseError, ":42: invalid JSON",
+                 id="malformed_then_repeat"),
+    pytest.param(_line("P98", 1995) * 2 + _BAD_LINE, errors.DuplicateId, "pub_id: 'P98'",
+                 id="repeat_outside_window_then_malformed"),
+    pytest.param(_line("P01") + b"\n" * 20_000 + b"\xff\n", errors.DuplicateId,
+                 "pub_id: 'P01'", id="repeat_then_bad_utf8_in_later_chunk"),
+    # P01 is read before P05, but the copy of P05 comes first
+    pytest.param(_line("P05") + _line("P01"), errors.DuplicateId, "pub_id: 'P05'",
+                 id="first_repeat_in_file_order"),
+])
+def test_repeat_and_line_errors_raise_in_file_order(fixture_copy, tail, error, message):
+    _append_bytes(fixture_copy / "publications.jsonl", tail)
+    with pytest.raises(error, match=message):
+        load_corpus(fixture_copy)
 
 
 def test_construction_rejects_duplicate_pub_id(corpus40):
@@ -362,7 +391,8 @@ def test_one_load_shares_repeated_records(corpus40):
     bylines = _repeated([a for p in pubs for a in p.authors])
     addresses = _repeated([p.address_org_ids for p in pubs])
     journals = _repeated([p.journal_id for p in pubs])
-    for groups in (bylines, addresses, journals):
+    years = _repeated([p.year for p in pubs])
+    for groups in (bylines, addresses, journals, years):
         assert groups  # fixture40 repeats each kind, so the check is not empty
         assert all(len(ids) == 1 for ids in groups.values())
 
@@ -421,6 +451,7 @@ def test_records_have_slots(corpus40):
     pub = corpus40.publications[0]
     assert not hasattr(pub, "__dict__")
     assert not hasattr(pub.authors[0], "__dict__")
+    assert not hasattr(corpus40.researchers["RES-E1"], "__dict__")
 
 
 def test_shared_records_equal_unshared_copies(corpus40):
@@ -447,19 +478,35 @@ def test_byte_order_mark_is_accepted(fixture_copy, corpus40):
     assert render_all(corpus, min_collab_pubs=3) == render_all(corpus40, min_collab_pubs=3)
 
 
-def test_loaded_corpus_memory_bound(tmp_path):
-    # retained bytes per in-window publication, measured as perfbench's memory pass does
-    generate(SynthConfig(seed=1234, n_pubs=5000), tmp_path)
+def _kb_per_kept_pub(config, out):
+    """(kept, peak) traced KB per in-window publication of loading a generated corpus.
+
+    Kept bytes are measured as perfbench's memory pass measures them.
+    """
+    generate(config, out)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loaded = load_corpus(tmp_path)
+        loaded = load_corpus(out)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained / 1024 / len(loaded.publications) <= 0.85
+    per_pub = 1024 * len(loaded.publications)
+    return (kept - before) / per_pub, (peak - before) / per_pub
+
+
+def test_loaded_corpus_memory_bound(tmp_path):
+    kept, _ = _kb_per_kept_pub(SynthConfig(seed=1234, n_pubs=5000), tmp_path)
+    assert kept <= 0.40
+
+
+def test_loaded_corpus_peak_bound(tmp_path):
+    # 40% of the rows lie outside the window: the duplicate check sees ids no record keeps
+    config = SynthConfig(seed=1234, n_pubs=5000, year_min=1999, year_max=2003)
+    _, peak = _kb_per_kept_pub(config, tmp_path)
+    assert peak <= 0.55
 
 
 def test_invalid_json_line(fixture_copy):

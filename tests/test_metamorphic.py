@@ -288,10 +288,10 @@ def _check_copied_article(source, tmp_path):
     assert got.articles_by_case == {
         c: k + (c == case) for c, k in want.articles_by_case.items()}
     assert got.total_collaborations == want.total_collaborations + m * n
-    edges = extract_edges(before)
+    edges = list(extract_edges(before))
     added = [(copy["pub_id"], u, f) for pub_id, u, f in edges if pub_id == record["pub_id"]]
     assert len(added) == m * n
-    assert extract_edges(after) == sorted(edges + added)
+    assert list(extract_edges(after)) == sorted(edges + added)
     return True
 
 

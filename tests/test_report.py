@@ -256,7 +256,7 @@ def test_rank_tables_and_edges_match_raw_file_oracles(tmp_path):
                 assert [(r.sector_id, r.n_industry_coauth, r.pct_of_all, r.pct_of_coauth,
                          r.per_researcher) for r in table.rows] == expected, (seed, level, metric)
                 n_tables += 1
-        edges = extract_edges(corpus)
+        edges = list(extract_edges(corpus))
         assert edges == oracle.edges, seed
         n_edges += len(edges)
     assert n_tables == 320
