@@ -71,30 +71,6 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _read_only(obj: object, *names: str) -> None:
-    # a private read-only copy, so no later write reaches a frozen object
-    for name in names:
-        object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
-
-
-@dataclass(frozen=True)
-class Taxonomy:
-    """Sector classification: each sector maps to exactly one disciplinary area.
-
-    Both mappings are read-only; they compare equal to dicts with the same
-    items.
-    """
-
-    sectors: Mapping[str, SectorEntry]
-    uda_names: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        _read_only(self, "sectors", "uda_names")
-
-    def uda_of(self, sds_id: str) -> str:
-        return self.sectors[sds_id].uda_id
-
-
 _SHOWN_CHARS = 40
 
 
@@ -200,11 +176,12 @@ class Corpus:
     ``window_excluded`` counts publications dropped by the year filter.
     ``home_country`` is the alpha-2 code a private firm must carry to count
     as domestic industry; like the window, it is fixed for the whole corpus.
-    The corpus is immutable all the way down: its mappings are read-only
-    copies, which lets the derived views cached on it never go stale.
+    The corpus is immutable all the way down: its mappings, the taxonomy
+    (each sector's entry, by sds_id) among them, are read-only copies, which
+    lets the derived views cached on it never go stale.
     """
 
-    taxonomy: Taxonomy
+    taxonomy: Mapping[str, SectorEntry]
     organizations: Mapping[str, Organization]
     journals: Mapping[tuple[str, int], JournalYear]
     researchers: Mapping[str, Researcher]
@@ -225,7 +202,9 @@ class Corpus:
         lo, hi = _check_window(self.window)
         if not self.publications:
             raise EmptyCorpus(f"no publications fall inside the window {lo}-{hi}")
-        _read_only(self, "organizations", "journals", "researchers")
+        for name in ("taxonomy", "organizations", "journals", "researchers"):
+            # a private read-only copy, so no later write reaches a frozen object
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(
             self, "publications", tuple(sorted(self.publications, key=attrgetter("pub_id"))))
         for before, pub in zip(self.publications, self.publications[1:]):
@@ -251,7 +230,7 @@ class Corpus:
                     f"{where}: organization {researcher.university_org_id!r} "
                     f"has kind {org.kind!r}, expected 'university'"
                 )
-            if researcher.sds_id not in self.taxonomy.sectors:
+            if researcher.sds_id not in self.taxonomy:
                 raise DanglingReference("sds", researcher.sds_id, where)
         lo, hi = self.window
         for pub in self.publications:
@@ -312,7 +291,6 @@ class Corpus:
 class ValidationIssue:
     code: str
     subject: str
-    detail: str
 
 
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
@@ -363,8 +341,8 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
             raise _decode_error(path, exc)
 
 
-def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load the sector/area classification table."""
+def load_taxonomy(path: str | Path) -> dict[str, SectorEntry]:
+    """Load the sector/area classification table: each sector's entry, by sds_id."""
     path = Path(path)
     sectors: dict[str, SectorEntry] = {}
     uda_names: dict[str, str] = {}
@@ -381,7 +359,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         sectors[sds_id] = SectorEntry(sds_id, sds_name, uda_id, uda_name)
     if not sectors:
         raise ParseError(str(path), 1, "taxonomy has no rows")
-    return Taxonomy(sectors=sectors, uda_names=uda_names)
+    return sectors
 
 
 def _load_organizations(path: Path) -> dict[str, Organization]:
@@ -613,7 +591,7 @@ def load_corpus(
     # one string per table id for the whole load; an id no table holds stays
     # as read, so construction still rejects it
     ids: dict = {}
-    for key in chain(taxonomy.sectors, organizations, (jid for jid, _ in journals)):
+    for key in chain(taxonomy, organizations, (jid for jid, _ in journals)):
         ids.setdefault(key, key)
     researchers = _load_roster(paths["roster.csv"], ids)
     for key in researchers:
@@ -646,21 +624,10 @@ def validate_corpus(corpus: Corpus) -> tuple[ValidationIssue, ...]:
             referenced.add(author.org_id)
             if author.researcher_id is None:
                 warnings.append(
-                    ValidationIssue(
-                        "UnlinkedAuthor",
-                        f"{pub.pub_id}:{author.raw_name}",
-                        f"author {author.raw_name!r} of {pub.pub_id} has no roster link",
-                    )
-                )
+                    ValidationIssue("UnlinkedAuthor", f"{pub.pub_id}:{author.raw_name}"))
     for researcher in corpus.researchers.values():
         referenced.add(researcher.university_org_id)
     for org_id in corpus.organizations:
         if org_id not in referenced:
-            warnings.append(
-                ValidationIssue(
-                    "UnreferencedOrganization",
-                    org_id,
-                    f"organization {org_id!r} is never referenced",
-                )
-            )
-    return tuple(sorted(warnings, key=lambda i: (i.code, i.subject, i.detail)))
+            warnings.append(ValidationIssue("UnreferencedOrganization", org_id))
+    return tuple(sorted(warnings, key=attrgetter("code", "subject")))

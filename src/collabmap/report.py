@@ -77,7 +77,7 @@ def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
     sectors = (researcher.sds_id for researcher in corpus.researchers.values())
     if level == LEVEL_UDA:
-        sectors = map(corpus.taxonomy.uda_of, sectors)
+        sectors = (corpus.taxonomy[sds_id].uda_id for sds_id in sectors)
     return Counter(sectors)
 
 
@@ -130,7 +130,6 @@ class MultidiscIndex:
     """Multidisciplinarity of one scope (a sector or a journal category)."""
 
     scope_id: str
-    subset: str
     ii_sds: float | None
     ii_sci: float | None
     n_pubs: int
@@ -193,7 +192,7 @@ def build_multidisc_table(corpus: Corpus, selector: str) -> MultidiscTable:
                 continue
             values = {"ii_sds": None, "ii_sci": None,
                       field: index.mean(scopes, scope_id, side, value)}
-            rows.append(MultidiscIndex(scope_id, selector, n_pubs=pubs.bit_count(), **values))
+            rows.append(MultidiscIndex(scope_id, n_pubs=pubs.bit_count(), **values))
     return MultidiscTable(
         title=f"Multidisciplinarity by scope, subset: {selector}",
         subset=selector,
@@ -300,7 +299,8 @@ def _render_comparison(cmp: stats.Comparison, fmt: str) -> str:
 
 def _render_multidisc(table: MultidiscTable, fmt: str) -> str:
     header = ["scope", "subset", "ii_sds", "ii_sci", "n_pubs"]
-    rows = [[row.scope_id, row.subset, row.ii_sds, row.ii_sci, row.n_pubs] for row in table.rows]
+    rows = [[row.scope_id, table.subset, row.ii_sds, row.ii_sci, row.n_pubs]
+            for row in table.rows]
     return _render_rows(table.title, header, rows, fmt, {"subset": table.subset})
 
 

@@ -1,11 +1,12 @@
 """Statistics kernel and corpus comparison assembly.
 
-The kernel is self-contained: descriptive statistics, the paired t-test, the
-Welch two-sample t-test, and the t-distribution tail ``_tail``, the only
-source of both p-values, evaluated through the regularized incomplete beta
-function (Lentz continued fraction). On top of it, :func:`compare` assembles
-the aligned samples for each corpus comparison listed in :data:`COMPARISONS`
-and runs the appropriate test.
+The kernel uses only ``math`` and :func:`views.total`, the one left-to-right
+float sum: descriptive statistics, the paired t-test, the Welch two-sample
+t-test, and the t-distribution tail ``_tail``, the only source of both
+p-values, evaluated through the regularized incomplete beta function (Lentz
+continued fraction). On top of it, :func:`compare` assembles the aligned
+samples for each corpus comparison listed in :data:`COMPARISONS` and runs
+the appropriate test.
 """
 
 from __future__ import annotations
@@ -140,21 +141,12 @@ class Comparison:
 def descriptive(values: Sequence[float], label: str = "") -> Sample:
     """Mean and sample variance, computed in input order.
 
-    Both sums add left to right in plain loops: the builtin ``sum`` rounds
-    float totals differently from Python 3.12 on.
+    Both sums add left to right through :func:`views.total`: the builtin
+    ``sum`` rounds float totals differently from Python 3.12 on.
     """
     n = len(values)
-    total = 0.0
-    for v in values:
-        total += v
-    mean = total / n
-    if n == 1:
-        variance = None
-    else:
-        squares = 0.0
-        for v in values:
-            squares += (v - mean) ** 2
-        variance = squares / (n - 1)
+    mean = views.total(values) / n
+    variance = None if n == 1 else views.total((v - mean) ** 2 for v in values) / (n - 1)
     return Sample(label=label, values=tuple(values), n=n, mean=mean, variance=variance)
 
 

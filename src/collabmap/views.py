@@ -75,13 +75,18 @@ def members(mask: int) -> list[int]:
     return list(compress(count(), _flags(mask)))
 
 
+def total(values: Iterable[float]) -> float:
+    """The floats added left to right, in the same bits on every interpreter;
+    the builtin ``sum`` adds them with compensated summation from Python 3.12 on."""
+    result = 0.0
+    for v in values:
+        result += v
+    return result
+
+
 def mean_over(mask: int, values: Sequence[float]) -> float:
-    """Mean of ``values`` at the positions set in a non-empty ``mask``,
-    added left to right as ``stats.descriptive`` adds."""
-    total = 0.0
-    for v in compress(values, _flags(mask)):
-        total += v
-    return total / mask.bit_count()
+    """Mean of ``values`` at the positions set in a non-empty ``mask``, in position order."""
+    return total(compress(values, _flags(mask))) / mask.bit_count()
 
 
 def _group(scopes_per_pub: Iterable[Iterable[str]], size: int) -> dict[str, int]:
@@ -268,7 +273,7 @@ class Views:
         """Publications per area: the union of its sectors' publications."""
         by_uda: dict[str, int] = {}
         for sds_id, mask in self.by_sds.items():
-            uda_id = self.corpus.taxonomy.uda_of(sds_id)
+            uda_id = self.corpus.taxonomy[sds_id].uda_id
             by_uda[uda_id] = by_uda.get(uda_id, 0) | mask
         return by_uda
 
@@ -299,10 +304,7 @@ class Views:
             if year not in ranks:
                 ranks[year] = if_percentile_ranks(self.corpus, year)
             categories = effective(journal_id, year).sci_categories  # type: ignore[union-attr]
-            total = 0.0
-            for cat in categories:
-                total += ranks[year][(journal_id, cat)]
-            return total / len(categories)
+            return total(ranks[year][(journal_id, cat)] for cat in categories) / len(categories)
 
         return self._per_journal_year(mean_rank)
 

@@ -6,7 +6,8 @@ not even its defaults, so the oracles share no logic with what they check:
 percentiles are computed by quadratic pairwise counting, collaboration pairs
 are enumerated one by one, and every scope is rebuilt by filtering the full
 publication list. ``collabmap.harness.oracle_collab_counts`` is the one oracle
-kept in the package, because the benchmark imports it.
+kept in the package, because the benchmark imports it; the tests count
+collaborations with :func:`oracle_collab_summary` instead.
 """
 
 import csv
@@ -28,6 +29,36 @@ def oracle_percentiles(values):
                 equal += 1
         out.append(100.0 * (below + 0.5 * equal) / n)
     return out
+
+
+def oracle_collab_summary(edges):
+    """Collaboration totals from (pub, university, firm) triples such as
+    ``Oracle.edges``, as a dict with the four ``CollabSummary`` fields.
+
+    An article with m distinct universities and n distinct firms is case
+    one_one, m_one (n = 1), one_n (m = 1) or m_n, and each of its triples is
+    one collaboration.
+    """
+    parties = {}
+    for pub_id, university, firm in edges:
+        universities, firms, triples = parties.setdefault(pub_id, (set(), set(), []))
+        universities.add(university)
+        firms.add(firm)
+        triples.append((university, firm))
+    cases = {(False, False): "one_one", (True, False): "m_one",
+             (False, True): "one_n", (True, True): "m_n"}
+    articles = dict.fromkeys(cases.values(), 0)
+    collaborations = dict.fromkeys(cases.values(), 0)
+    for universities, firms, triples in parties.values():
+        case = cases[len(universities) > 1, len(firms) > 1]
+        articles[case] += 1
+        collaborations[case] += len(triples)
+    return {
+        "total_collaborations": len(edges),
+        "industry_articles": len(parties),
+        "articles_by_case": articles,
+        "collaborations_by_case": collaborations,
+    }
 
 
 def _csv_rows(path):

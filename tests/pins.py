@@ -1,9 +1,10 @@
 """Frozen outputs that every interpreter ``requires-python`` admits must
 reproduce bit for bit, and a stdlib-only check of them.
 
-The generated-corpus digests (``PINNED_SHAPES``) and the statistics kernel
-digest (``KERNEL_DIGEST``) are read by the pytest suite and by this file's
-own check, which also renders fixture40 and compares it with every file in
+The generated-corpus digests (``PINNED_SHAPES``), the six-area bundle's
+table digests (``SIX_AREA_DIGESTS``) and the statistics kernel digest
+(``KERNEL_DIGEST``) are read by the pytest suite and by this file's own
+check, which also renders fixture40 and compares it with every file in
 ``tests/golden/``. Run the check under any interpreter, without pytest:
 
     python tests/pins.py
@@ -132,6 +133,52 @@ LARGE_BUNDLE_DIGESTS = {
 }
 
 
+# a 5000-publication corpus whose taxonomy spreads the 12 sectors over six
+# areas (see six_area_corpus), so the area ranking's top-4 cut drops two
+# areas; every generated taxonomy has four, and fixture40 has three
+SIX_AREA_CONFIG = SynthConfig(seed=1234, n_pubs=5000, n_researchers=625, n_journals=60,
+                              industry_rate=0.05)
+
+# sha256 of each table render_all writes for six_area_corpus at the default
+# min_collab_pubs
+SIX_AREA_DIGESTS = {
+    "compare_multidisc_all_vs_industry_ii_sci.json": "ca08a25864f8bce1a28f48f3e617ef2263f4d0096ffa7f927addfa289bb811b4",
+    "compare_multidisc_all_vs_industry_ii_sds.json": "f26b56f0ece2d102525c34de2eb226079c3d7a6c8ca8688817a5092ca8ad230d",
+    "compare_multidisc_collab_vs_industry_ii_sci.json": "a8213163e6db1f5cf9fd44907ae11f51ebbd06b88008ce13c7c7aa8565bafab3",
+    "compare_multidisc_collab_vs_industry_ii_sds.json": "805d823c3b8308b8f912b0dde131cdf0f7e664a764f363066c6342b01155418d",
+    "compare_researchers_industry_vs_rest_fss.json": "fb36dc3f059a5ff619b57d51d095adaf4c871da16b4d6e183fc3b74ca7ca061c",
+    "compare_researchers_industry_vs_rest_o.json": "b1cb930c1cd3654a0940c1eee8501ee7cc3998bc4fe827371325e77e31cef21b",
+    "compare_sds_all_vs_collab_ifpr.json": "8cba8d49f16424f93a41638bc2cf08ea67831433fc143c4001c7d64a11c1d23e",
+    "compare_sds_all_vs_industry_ifpr.json": "7e1b03467702d78d1059b1211f81c19a006c1eb7bc97964e10669f048cd470c0",
+    "edges.csv": "5fd58849b3eb3667813f0fcde279278d8814af699eb60f9cb9c0b5d769167b44",
+    "rank_sds_count.csv": "b4a4dca4d78c84be2f70b0aab63d8934c76756e3ea51a295484e2dce7b710579",
+    "rank_sds_pct_all.csv": "2d191fae35c9f462e677e61461647795211065aff149adb834eec042b8ed9fc7",
+    "rank_sds_pct_coauth.csv": "527e94e4beca920a7097580332b128d25b2ab2c53719fccf076b9c1c544e0be0",
+    "rank_sds_per_researcher.csv": "67f0052d0992bf9a8d318af7c54f49d132da9dbb65f8f03ee575d5541348d5d0",
+    "rank_uda_count.md": "403cf77e232d774cd861aedf09b1f633679bba39a64899536735e6ec679f268a",
+}
+
+
+def six_area_corpus(out: Path) -> Path:
+    """Generate SIX_AREA_CONFIG into ``out``, then put taxonomy row i (from 0,
+    in file order) in area ``A{i % 6 + 1:02d}``, named ``Area {i % 6 + 1:02d}``."""
+    generate(SIX_AREA_CONFIG, out)
+    path = out / "taxonomy.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for i, row in enumerate(rows):
+        sds_id, sds_name, _, _ = row.split(",")
+        area = f"{i % 6 + 1:02d}"
+        lines.append(f"{sds_id},{sds_name},A{area},Area {area}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def table_digests(tables: dict[str, str]) -> dict[str, str]:
+    """sha256 of each rendered table, by name."""
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in tables.items()}
+
+
 # frozen from the loop-over-ties midranks and the two-body Lentz loop that
 # the kernels replaced; a change to any single output bit changes it
 KERNEL_DIGEST = "49597d7f68292bbdc583928092020f1b1ae9e669026857ba96ea007dc39b33f2"
@@ -172,6 +219,8 @@ def _checks():
         for label, (config, pinned) in PINNED_SHAPES.items():
             out = generate(config, Path(tmp) / label.replace(" ", "_"))
             yield f"generate {label}", generated_digests(out) == pinned
+        rendered = render_all(load_corpus(six_area_corpus(Path(tmp) / "six_areas")))
+        yield "six-area bundle", table_digests(rendered) == SIX_AREA_DIGESTS
     yield "kernel digest", kernel_digest() == KERNEL_DIGEST
     # ten tenths added left to right; the builtin sum of 3.12 on rounds to ...9ap-4
     yield "mean_over order", mean_over((1 << 10) - 1, [0.1] * 10).hex() == "0x1.9999999999999p-4"

@@ -14,12 +14,13 @@ import pytest
 
 from collabmap import views
 from collabmap.corpus import load_corpus
-from collabmap.harness import SplitMix64, SynthConfig, generate, oracle_collab_counts
+from collabmap.harness import SplitMix64, SynthConfig, generate
 from collabmap.report import (
     LEVEL_SDS,
     LEVEL_UDA,
     METRICS,
     TOP_SDS,
+    TOP_UDA,
     count_collaborations,
     extract_edges,
     render_all,
@@ -29,8 +30,8 @@ from collabmap.stats import _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
 from conftest import GOLDEN, assert_comparison_layer, ifpr_by_pub_id
-from oracles import Oracle
-from pins import LARGE_BUNDLE_DIGESTS
+from oracles import Oracle, oracle_collab_summary
+from pins import LARGE_BUNDLE_DIGESTS, SIX_AREA_DIGESTS, six_area_corpus, table_digests
 from test_collab import _assert_grid_cell, _grid
 from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
@@ -70,12 +71,12 @@ def test_engine_matches_oracles_over_seeds(tmp_path):
     for seed in range(100):
         out = generate(SynthConfig(seed=seed, n_pubs=1000), tmp_path / f"s{seed}")
         corpus = load_corpus(out)
+        oracle = Oracle(out, corpus.window, corpus.home_country)
 
         summary = count_collaborations(corpus)
-        assert dataclasses.asdict(summary) == dataclasses.asdict(oracle_collab_counts(out)), seed
+        assert dataclasses.asdict(summary) == oracle_collab_summary(oracle.edges), seed
         assert len(list(extract_edges(corpus))) == summary.total_collaborations, seed
 
-        oracle = Oracle(out, corpus.window, corpus.home_country)
         perf = views.of(corpus).performance
         assert oracle.outputs == {r: p.output for r, p in perf.items()}, seed
         for rid, fss in oracle.fss.items():
@@ -258,3 +259,17 @@ def test_large_corpus_fast_and_stable(tmp_path):
         assert p_two < 1e-3, (name, p_two)
     return f"load+render {elapsed:.1f}s, {len(first)} tables stable and pinned"
 
+
+@criterion("six-area corpus: each table matching its frozen digest, the area top-4 cut "
+           "dropping two areas")
+def test_six_area_bundle_pinned(tmp_path):
+    corpus = load_corpus(six_area_corpus(tmp_path))
+    tables = render_all(corpus)
+    assert table_digests(tables) == SIX_AREA_DIGESTS
+    areas = [row.sector_id for row in sector_intensity(corpus, LEVEL_UDA)]
+    assert areas == [f"A{i:02d}" for i in range(1, 7)]
+    # the title, a blank line, the header and its rule, then one line per area
+    kept = tables["rank_uda_count.md"].splitlines()[4:]
+    assert len(kept) == TOP_UDA == 4
+    assert all(line.split(" | ")[0].removeprefix("| ") in areas for line in kept)
+    return f"{len(tables)} tables pinned, {len(kept)} of {len(areas)} areas ranked"

@@ -11,11 +11,26 @@ from conftest import FIXTURE40, GOLDEN, MALFORMED, write_malformed
 
 def test_validate_summarizes_clean_corpus(capsys):
     assert main(["validate", "--data-dir", str(FIXTURE40)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(
-        "publications: 40 (1 excluded by window 2001-2003)\nhome country: IT\n"
-        "organizations: 12\njournals: 3\nresearchers: 16\nwarnings: 11\n")
-    assert out.endswith("  UnreferencedOrganization UNI-D\n")
+    # the whole stdout: the counts, then one line per warning, by code then subject
+    assert capsys.readouterr().out == (
+        "publications: 40 (1 excluded by window 2001-2003)\n"
+        "home country: IT\n"
+        "organizations: 12\n"
+        "journals: 3\n"
+        "researchers: 16\n"
+        "warnings: 11\n"
+        "  UnlinkedAuthor P01:Rossi G.\n"
+        "  UnlinkedAuthor P02:Colombo P.\n"
+        "  UnlinkedAuthor P03:Bianchi L.\n"
+        "  UnlinkedAuthor P03:Ferrario D.\n"
+        "  UnlinkedAuthor P03:Greco S.\n"
+        "  UnlinkedAuthor P04:Moretti A.\n"
+        "  UnlinkedAuthor P04:Villa R.\n"
+        "  UnlinkedAuthor P06:Huber K.\n"
+        "  UnlinkedAuthor P13:Weber H.\n"
+        "  UnlinkedAuthor P35:Gasser P.\n"
+        "  UnreferencedOrganization UNI-D\n"
+    )
 
 
 def test_validate_rejects_tampered_corpus(fixture_copy, capsys):

@@ -58,9 +58,10 @@ def test_load_counts(corpus40):
     assert len(c.researchers) == 16
     assert len(c.journals) == 9
     assert c.journal_ids == {"JRN-A", "JRN-B", "JRN-G"}
-    assert len(c.taxonomy.sectors) == 6
-    assert c.taxonomy.uda_of("ELEC") == "ENG"
-    assert c.taxonomy.uda_names == {"BIO": "Biology", "CHEM": "Chemistry", "ENG": "Engineering"}
+    assert len(c.taxonomy) == 6
+    assert c.taxonomy["ELEC"].uda_id == "ENG"
+    assert {e.uda_id: e.uda_name for e in c.taxonomy.values()} == {
+        "BIO": "Biology", "CHEM": "Chemistry", "ENG": "Engineering"}
 
 
 def test_publications_sorted_and_frozen(corpus40):
@@ -407,7 +408,7 @@ def test_loaded_ids_are_the_tables_own_strings(source, tmp_path):
         generate(SynthConfig(seed=1234, n_pubs=5000), tmp_path)
     corpus = load_corpus(FIXTURE40 if source == "fixture40" else tmp_path)
     orgs, roster = _keys_of(corpus.organizations), _keys_of(corpus.researchers)
-    sectors = _keys_of(corpus.taxonomy.sectors)
+    sectors = _keys_of(corpus.taxonomy)
     journals = {id(journal_id) for journal_id, _ in corpus.journals}
     for researcher in corpus.researchers.values():
         assert id(researcher.university_org_id) in orgs
@@ -692,7 +693,7 @@ def test_validate_clean_corpus(corpus40):
     subjects = [w.subject for w in warnings if w.code == "UnreferencedOrganization"]
     assert subjects == ["UNI-D"]
     # deterministic ordering
-    keys = [(w.code, w.subject, w.detail) for w in warnings]
+    keys = [(w.code, w.subject) for w in warnings]
     assert keys == sorted(keys)
     assert validate_corpus(corpus40) == warnings
 
@@ -905,10 +906,10 @@ def test_effective_journal_exact_and_fallback(fixture_copy):
 
 def test_full_size_taxonomy():
     tax = load_taxonomy(DATA / "taxonomy_full.csv")
-    assert len(tax.sectors) == 183
-    assert len(tax.uda_names) == 8
-    assert tax.uda_of("S001") == "A01"
-    assert tax.uda_of("S183") == "A07"
+    assert len(tax) == 183
+    assert len({entry.uda_id for entry in tax.values()}) == 8
+    assert tax["S001"].uda_id == "A01"
+    assert tax["S183"].uda_id == "A07"
 
 
 def test_corpus_is_frozen(corpus40):
@@ -923,8 +924,7 @@ def test_corpus_mappings_are_read_only(corpus40):
         corpus40.organizations,
         corpus40.journals,
         corpus40.researchers,
-        corpus40.taxonomy.sectors,
-        corpus40.taxonomy.uda_names,
+        corpus40.taxonomy,
     )
     for mapping in targets:
         with pytest.raises(TypeError):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from collabmap import errors, views
 from collabmap.corpus import load_corpus, validate_corpus
-from collabmap.harness import _LANES, SplitMix64, SynthConfig, generate, oracle_collab_counts
+from collabmap.harness import _LANES, SplitMix64, SynthConfig, generate
 from collabmap.report import count_collaborations
 from collabmap.views import midrank_percentiles
 
 from conftest import assert_comparison_layer, ifpr_by_pub_id
-from oracles import Oracle, oracle_percentiles
+from oracles import Oracle, oracle_collab_summary, oracle_percentiles
 from pins import GENERATED_FILES, PINNED_SHAPES, generated_digests
 
 
@@ -214,10 +214,10 @@ def test_generated_corpus_is_valid(tmp_path):
 def test_generated_corpus_matches_oracles(tmp_path):
     out = generate(SynthConfig(seed=7, n_pubs=300), tmp_path)
     corpus = load_corpus(out)
-
-    assert asdict(oracle_collab_counts(out)) == asdict(count_collaborations(corpus))
-
     oracle = Oracle(out, corpus.window, corpus.home_country)
+
+    assert oracle_collab_summary(oracle.edges) == asdict(count_collaborations(corpus))
+
     engine_ifpr = ifpr_by_pub_id(corpus)
     assert set(engine_ifpr) == set(oracle.ifpr)
     for pub_id, value in oracle.ifpr.items():
@@ -249,10 +249,10 @@ def test_oracle_sees_window(tmp_path):
     out = generate(SynthConfig(seed=9, n_pubs=150, year_min=1999, year_max=2004), tmp_path)
     narrow = (2001, 2003)
     corpus = load_corpus(out, window=narrow)
-    assert asdict(count_collaborations(corpus)) == asdict(oracle_collab_counts(out, window=narrow))
+    oracle = Oracle(out, narrow, corpus.home_country)
+    assert asdict(count_collaborations(corpus)) == oracle_collab_summary(oracle.edges)
     assert corpus.window_excluded > 0
 
-    oracle = Oracle(out, narrow, corpus.home_country)
     engine_ifpr = ifpr_by_pub_id(corpus)
     assert engine_ifpr.keys() == oracle.ifpr.keys()
     for pub_id, value in oracle.ifpr.items():

@@ -295,14 +295,14 @@ def test_multidisc_requires_academic_author(tmp_path):
 
 
 def test_multidisc_by_scope_industry(corpus40):
-    rows = build_multidisc_table(corpus40, "industry_coauthored").rows
-    as_tuples = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs) for r in rows]
+    table = build_multidisc_table(corpus40, "industry_coauthored")
+    as_tuples = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs) for r in table.rows]
     assert as_tuples[:3] == [("BIO1", 2.0, None, 1), ("CHIM1", 2.0, None, 1),
                              ("ELEC", 1.0, None, 3)]
     assert as_tuples[3][0] == "CAT-A" and as_tuples[3][2] == 2.0 and as_tuples[3][3] == 4
     assert as_tuples[4][0] == "CAT-B" and as_tuples[4][2] == pytest.approx(7.0 / 3)
     assert as_tuples[5] == ("CAT-C", None, 3.0, 1)
-    assert all(r.subset == "industry_coauthored" for r in rows)
+    assert table.subset == "industry_coauthored"
 
 
 def test_multidisc_by_scope_all(corpus40):

@@ -7,8 +7,9 @@ pyenv's versions directory (``$PYENV_ROOT/versions/3.X.*/bin/python3``, by
 default under ``~/.pyenv``), and keeps the first candidate that starts as
 that version; one that fails to start is passed over. It runs
 ``tests/pins.py`` under every kept interpreter at once: the generated-corpus
-digests, the statistics kernel digest and the fixture40 goldens must all
-match. The test skips when no other interpreter starts.
+digests, the six-area bundle digests, the statistics kernel digest and the
+fixture40 goldens must all match. The test skips when no other interpreter
+starts.
 """
 
 import os

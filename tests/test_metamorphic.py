@@ -157,7 +157,7 @@ def _tables(corpus):
     for level in (LEVEL_SDS, LEVEL_UDA):
         for metric in report.METRICS:
             builders[f"rank_{level}_{metric}"] = partial(
-                report.build_rank_table, corpus, level, metric, len(corpus.taxonomy.sectors))
+                report.build_rank_table, corpus, level, metric, len(corpus.taxonomy))
     for selector in SELECTORS:
         builders[f"multidisc_{selector}"] = partial(
             report.build_multidisc_table, corpus, selector)

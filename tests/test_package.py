@@ -150,8 +150,9 @@ def test_harness_imports_no_analysis_module():
 
 def test_kernel_modules_call_no_builtin_sum():
     # from Python 3.12 on, the builtin sum adds floats with compensated
-    # summation; the statistics add left to right in loops, so they give the
-    # same bits on every interpreter (test_interpreters.py checks the bits)
+    # summation; the statistics add left to right through views.total, so
+    # they give the same bits on every interpreter (test_interpreters.py
+    # checks the bits)
     calls = []
     for module in ("stats", "views"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
