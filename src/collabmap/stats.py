@@ -120,7 +120,6 @@ class TestResult:
     df: float
     p_one: float
     p_two: float
-    kind: str  # "paired" or "welch"
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     t = diffs.mean / (sqrt(diffs.variance) / sqrt(n))
     df = float(n - 1)
     p_one = _tail(t, df)
-    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one, kind="paired")
+    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one)
 
 
 def welch_t(a: Sample, b: Sample) -> TestResult:
@@ -233,7 +232,7 @@ def welch_t(a: Sample, b: Sample) -> TestResult:
     t = (a.mean - b.mean) / sqrt(pooled)
     df = pooled * pooled / (se_a * se_a / (a.n - 1) + se_b * se_b / (b.n - 1))
     p_one = _tail(t, df)
-    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one, kind="welch")
+    return TestResult(t=t, df=df, p_one=p_one, p_two=2.0 * p_one)
 
 
 # -- comparison assembly ----------------------------------------------------------

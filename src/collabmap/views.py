@@ -38,7 +38,7 @@ from itertools import compress, count
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .corpus import Corpus, JournalYear
+from .corpus import Corpus
 
 T = TypeVar("T")
 
@@ -120,23 +120,26 @@ def midrank_percentiles(values: Sequence[float]) -> list[float]:
     return [pct[v] for v in values]
 
 
+def _ranks_within_groups(entries: Iterable[tuple[T, str, float]]) -> dict[T, float]:
+    """Midrank percentile of each ``(key, group, value)`` entry's value within its
+    group, by key; groups are ranked in sorted order, entries in the order given."""
+    groups: dict[str, tuple[list[T], list[float]]] = {}
+    for key, group, value in entries:
+        keys, values = groups.setdefault(group, ([], []))
+        keys.append(key)
+        values.append(value)
+    return {key: pct for _, (keys, values) in sorted(groups.items())
+            for key, pct in zip(keys, midrank_percentiles(values))}
+
+
 def rank_within_sector(corpus: Corpus, values: Mapping[str, float]) -> dict[str, float]:
     """Midrank percentile of each researcher's value within their own sector.
 
     The population of each sector is exactly the roster researchers keyed
     in ``values``; every sector's ranks average to 50.
     """
-    groups: dict[str, list[str]] = {}
-    for researcher_id in sorted(values):
-        groups.setdefault(corpus.researchers[researcher_id].sds_id, []).append(researcher_id)
-
-    ranks: dict[str, float] = {}
-    for sds_id in sorted(groups):
-        members = groups[sds_id]
-        pcts = midrank_percentiles([values[r] for r in members])
-        for researcher_id, pct in zip(members, pcts):
-            ranks[researcher_id] = pct
-    return ranks
+    return _ranks_within_groups((r, corpus.researchers[r].sds_id, values[r])
+                                for r in sorted(values))
 
 
 def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], float]:
@@ -148,20 +151,10 @@ def if_percentile_ranks(corpus: Corpus, year: int) -> dict[tuple[str, str], floa
     record, such as one whose rows all fall outside the window, is left out
     of that year's ranking.
     """
-    by_category: dict[str, list[JournalYear]] = {}
-    for journal_id in sorted(corpus.journal_ids):
-        record = corpus.effective_journal(journal_id, year)
-        if record is not None:
-            for cat in record.sci_categories:
-                by_category.setdefault(cat, []).append(record)
-
-    ranks: dict[tuple[str, str], float] = {}
-    for cat in sorted(by_category):
-        records = by_category[cat]
-        pcts = midrank_percentiles([record.impact_factor for record in records])
-        for record, pct in zip(records, pcts):
-            ranks[(record.journal_id, cat)] = pct
-    return ranks
+    records = filter(None, (corpus.effective_journal(journal_id, year)
+                            for journal_id in sorted(corpus.journal_ids)))
+    return _ranks_within_groups(((record.journal_id, cat), cat, record.impact_factor)
+                                for record in records for cat in record.sci_categories)
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,6 @@ class ResearcherPerformance:
     authors) to ``fss``, so ``fss`` never exceeds ``output``.
     """
 
-    researcher_id: str
     output: int
     fss: float
 
@@ -323,4 +315,4 @@ class Views:
             for researcher_id in linked:
                 output[researcher_id] += 1
                 fss[researcher_id] += share
-        return {r: ResearcherPerformance(r, output[r], fss[r]) for r in sorted(output)}
+        return {r: ResearcherPerformance(output[r], fss[r]) for r in sorted(output)}

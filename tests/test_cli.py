@@ -4,6 +4,7 @@ import json
 import pytest
 
 from collabmap.cli import build_parser, main
+from collabmap.errors import DanglingReference, DuplicateId, MissingFile, ParseError
 from collabmap.harness import SynthConfig, generate
 
 from conftest import FIXTURE40, GOLDEN, MALFORMED, write_malformed
@@ -230,8 +231,22 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+# the fields each error type builds its text from
+_FIELDS = {ParseError: ("path", "line", "message"), MissingFile: ("path",),
+           DuplicateId: ("kind", "value"), DanglingReference: ("entity", "ref_id", "context")}
+
+
 @pytest.mark.parametrize("name", MALFORMED)
 def test_validate_reports_malformed_copy(name, tmp_path, capsys):
     argv, error = write_malformed(name, tmp_path / "data")
     assert main(argv) == 1
     assert capsys.readouterr().err == error
+    # the library raises the row's type with that text, and its fields hold what the text says
+    _, _, error_type, _ = MALFORMED[name]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error_type) as exc:
+        args.func(args)
+    assert f"error: {exc.value}\n" == error
+    fields = [getattr(exc.value, field) for field in _FIELDS.get(exc.type, ())]
+    if fields:
+        assert str(exc.type(*fields)) == str(exc.value)
