@@ -37,6 +37,7 @@ class DanglingUda(CollabmapError):
 
     def __init__(self, sds_id: str, message: str):
         self.sds_id = sds_id
+        self.message = message
         super().__init__(f"sector {sds_id!r}: {message}")
 
 

@@ -29,11 +29,10 @@ from collabmap.report import (
 from collabmap.stats import _tail, descriptive, paired_t, welch_t
 from collabmap.views import if_percentile_ranks, midrank_percentiles
 
-from conftest import GOLDEN, assert_comparison_layer, ifpr_by_pub_id
+from conftest import (GOLDEN, PAIRED_WELCH_CASES, TCDF_CASES, assert_comparison_layer,
+                      assert_grid_cell, case_grid, ifpr_by_pub_id)
 from oracles import Oracle, oracle_collab_summary
 from pins import LARGE_BUNDLE_DIGESTS, SIX_AREA_DIGESTS, six_area_corpus, table_digests
-from test_collab import _assert_grid_cell, _grid
-from test_stats import PAIRED_WELCH_CASES, TCDF_CASES
 
 
 def criterion(label):
@@ -56,10 +55,10 @@ def criterion(label):
 @criterion("collaboration case grid over m,n in [0,4]^2, budget 1s")
 def test_case_grid_complete_and_fast(corpus40):
     start = time.perf_counter()
-    grid = _grid(corpus40)
+    grid = case_grid(corpus40)
     edges = list(extract_edges(grid))
     for pub in grid.publications:
-        _assert_grid_cell(grid, edges, pub)
+        assert_grid_cell(grid, edges, pub)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"case grid took {elapsed:.3f}s"
     return "25 cells exact"

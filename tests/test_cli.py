@@ -4,7 +4,7 @@ import json
 import pytest
 
 from collabmap.cli import build_parser, main
-from collabmap.errors import DanglingReference, DuplicateId, MissingFile, ParseError
+from collabmap.errors import DanglingReference, DanglingUda, DuplicateId, MissingFile, ParseError
 from collabmap.harness import SynthConfig, generate
 
 from conftest import FIXTURE40, GOLDEN, MALFORMED, write_malformed
@@ -233,7 +233,8 @@ def test_usage_errors_exit_2(argv):
 
 # the fields each error type builds its text from
 _FIELDS = {ParseError: ("path", "line", "message"), MissingFile: ("path",),
-           DuplicateId: ("kind", "value"), DanglingReference: ("entity", "ref_id", "context")}
+           DuplicateId: ("kind", "value"), DanglingReference: ("entity", "ref_id", "context"),
+           DanglingUda: ("sds_id", "message")}
 
 
 @pytest.mark.parametrize("name", MALFORMED)

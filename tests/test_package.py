@@ -180,6 +180,28 @@ def test_perfbench_imports_exist():
     assert ("collabmap.harness", "oracle_collab_counts") in checked
 
 
+# the test modules, test_<m> for each m: one per src/ module that has tests, then
+# the ones that cut across modules
+TESTED_MODULES = ("corpus", "views", "stats", "report", "harness", "cli")
+CROSS_CUTTING = ("acceptance", "metamorphic", "reach", "package", "interpreters")
+
+
+def test_test_modules_mirror_src_and_import_no_test_module():
+    # shared builders live in conftest.py, so no test module leans on another
+    tests = ROOT / "tests"
+    assert sorted(p.stem for p in tests.glob("test_*.py")) == sorted(
+        f"test_{m}" for m in TESTED_MODULES + CROSS_CUTTING)
+    assert {p.stem for p in PACKAGE.glob("*.py")} >= set(TESTED_MODULES)
+    imported = []
+    for path in sorted(tests.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append((path.name, node.module or ""))
+    assert [pair for pair in imported if pair[1].startswith("test_")] == []
+
+
 def test_readme_library_example_runs(monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)

@@ -5,9 +5,15 @@ import json
 
 import pytest
 
+from collabmap import views
 from collabmap.corpus import load_corpus
 from collabmap.harness import SynthConfig, generate
 from collabmap.report import (
+    CASE_M_N,
+    CASE_M_ONE,
+    CASE_ONE_N,
+    CASE_ONE_ONE,
+    COLLAB_CASES,
     FORMATS,
     LEVEL_SDS,
     LEVEL_UDA,
@@ -17,14 +23,18 @@ from collabmap.report import (
     TOP_UDA,
     build_multidisc_table,
     build_rank_table,
+    count_collaborations,
     edges_csv,
     extract_edges,
     render,
     render_all,
+    sector_headcounts,
+    sector_intensity,
 )
 from collabmap.stats import COMPARISONS, Comparison, compare
 
-from conftest import FIXTURE40, GOLDEN, GOLDEN_FORMATS
+from conftest import (FIXTURE40, GOLDEN, GOLDEN_FORMATS, article_case, assert_grid_cell,
+                      case_grid, other_orgs)
 from oracles import Oracle
 
 GOLDEN_NAMES = (
@@ -43,6 +53,19 @@ GOLDEN_NAMES = (
     "rank_sds_per_researcher.csv",
     "rank_uda_count.md",
 )
+
+EXPECTED_EDGES = [
+    ("P01", "UNI-A", "FRM-X"),
+    ("P02", "UNI-A", "FRM-Y"),
+    ("P02", "UNI-B", "FRM-Y"),
+    ("P03", "UNI-A", "FRM-X"),
+    ("P03", "UNI-A", "FRM-Y"),
+    ("P03", "UNI-A", "FRM-Z"),
+    ("P04", "UNI-B", "FRM-X"),
+    ("P04", "UNI-B", "FRM-Z"),
+    ("P04", "UNI-C", "FRM-X"),
+    ("P04", "UNI-C", "FRM-Z"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +284,176 @@ def test_rank_tables_and_edges_match_raw_file_oracles(tmp_path):
         n_edges += len(edges)
     assert n_tables == 320
     assert n_edges > 0
+
+
+def _tiny_corpus(tmp_path, extra_pub_lines=()):
+    d = tmp_path / "tiny"
+    d.mkdir()
+    t1 = ('{"pub_id": "T1", "year": 2002, "journal_id": "JRN-A", '
+          '"authors": [{"raw_name": "Uno R.", "researcher_id": "R1", "org_id": "UNI-A"}], '
+          '"address_org_ids": ["UNI-A"]}')
+    files = {
+        "taxonomy.csv": "sds_id,sds_name,uda_id,uda_name\nSDS1,Solo sector,UDA1,Solo area\n",
+        "organizations.csv": ("org_id,canonical_name,kind,country\n"
+                              "UNI-A,Uni A,university,IT\nFRM-X,Firm X,private_firm,IT\n"),
+        "journals.csv": ("journal_id,name,year,impact_factor,sci_categories\n"
+                         "JRN-A,Journal A,2002,1.000,CAT-A\n"),
+        "roster.csv": "researcher_id,full_name,university_org_id,sds_id\nR1,Rita Uno,UNI-A,SDS1\n",
+        "publications.jsonl": "\n".join([t1, *extra_pub_lines]) + "\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text, encoding="utf-8")
+    return load_corpus(d, window=(2002, 2002))
+
+
+def _multidisc(corpus, selector, column):
+    return {r.scope_id: (getattr(r, column), r.n_pubs)
+            for r in build_multidisc_table(corpus, selector).rows
+            if getattr(r, column) is not None}
+
+
+def test_case_grid(corpus40):
+    grid = case_grid(corpus40)
+    edges = list(extract_edges(grid))
+    for pub in grid.publications:
+        assert_grid_cell(grid, edges, pub)
+    s = count_collaborations(grid)
+    assert s.articles_by_case == {"one_one": 1, "m_one": 3, "one_n": 3, "m_n": 9}
+    assert s.total_collaborations == len(edges) == sum(range(5)) ** 2
+
+
+def test_fixture_profiles(corpus40):
+    pubs = {pub.pub_id: pub for pub in corpus40.publications}
+    assert article_case(corpus40, pubs["P01"]) == (CASE_ONE_ONE, 1)
+    assert article_case(corpus40, pubs["P02"]) == (CASE_M_ONE, 2)
+    assert article_case(corpus40, pubs["P03"]) == (CASE_ONE_N, 3)
+    assert article_case(corpus40, pubs["P04"]) == (CASE_M_N, 4)
+    assert article_case(corpus40, pubs["P05"]) == (None, 0)
+    assert other_orgs(corpus40, pubs["P05"]) == frozenset({"PUB-L1"})
+    assert article_case(corpus40, pubs["P13"]) == (None, 0)
+    assert other_orgs(corpus40, pubs["P13"]) == frozenset({"FRM-DE"})
+    assert other_orgs(corpus40, pubs["P35"]) == frozenset({"FGN-U1"})
+
+
+def test_count_collaborations(corpus40):
+    s = count_collaborations(corpus40)
+    assert s.total_collaborations == 10
+    assert s.industry_articles == 4
+    assert s.articles_by_case == {"one_one": 1, "m_one": 1, "one_n": 1, "m_n": 1}
+    assert s.collaborations_by_case == {"one_one": 1, "m_one": 2, "one_n": 3, "m_n": 4}
+    assert list(s.articles_by_case) == list(COLLAB_CASES)
+
+
+def test_extract_edges(corpus40):
+    assert list(extract_edges(corpus40)) == EXPECTED_EDGES
+
+
+def test_edge_count_matches_collab_total(corpus40):
+    assert len(list(extract_edges(corpus40))) == count_collaborations(corpus40).total_collaborations
+
+
+def test_count_with_foreign_home_country(corpus40):
+    loaded = load_corpus(FIXTURE40, home_country="DE")
+    replaced = dataclasses.replace(corpus40, home_country="DE")
+    italian = count_collaborations(corpus40)
+    for german in (loaded, replaced):
+        assert german.home_country == "DE"
+        s = count_collaborations(german)
+        # only the German-firm article counts now
+        assert s.industry_articles == 1
+        assert s.total_collaborations == 1
+        assert s.articles_by_case == {"one_one": 1, "m_one": 0, "one_n": 0, "m_n": 0}
+        assert views.of(german) is not views.of(corpus40)
+        assert edges_csv(german) == "pub_id,university_org_id,firm_org_id\nP13,UNI-C,FRM-DE\n"
+    assert count_collaborations(corpus40) == italian
+
+
+def test_sector_headcounts(corpus40):
+    assert sector_headcounts(corpus40, LEVEL_SDS) == {
+        "BIO1": 2, "BIO2": 1, "CHIM1": 2, "CHIM2": 1, "ELEC": 8, "MECH": 2}
+    assert sector_headcounts(corpus40, LEVEL_UDA) == {"BIO": 3, "CHEM": 3, "ENG": 10}
+
+
+def test_sector_intensity_sds(corpus40):
+    rows = {r.sector_id: r for r in sector_intensity(corpus40, LEVEL_SDS)}
+    elec = rows["ELEC"]
+    assert elec.n_industry_coauth == 3
+    assert elec.pct_of_all == pytest.approx(30.0, abs=1e-12)
+    assert elec.pct_of_coauth == pytest.approx(50.0, abs=1e-12)
+    assert elec.per_researcher == pytest.approx(0.375, abs=1e-12)
+    assert rows["CHIM1"].pct_of_coauth == pytest.approx(100.0 / 3, abs=1e-12)
+    assert rows["MECH"].n_industry_coauth == 0
+    assert rows["MECH"].pct_of_all == 0.0
+    assert [r.sector_id for r in sector_intensity(corpus40, LEVEL_SDS)] == sorted(rows)
+
+
+def test_sector_intensity_uda(corpus40):
+    rows = {r.sector_id: r for r in sector_intensity(corpus40, LEVEL_UDA)}
+    eng = rows["ENG"]
+    assert eng.n_industry_coauth == 3
+    assert eng.pct_of_all == pytest.approx(100.0 * 3 / 18, abs=1e-12)
+    assert eng.pct_of_coauth == pytest.approx(100.0 * 3 / 9, abs=1e-12)
+    assert eng.per_researcher == pytest.approx(0.3, abs=1e-12)
+
+
+def test_sector_intensity_zero_denominator(tmp_path):
+    c = _tiny_corpus(tmp_path)
+    rows = sector_intensity(c, LEVEL_SDS)
+    assert len(rows) == 1
+    row = rows[0]
+    # one intramural article: no co-authored output, so that share is undefined
+    assert row.n_industry_coauth == 0
+    assert row.pct_of_all == 0.0
+    assert row.pct_of_coauth is None
+    assert row.per_researcher == 0.0
+
+
+def test_multidisc_sds(corpus40):
+    # BIO1 on each subset: P04, its one industry article, spans two sectors
+    assert _multidisc(corpus40, "all", "ii_sds")["BIO1"] == (1.375, 8)
+    assert _multidisc(corpus40, "extramural_collab", "ii_sds") == {
+        "BIO1": (1.5, 4), "BIO2": (pytest.approx(4.0 / 3, abs=1e-12), 3),
+        "CHIM1": (pytest.approx(5.0 / 3, abs=1e-12), 3), "CHIM2": (1.5, 2),
+        "ELEC": (1.0, 6), "MECH": (1.0, 3)}
+    assert _multidisc(corpus40, "industry_coauthored", "ii_sds")["BIO1"] == (2.0, 1)
+
+
+def test_multidisc_sci(corpus40):
+    assert _multidisc(corpus40, "extramural_collab", "ii_sci") == {
+        "CAT-A": (pytest.approx(37.0 / 18, abs=1e-12), 18),
+        "CAT-B": (pytest.approx(32.0 / 13, abs=1e-12), 13), "CAT-C": (3.0, 6)}
+    assert _multidisc(corpus40, "industry_coauthored", "ii_sci")["CAT-A"] == (2.0, 4)
+
+
+def test_multidisc_requires_academic_author(tmp_path):
+    # an article with no roster-linked author counts for its category only
+    extra = (
+        '{"pub_id": "T2", "year": 2002, "journal_id": "JRN-A", '
+        '"authors": [{"raw_name": "Solo F.", "researcher_id": null, "org_id": "FRM-X"}], '
+        '"address_org_ids": ["FRM-X"]}',
+    )
+    c = _tiny_corpus(tmp_path, extra)
+    assert _multidisc(c, "all", "ii_sds") == {"SDS1": (1.0, 1)}
+    assert _multidisc(c, "all", "ii_sci") == {"CAT-A": (1.0, 2)}
+
+
+def test_multidisc_by_scope_industry(corpus40):
+    table = build_multidisc_table(corpus40, "industry_coauthored")
+    as_tuples = [(r.scope_id, r.ii_sds, r.ii_sci, r.n_pubs) for r in table.rows]
+    assert as_tuples[:3] == [("BIO1", 2.0, None, 1), ("CHIM1", 2.0, None, 1),
+                             ("ELEC", 1.0, None, 3)]
+    assert as_tuples[3][0] == "CAT-A" and as_tuples[3][2] == 2.0 and as_tuples[3][3] == 4
+    assert as_tuples[4][0] == "CAT-B" and as_tuples[4][2] == pytest.approx(7.0 / 3)
+    assert as_tuples[5] == ("CAT-C", None, 3.0, 1)
+    assert table.subset == "industry_coauthored"
+
+
+def test_multidisc_by_scope_all(corpus40):
+    rows = {r.scope_id: r for r in build_multidisc_table(corpus40, "all").rows}
+    assert len(rows) == 9
+    assert rows["ELEC"].ii_sds == 1.0 and rows["ELEC"].n_pubs == 10
+    assert rows["CHIM1"].ii_sds == pytest.approx(1.375, abs=1e-12)
+    assert rows["BIO2"].ii_sds == pytest.approx(4.0 / 3, abs=1e-12)
+    assert rows["CAT-A"].ii_sci == pytest.approx(1.95, abs=1e-12)
+    assert rows["CAT-B"].ii_sci == pytest.approx(32.0 / 13, abs=1e-12)
+    assert rows["CAT-C"].ii_sci == 3.0
