@@ -20,7 +20,7 @@ from itertools import chain, pairwise
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import (
     DanglingReference,
@@ -308,12 +308,18 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(str(path), lineno, f"byte 0x{byte:02x} is not valid UTF-8 ({exc.reason})")
 
 
-def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line_number, values) from a strict-header CSV file.
+def _load_table(path: Path, fields: list[str], kind: str,
+                build: Callable[[tuple[str, ...]], tuple]) -> dict:
+    """Each row's record by its key, from a strict-header CSV file.
 
     Values come in header order, stripped of surrounding whitespace. The
     first two fields are a row's id and name, which must be non-empty.
+    ``build(values)`` returns the row's (key, record), or raises an
+    InvariantViolation whose message, like a ``csv`` error's, is reported
+    as a ParseError at the row's last line. Then a key an earlier row holds
+    raises DuplicateId of ``kind``.
     """
+    table: dict = {}
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -321,160 +327,125 @@ def _read_csv_rows(path: Path, fields: list[str]) -> Iterator[tuple[int, tuple[s
             if header is None:
                 raise ParseError(str(path), 1, "empty file")
             if header != fields:
-                raise ParseError(
-                    str(path), 1,
-                    f"expected header {','.join(fields)}, got {_shown(','.join(header), str)}",
-                )
+                raise ParseError(str(path), 1, f"expected header {','.join(fields)}, "
+                                 f"got {_shown(','.join(header), str)}")
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(fields):
-                    raise ParseError(str(path), reader.line_num, "wrong number of fields")
+                    raise InvariantViolation("wrong number of fields")
                 values = tuple(value.strip() for value in row)
                 if not values[0] or not values[1]:
-                    raise ParseError(str(path), reader.line_num,
-                                     f"{fields[0]} and {fields[1]} must be non-empty")
-                yield reader.line_num, values
-        except csv.Error as exc:
+                    raise InvariantViolation(f"{fields[0]} and {fields[1]} must be non-empty")
+                key, record = build(values)
+                if key in table:
+                    raise DuplicateId(
+                        kind, key if isinstance(key, str) else "/".join(map(str, key)))
+                table[key] = record
+        except (csv.Error, InvariantViolation) as exc:
             raise ParseError(str(path), reader.line_num, str(exc))
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc)
+    return table
 
 
 def load_taxonomy(path: str | Path) -> dict[str, SectorEntry]:
     """Load the sector/area classification table: each sector's entry, by sds_id."""
     path = Path(path)
-    sectors: dict[str, SectorEntry] = {}
     uda_names: dict[str, str] = {}
-    for _, (sds_id, sds_name, uda_id, uda_name) in _read_csv_rows(path, TAXONOMY_FIELDS):
+
+    def sector(values: tuple[str, ...]) -> tuple[str, SectorEntry]:
+        sds_id, _, uda_id, uda_name = values
         if not uda_id or not uda_name:
             raise DanglingUda(sds_id, "missing area id or name")
-        if sds_id in sectors:
-            raise DuplicateId("sds_id", sds_id)
-        if uda_id in uda_names and uda_names[uda_id] != uda_name:
+        if uda_names.setdefault(uda_id, uda_name) != uda_name:
             raise DanglingUda(
                 sds_id, f"area {uda_id!r} named both {uda_names[uda_id]!r} and {uda_name!r}"
             )
-        uda_names[uda_id] = uda_name
-        sectors[sds_id] = SectorEntry(sds_id, sds_name, uda_id, uda_name)
+        return sds_id, SectorEntry(*values)
+
+    sectors = _load_table(path, TAXONOMY_FIELDS, "sds_id", sector)
     if not sectors:
         raise ParseError(str(path), 1, "taxonomy has no rows")
     return sectors
 
 
-def _load_organizations(path: Path) -> dict[str, Organization]:
-    orgs: dict[str, Organization] = {}
-    for lineno, (org_id, name, kind, country) in _read_csv_rows(path, ORGANIZATION_FIELDS):
-        try:
-            org = Organization(org_id, name, kind, country)
-        except InvariantViolation as exc:
-            raise ParseError(str(path), lineno, str(exc))
-        if org_id in orgs:
-            raise DuplicateId("org_id", org_id)
-        orgs[org_id] = org
-    return orgs
-
-
-def _load_journals(path: Path) -> dict[tuple[str, int], JournalYear]:
-    journals: dict[tuple[str, int], JournalYear] = {}
-    for lineno, row in _read_csv_rows(path, JOURNAL_FIELDS):
-        journal_id, name, year_text, impact_text, categories = row
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise ParseError(
-                str(path), lineno, f"year must be an integer, got {_shown(year_text)}")
-        try:
-            impact_factor = float(impact_text)
-        except ValueError:
-            raise ParseError(
-                str(path), lineno, f"impact_factor must be a number, got {_shown(impact_text)}"
-            )
-        cats = tuple(sorted(c.strip() for c in categories.split(";") if c.strip()))
-        try:
-            record = JournalYear(journal_id, name, year, impact_factor, cats)
-        except InvariantViolation as exc:
-            raise ParseError(str(path), lineno, str(exc))
-        key = (journal_id, year)
-        if key in journals:
-            raise DuplicateId("journal_id/year", f"{journal_id}/{year}")
-        journals[key] = record
-    return journals
-
-
-def _load_roster(path: Path, ids: dict) -> dict[str, Researcher]:
-    """The roster; each university and sector id is the string ``ids`` holds for it."""
-    roster: dict[str, Researcher] = {}
-    rows = _read_csv_rows(path, ROSTER_FIELDS)
-    for _, (researcher_id, full_name, university_org_id, sds_id) in rows:
-        if researcher_id in roster:
-            raise DuplicateId("researcher_id", researcher_id)
-        roster[researcher_id] = Researcher(
-            researcher_id, full_name,
-            ids.get(university_org_id, university_org_id), ids.get(sds_id, sds_id),
-        )
-    return roster
+def _journal_year(values: tuple[str, ...]) -> tuple[tuple[str, int], JournalYear]:
+    """A journals.csv row's (journal_id, year) key and record."""
+    journal_id, name, year_text, impact_text, categories = values
+    try:
+        year = int(year_text)
+    except ValueError:
+        raise InvariantViolation(f"year must be an integer, got {_shown(year_text)}")
+    try:
+        impact_factor = float(impact_text)
+    except ValueError:
+        raise InvariantViolation(f"impact_factor must be a number, got {_shown(impact_text)}")
+    cats = tuple(sorted(c.strip() for c in categories.split(";") if c.strip()))
+    return (journal_id, year), JournalYear(journal_id, name, year, impact_factor, cats)
 
 
 def _parse_publication(
-    path: Path, lineno: int, line: str, window: tuple[int, int], shared: dict
+    line: str, window: tuple[int, int], shared: dict
 ) -> tuple[str, Publication | None]:
     """Validate one line; return its pub_id, and its record if its year is in ``window``.
 
-    ``shared`` belongs to one load. Its string keys are the ids of the
-    loaded tables, each mapped to itself: a kept record stores those strings
-    in place of the ones it read, and an id no table holds stays as read.
-    It also hands out one AuthorRef per validated (raw_name, researcher_id,
-    org_id) and one tuple per sorted address list, built on the first
-    occurrence from the table strings, and one ``int`` per year. An address
-    list is its own key; a byline key starts with the AuthorRef class, so it
-    never equals one, and a year never equals a string or a tuple. Both
-    keys hold the record's own strings, so no raw id copy outlives its line.
+    A broken rule raises InvariantViolation, which the reader reports as a
+    ParseError at the line. ``shared`` belongs to one load. Its string keys
+    are the ids of the loaded tables, each mapped to itself: a kept record
+    stores those strings in place of the ones it read, and an id no table
+    holds stays as read. It also hands out one AuthorRef per validated
+    (raw_name, researcher_id, org_id) and one tuple per sorted address list,
+    built on the first occurrence from the table strings, and one ``int``
+    per year. An address list is its own key; a byline key starts with the
+    AuthorRef class, so it never equals one, and a year never equals a
+    string or a tuple. Both keys hold the record's own strings, so no raw
+    id copy outlives its line.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ParseError(str(path), lineno, f"invalid JSON: {exc.msg}")
+        raise InvariantViolation(f"invalid JSON: {exc.msg}")
     except ValueError as exc:  # an integer literal past the int-to-str digit limit
-        raise ParseError(str(path), lineno, f"invalid JSON: {exc}")
+        raise InvariantViolation(f"invalid JSON: {exc}")
     except RecursionError:
-        raise ParseError(str(path), lineno, "invalid JSON: nested too deeply")
+        raise InvariantViolation("invalid JSON: nested too deeply")
     if not isinstance(obj, dict):
-        raise ParseError(str(path), lineno, "publication record must be an object")
+        raise InvariantViolation("publication record must be an object")
 
     pub_id = obj.get("pub_id")
     if not isinstance(pub_id, str) or not pub_id:
-        raise ParseError(str(path), lineno, "pub_id must be a non-empty string")
+        raise InvariantViolation("pub_id must be a non-empty string")
     year = obj.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
-        raise ParseError(str(path), lineno, "year must be an integer")
+        raise InvariantViolation("year must be an integer")
     journal_id = obj.get("journal_id")
     if not isinstance(journal_id, str) or not journal_id:
-        raise ParseError(str(path), lineno, "journal_id must be a non-empty string")
+        raise InvariantViolation("journal_id must be a non-empty string")
 
     raw_authors = obj.get("authors")
     if not isinstance(raw_authors, list) or not raw_authors:
-        raise ParseError(str(path), lineno, "authors must be a non-empty list")
+        raise InvariantViolation("authors must be a non-empty list")
     bylines: list[tuple[type, str, str | None, str]] = []
     for entry in raw_authors:
         if not isinstance(entry, dict):
-            raise ParseError(str(path), lineno, "author entries must be objects")
+            raise InvariantViolation("author entries must be objects")
         raw_name = entry.get("raw_name")
         org_id = entry.get("org_id")
         researcher_id = entry.get("researcher_id")
         if not isinstance(raw_name, str) or not raw_name:
-            raise ParseError(str(path), lineno, "author raw_name must be a non-empty string")
+            raise InvariantViolation("author raw_name must be a non-empty string")
         if not isinstance(org_id, str) or not org_id:
-            raise ParseError(str(path), lineno, "author org_id must be a non-empty string")
+            raise InvariantViolation("author org_id must be a non-empty string")
         if researcher_id is not None and (not isinstance(researcher_id, str) or not researcher_id):
-            raise ParseError(str(path), lineno, "author researcher_id must be null or a string")
+            raise InvariantViolation("author researcher_id must be null or a string")
         bylines.append((AuthorRef, raw_name, researcher_id, org_id))
 
     raw_addresses = obj.get("address_org_ids")
     if not isinstance(raw_addresses, list):
-        raise ParseError(str(path), lineno, "address_org_ids must be a list")
+        raise InvariantViolation("address_org_ids must be a list")
     if not all(isinstance(a, str) and a for a in raw_addresses):
-        raise ParseError(str(path), lineno, "address_org_ids must be non-empty strings")
+        raise InvariantViolation("address_org_ids must be non-empty strings")
 
     lo, hi = window
     if not lo <= year <= hi:
@@ -516,11 +487,7 @@ def _load_publications(
     over the pub_ids read so far (see :func:`_check_unique`). It runs at the
     end of the file and before any line error is raised, so a repeated id
     still fails at its own line, in file order with the line errors.
-    ``shared`` is this load's lookup (see :func:`_parse_publication`): a
-    kept record's ids are the loaded tables' own strings, and the bylines,
-    address lists and years repeated within the load are one shared object
-    each. They are frozen, so only ``is`` can tell. Nothing is shared across
-    loads.
+    ``shared`` is this load's lookup (see :func:`_parse_publication`).
     """
     kept: list[Publication] = []
     pub_ids: list[str] = []
@@ -530,10 +497,10 @@ def _load_publications(
                 if not line.strip():
                     continue
                 try:
-                    pub_id, pub = _parse_publication(path, lineno, line, window, shared)
-                except ParseError:
+                    pub_id, pub = _parse_publication(line, window, shared)
+                except InvariantViolation as exc:
                     _check_unique(pub_ids)
-                    raise
+                    raise ParseError(str(path), lineno, str(exc))
                 pub_ids.append(pub_id)
                 if pub is not None:
                     kept.append(pub)
@@ -586,14 +553,17 @@ def load_corpus(
             raise MissingFile(str(path))
 
     taxonomy = load_taxonomy(paths["taxonomy.csv"])
-    organizations = _load_organizations(paths["organizations.csv"])
-    journals = _load_journals(paths["journals.csv"])
-    # one string per table id for the whole load; an id no table holds stays
-    # as read, so construction still rejects it
+    organizations = _load_table(paths["organizations.csv"], ORGANIZATION_FIELDS, "org_id",
+                                lambda v: (v[0], Organization(*v)))
+    journals = _load_table(paths["journals.csv"], JOURNAL_FIELDS, "journal_id/year",
+                           _journal_year)
+    # the table strings that records store (see Corpus and _parse_publication)
     ids: dict = {}
     for key in chain(taxonomy, organizations, (jid for jid, _ in journals)):
         ids.setdefault(key, key)
-    researchers = _load_roster(paths["roster.csv"], ids)
+    researchers = _load_table(
+        paths["roster.csv"], ROSTER_FIELDS, "researcher_id",
+        lambda v: (v[0], Researcher(v[0], v[1], ids.get(v[2], v[2]), ids.get(v[3], v[3]))))
     for key in researchers:
         ids.setdefault(key, key)
     publications, excluded = _load_publications(paths["publications.jsonl"], window, ids)

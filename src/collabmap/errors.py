@@ -64,7 +64,11 @@ class EmptyCorpus(CollabmapError):
 
 
 class InvariantViolation(CollabmapError):
-    """A record breaks a rule of its own, or records break one together."""
+    """A record breaks a rule of its own, or records break one together.
+
+    It also carries a file row's message, which the reader reports as a
+    ParseError at the row's line.
+    """
 
 
 # -- statistics ----------------------------------------------------------------

@@ -73,7 +73,7 @@ SELECTORS = {
 }
 
 
-def sector_headcounts(corpus: Corpus, level: str = LEVEL_SDS) -> dict[str, int]:
+def sector_headcounts(corpus: Corpus, level: str) -> dict[str, int]:
     """Roster headcount per sector (or per area)."""
     sectors = (researcher.sds_id for researcher in corpus.researchers.values())
     if level == LEVEL_UDA:
@@ -96,7 +96,7 @@ class SectorIntensityRow:
     per_researcher: float
 
 
-def sector_intensity(corpus: Corpus, level: str = LEVEL_SDS) -> list[SectorIntensityRow]:
+def sector_intensity(corpus: Corpus, level: str) -> list[SectorIntensityRow]:
     """The four intensity indicators per sector, sorted by sector id.
 
     Sectors with no attributed articles are omitted entirely. Every sector

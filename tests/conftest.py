@@ -251,6 +251,20 @@ MALFORMED = {
     "csv_field_limit": (
         {_ROSTER: _append("RES-Z1," + "x" * 200_000 + ",UNI-A,ELEC")}, [], ParseError,
         "{dir}/roster.csv:18: field larger than field limit (131072)"),
+    # a row's own rules come before the check for a repeated id
+    "organization_repeat_with_bad_kind": (
+        {_ORGS: _append("UNI-A,Universita di Arquata,bogus,IT")}, [], ParseError,
+        "{dir}/organizations.csv:14: organization UNI-A: unknown kind 'bogus'"),
+    "journal_repeat_with_bad_impact_factor": (
+        {_JOURNALS: _append("JRN-A,Annals of Applied Studies,2002,abc,CAT-A")}, [], ParseError,
+        "{dir}/journals.csv:11: impact_factor must be a number, got 'abc'"),
+    "researcher_repeat_with_empty_name": (
+        {_ROSTER: _append("RES-E1,,UNI-A,ELEC")}, [], ParseError,
+        "{dir}/roster.csv:18: researcher_id and full_name must be non-empty"),
+    # a quoted record that spans lines is reported at its last line
+    "organization_multiline_record": (
+        {_ORGS: _append('ORG-Z,"Two\nlines",bogus,IT')}, [], ParseError,
+        "{dir}/organizations.csv:15: organization ORG-Z: unknown kind 'bogus'"),
     "taxonomy_no_rows": (
         {_TAXONOMY: lambda text: text.splitlines(keepends=True)[0]}, [], ParseError,
         "{dir}/taxonomy.csv:1: taxonomy has no rows"),
@@ -266,6 +280,9 @@ MALFORMED = {
         {_TAXONOMY: _replace("MECH,Mechanical design,ENG,Engineering",
                              "MECH,Mechanical design,ENG,Engines")}, [], DanglingUda,
         "sector 'MECH': area 'ENG' named both 'Engineering' and 'Engines'"),
+    "taxonomy_repeat_renames_area": (
+        {_TAXONOMY: _append("ELEC,Electronics,ENG,Engines")}, [], DanglingUda,
+        "sector 'ELEC': area 'ENG' named both 'Engineering' and 'Engines'"),
     "duplicate_sector": ({_TAXONOMY: _append("ELEC,Electronics,ENG,Engineering")}, [],
                          DuplicateId, "duplicate sds_id: 'ELEC'"),
     "duplicate_organization": ({_ORGS: _append("UNI-A,Universita di Arquata,university,IT")},

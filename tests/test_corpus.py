@@ -252,8 +252,8 @@ def test_byline_and_address_list_never_share_a_key():
         "address_org_ids": ["C", "B", "A"],
     })
     shared = {}
-    _, pub = _parse_publication(Path("publications.jsonl"), 1, line, (2001, 2003), shared)
-    _, again = _parse_publication(Path("publications.jsonl"), 2, line, (2001, 2003), shared)
+    _, pub = _parse_publication(line, (2001, 2003), shared)
+    _, again = _parse_publication(line, (2001, 2003), shared)
     assert pub.authors == (AuthorRef("A", "B", "C"),)
     assert pub.address_org_ids == ("A", "B", "C")
     assert again.authors[0] is pub.authors[0]
