@@ -391,16 +391,18 @@ def _parse_publication(
     """Validate one line; return its pub_id, and its record if its year is in ``window``.
 
     A broken rule raises InvariantViolation, which the reader reports as a
-    ParseError at the line. ``shared`` belongs to one load. Its string keys
-    are the ids of the loaded tables, each mapped to itself: a kept record
-    stores those strings in place of the ones it read, and an id no table
-    holds stays as read. It also hands out one AuthorRef per validated
-    (raw_name, researcher_id, org_id) and one tuple per sorted address list,
-    built on the first occurrence from the table strings, and one ``int``
-    per year. An address list is its own key; a byline key starts with the
-    AuthorRef class, so it never equals one, and a year never equals a
-    string or a tuple. Both keys hold the record's own strings, so no raw
-    id copy outlives its line.
+    ParseError at the line. Every rule is checked whatever the year, but
+    nothing, not even a lookup key, is built for a row outside the window.
+    ``shared`` belongs to one load. Its string keys are the ids of the
+    loaded tables, each mapped to itself: a kept record stores those
+    strings in place of the ones it read, and an id no table holds stays as
+    read. It also hands out one AuthorRef per validated (raw_name,
+    researcher_id, org_id) and one tuple per sorted address list, built on
+    the first occurrence from the table strings, and one ``int`` per year.
+    An address list is its own key; a byline key starts with the AuthorRef
+    class, so it never equals one, and a year never equals a string or a
+    tuple. Both keys hold the record's own strings, so no raw id copy
+    outlives its line.
     """
     try:
         obj = json.loads(line)
@@ -419,6 +421,8 @@ def _parse_publication(
     year = obj.get("year")
     if isinstance(year, bool) or not isinstance(year, int):
         raise InvariantViolation("year must be an integer")
+    lo, hi = window
+    kept = lo <= year <= hi
     journal_id = obj.get("journal_id")
     if not isinstance(journal_id, str) or not journal_id:
         raise InvariantViolation("journal_id must be a non-empty string")
@@ -426,7 +430,7 @@ def _parse_publication(
     raw_authors = obj.get("authors")
     if not isinstance(raw_authors, list) or not raw_authors:
         raise InvariantViolation("authors must be a non-empty list")
-    bylines: list[tuple[type, str, str | None, str]] = []
+    authors = [] if kept else None
     for entry in raw_authors:
         if not isinstance(entry, dict):
             raise InvariantViolation("author entries must be objects")
@@ -439,7 +443,14 @@ def _parse_publication(
             raise InvariantViolation("author org_id must be a non-empty string")
         if researcher_id is not None and (not isinstance(researcher_id, str) or not researcher_id):
             raise InvariantViolation("author researcher_id must be null or a string")
-        bylines.append((AuthorRef, raw_name, researcher_id, org_id))
+        if kept:
+            author = shared.get((AuthorRef, raw_name, researcher_id, org_id))
+            if author is None:
+                researcher_id = shared.get(researcher_id, researcher_id)
+                org_id = shared.get(org_id, org_id)
+                author = shared[AuthorRef, raw_name, researcher_id, org_id] = AuthorRef(
+                    raw_name, researcher_id, org_id)
+            authors.append(author)
 
     raw_addresses = obj.get("address_org_ids")
     if not isinstance(raw_addresses, list):
@@ -447,19 +458,8 @@ def _parse_publication(
     if not all(isinstance(a, str) and a for a in raw_addresses):
         raise InvariantViolation("address_org_ids must be non-empty strings")
 
-    lo, hi = window
-    if not lo <= year <= hi:
+    if not kept:
         return pub_id, None
-    authors = []
-    for key in bylines:
-        author = shared.get(key)
-        if author is None:
-            _, raw_name, researcher_id, org_id = key
-            researcher_id = shared.get(researcher_id, researcher_id)
-            org_id = shared.get(org_id, org_id)
-            author = shared[AuthorRef, raw_name, researcher_id, org_id] = AuthorRef(
-                raw_name, researcher_id, org_id)
-        authors.append(author)
     addresses = tuple(sorted(set(raw_addresses)))
     address_org_ids = shared.get(addresses)
     if address_org_ids is None:
@@ -483,14 +483,16 @@ def _load_publications(
     duplicates, so a bad row raises the same error at the same line whether
     or not its year is in the window. No record is built for a row outside
     the window; the check here is the only one those rows get, since the
-    Corpus constructor never sees them. The duplicate check is a sorted pass
-    over the pub_ids read so far (see :func:`_check_unique`). It runs at the
-    end of the file and before any line error is raised, so a repeated id
-    still fails at its own line, in file order with the line errors.
-    ``shared`` is this load's lookup (see :func:`_parse_publication`).
+    Corpus constructor never sees them. Reading stops at the first bad line
+    or undecodable byte. Either way, one duplicate check then runs over the
+    pub_ids read so far (see :func:`_check_unique`) before that error is
+    raised, so a repeated id still fails at its own line, in file order
+    with the line errors. ``shared`` is this load's lookup (see
+    :func:`_parse_publication`).
     """
     kept: list[Publication] = []
     pub_ids: list[str] = []
+    failure: ParseError | None = None
     try:
         with path.open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -499,15 +501,16 @@ def _load_publications(
                 try:
                     pub_id, pub = _parse_publication(line, window, shared)
                 except InvariantViolation as exc:
-                    _check_unique(pub_ids)
-                    raise ParseError(str(path), lineno, str(exc))
+                    failure = ParseError(str(path), lineno, str(exc))
+                    break
                 pub_ids.append(pub_id)
                 if pub is not None:
                     kept.append(pub)
     except UnicodeDecodeError as exc:
-        _check_unique(pub_ids)
-        raise _decode_error(path, exc)
+        failure = _decode_error(path, exc)
     _check_unique(pub_ids)
+    if failure is not None:
+        raise failure
     return kept, len(pub_ids) - len(kept)
 
 

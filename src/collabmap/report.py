@@ -46,7 +46,7 @@ FORMATS = ("csv", "json", "md")
 _LEVEL_WORD = {LEVEL_SDS: "sectors", LEVEL_UDA: "areas"}
 
 # rows kept in the sector and area rankings of render_all; TOP_SDS is also
-# build_rank_table's and `map --top`'s default
+# `map --top`'s default
 TOP_SDS = 10
 TOP_UDA = 4
 
@@ -151,12 +151,7 @@ class MultidiscTable:
     rows: tuple[MultidiscIndex, ...]
 
 
-def build_rank_table(
-    corpus: Corpus,
-    level: str = LEVEL_SDS,
-    metric: str = "count",
-    k: int = TOP_SDS,
-) -> RankTable:
+def build_rank_table(corpus: Corpus, level: str, metric: str, k: int) -> RankTable:
     """Rank sectors by one intensity metric, keeping the top k.
 
     The rows are the sectors' intensity rows: those whose metric is
@@ -304,7 +299,7 @@ def _render_multidisc(table: MultidiscTable, fmt: str) -> str:
     return _render_rows(table.title, header, rows, fmt, {"subset": table.subset})
 
 
-def render(table: RankTable | stats.Comparison | MultidiscTable, fmt: str = "csv") -> str:
+def render(table: RankTable | stats.Comparison | MultidiscTable, fmt: str) -> str:
     """Render a table, or a comparison, to one of FORMATS."""
     if isinstance(table, RankTable):
         return _render_rank(table, fmt)

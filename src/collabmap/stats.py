@@ -181,28 +181,25 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     raise NoConvergence(f"incomplete beta fraction for a={a!r}, b={b!r}, x={x!r}")
 
 
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for x in [0, 1]."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log1p(-x)
-    front = exp(ln_front)
-    # the continued fraction converges fast only below the crossover point
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
-
-
 def _tail(t: float, df: float) -> float:
     """P(T > |t|) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
 
-    This is the one-tail p on the observed side, and twice it the two-tail p.
-    Both come from the tail itself, never from 1 - cdf, so they keep full
-    relative precision however small they get.
+    I_x is the regularized incomplete beta function. This is the one-tail p
+    on the observed side, and twice it the two-tail p. Both come from the
+    tail itself, never from 1 - cdf, so they keep full relative precision
+    however small they get.
     """
-    return 0.5 * _reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
+    a, b = 0.5 * df, 0.5
+    x = df / (df + t * t)
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 0.5
+    front = exp(lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log1p(-x))
+    # the continued fraction converges fast only below the crossover point
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 0.5 * (front * _beta_contfrac(a, b, x) / a)
+    return 0.5 * (1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b)
 
 
 def paired_t(xs: Sequence[float], ys: Sequence[float]) -> TestResult:

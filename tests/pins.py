@@ -190,7 +190,7 @@ def kernel_outputs():
     """Every float the kernels return on a fixed input set, as ``.hex()``.
 
     The t grid runs from 0 to 1e3 on both signs, so ``x = df / (df + t^2)``
-    falls on both sides of ``_reg_inc_beta``'s crossover for every df.
+    falls on both sides of ``_tail``'s crossover for every df.
     """
     ts = [0.0] + [10.0 ** (k / 8) for k in range(-24, 25)]
     for df in TAIL_DFS:

@@ -260,6 +260,24 @@ def test_byline_and_address_list_never_share_a_key():
     assert again.address_org_ids is pub.address_org_ids
 
 
+def test_row_outside_the_window_shares_nothing():
+    line = json.dumps({
+        "pub_id": "P1", "year": 2002, "journal_id": "J",
+        "authors": [{"raw_name": "A", "researcher_id": None, "org_id": "ORG"}],
+        "address_org_ids": ["ORG", "FIRM"],
+    })
+    shared = {"ORG": "ORG"}
+    assert _parse_publication(line, (2003, 2005), shared) == ("P1", None)
+    assert shared == {"ORG": "ORG"}
+    _, pub = _parse_publication(line, (2001, 2003), shared)
+    assert shared == {
+        "ORG": "ORG",
+        (AuthorRef, "A", None, "ORG"): pub.authors[0],
+        ("FIRM", "ORG"): ("FIRM", "ORG"),
+        2002: 2002,
+    }
+
+
 def test_loads_share_no_author(corpus40):
     again = load_corpus(FIXTURE40)
     assert again == corpus40

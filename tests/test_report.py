@@ -84,7 +84,7 @@ def test_golden_byte_identical(rendered, name):
 
 # output name -> the fixture40 table it renders, in the format its suffix names
 FORMAT_GOLDENS = {
-    "rank_sds_pct_coauth.json": lambda c: build_rank_table(c, LEVEL_SDS, "pct_coauth"),
+    "rank_sds_pct_coauth.json": lambda c: build_rank_table(c, LEVEL_SDS, "pct_coauth", TOP_SDS),
     "compare_sds_all_vs_collab_ifpr.csv":
         lambda c: compare(c, "sds_all_vs_collab", "ifpr", min_collab_pubs=3),
     "compare_researchers_industry_vs_rest_fss.md":
@@ -244,7 +244,7 @@ def test_csv_json_and_markdown_agree(corpus40, tmp_path):
         # at min_collab_pubs=3 every comparison computes on these four corpora
         tables = [compare(corpus, grouping, indicator, min_collab_pubs=3)
                   for grouping, indicator in COMPARISONS]
-        tables += [build_rank_table(corpus, level, metric)
+        tables += [build_rank_table(corpus, level, metric, TOP_SDS)
                    for level in (LEVEL_SDS, LEVEL_UDA) for metric in METRICS]
         tables += [build_multidisc_table(corpus, selector) for selector in SELECTORS]
         for table in tables:
