@@ -12,11 +12,12 @@ construction raises the error the loader would.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import chain, pairwise, repeat
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -161,12 +162,13 @@ class Corpus:
     (:class:`DanglingReference`), a year outside the window, a journal with
     no usable year, an address list that is not a sorted set, no authors, or
     a roster author whose university is not in the address list
-    (:class:`InvariantViolation`). Each organization and journal record has
-    already rejected a bad kind, country, impact factor or category list
-    when it was built. This holds for a loaded corpus, a constructed one and
-    a ``dataclasses.replace`` copy alike. The loader sorts and deduplicates
-    address lists, so two corpora loaded from row-permuted copies of the
-    same files compare equal. The loader validates a row outside the window
+    (:class:`InvariantViolation`). Each distinct address list is checked
+    once, and each byline at every publication. Each organization and
+    journal record has already rejected a bad kind, country, impact factor
+    or category list when it was built. This holds for a loaded corpus, a
+    constructed one and a ``dataclasses.replace`` copy alike. The loader
+    sorts and deduplicates address lists, so two corpora loaded from
+    row-permuted copies of the same files compare equal. The loader validates a row outside the window
     in full but builds no record for it. Within one load, every id a loaded
     record stores (roster university and sector, journal, byline and address
     ids) is the loaded tables' own string, and repeated bylines, address
@@ -218,7 +220,13 @@ class Corpus:
         self._check_closed()
 
     def _check_closed(self) -> None:
-        """Raise the first broken rule: the roster, then the publications in pub_id order."""
+        """Raise the first broken rule: the roster, then the publications in pub_id order.
+
+        Each distinct address list is checked once, at its first publication:
+        a list equal to one that passed passes too, so a list that fails still
+        fails at its first publication in pub_id order. Bylines are checked at
+        every publication.
+        """
         organizations, researchers = self.organizations, self.researchers
         for researcher in researchers.values():
             where = f"roster entry {researcher.researcher_id}"
@@ -233,6 +241,7 @@ class Corpus:
             if researcher.sds_id not in self.taxonomy:
                 raise DanglingReference("sds", researcher.sds_id, where)
         lo, hi = self.window
+        checked: set[tuple[str, ...]] = set()  # address lists that passed both checks
         for pub in self.publications:
             where = f"publication {pub.pub_id}"
             if not lo <= pub.year <= hi:
@@ -245,11 +254,13 @@ class Corpus:
                 raise DanglingReference(
                     "journal_year", f"{pub.journal_id}@{pub.year}", where)
             addresses = pub.address_org_ids
-            for org_id in addresses:
-                if org_id not in organizations:
-                    raise DanglingReference("organization", org_id, where)
-            if len(addresses) > 1 and list(addresses) != sorted(set(addresses)):
-                raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")
+            if addresses not in checked:
+                for org_id in addresses:
+                    if org_id not in organizations:
+                        raise DanglingReference("organization", org_id, where)
+                if len(addresses) > 1 and list(addresses) != sorted(set(addresses)):
+                    raise InvariantViolation(f"{where}: address list {addresses} is not a sorted set")
+                checked.add(addresses)
             if not pub.authors:
                 raise InvariantViolation(f"{where}: no authors")
             for author in pub.authors:
@@ -385,6 +396,9 @@ def _journal_year(values: tuple[str, ...]) -> tuple[tuple[str, int], JournalYear
     return (journal_id, year), JournalYear(journal_id, name, year, impact_factor, cats)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _parse_publication(
     line: str, window: tuple[int, int], shared: dict
 ) -> tuple[str, Publication | None]:
@@ -403,9 +417,21 @@ def _parse_publication(
     class, so it never equals one, and a year never equals a string or a
     tuple. Both keys hold the record's own strings, so no raw id copy
     outlives its line.
+
+    The line is decoded with one ``raw_decode`` from its first character,
+    whose result stands only when nothing but an optional final newline
+    follows the value. Any other line, and any line ``raw_decode`` rejects,
+    goes to ``json.loads``, which returns the same object or raises json's
+    own error: leading or trailing JSON whitespace, a BOM, extra data, the
+    digit limit and deep nesting all read and fail as ``json.loads`` has them.
     """
     try:
-        obj = json.loads(line)
+        obj, end = _DECODER.raw_decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    try:
+        if end is None or line[end:] not in ("", "\n"):
+            obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise InvariantViolation(f"invalid JSON: {exc.msg}")
     except ValueError as exc:  # an integer literal past the int-to-str digit limit
@@ -455,7 +481,7 @@ def _parse_publication(
     raw_addresses = obj.get("address_org_ids")
     if not isinstance(raw_addresses, list):
         raise InvariantViolation("address_org_ids must be a list")
-    if not all(isinstance(a, str) and a for a in raw_addresses):
+    if not all(map(isinstance, raw_addresses, repeat(str))) or "" in raw_addresses:
         raise InvariantViolation("address_org_ids must be non-empty strings")
 
     if not kept:
@@ -489,14 +515,24 @@ def _load_publications(
     raised, so a repeated id still fails at its own line, in file order
     with the line errors. ``shared`` is this load's lookup (see
     :func:`_parse_publication`).
+
+    The cyclic garbage collector is paused for the read and re-enabled
+    afterwards only if it was enabled on entry. The read builds only
+    acyclic objects (decoded JSON, records, tuples), so a collection during
+    it would free nothing; yet with hundreds of thousands of new objects it
+    would run hundreds of times, and its full passes walk everything loaded
+    so far. The pause is process-wide, so another thread's cycles wait for
+    it too; collabmap itself starts no threads.
     """
     kept: list[Publication] = []
     pub_ids: list[str] = []
     failure: ParseError | None = None
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with path.open(encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:
                     pub_id, pub = _parse_publication(line, window, shared)
@@ -508,6 +544,9 @@ def _load_publications(
                     kept.append(pub)
     except UnicodeDecodeError as exc:
         failure = _decode_error(path, exc)
+    finally:
+        if was_enabled:
+            gc.enable()
     _check_unique(pub_ids)
     if failure is not None:
         raise failure

@@ -176,6 +176,13 @@ MALFORMED = {
                          "sys.set_int_max_str_digits() to increase the limit"),
     "json_nested": ({_PUBS: _append("[" * 200_000)}, [], ParseError,
                     "{dir}/publications.jsonl:42: invalid JSON: nested too deeply"),
+    # a whole record decodes, but more follows it on its line
+    "json_extra_data": ({_PUBS: _append(_pub() + " {}")}, [], ParseError,
+                        "{dir}/publications.jsonl:42: invalid JSON: Extra data"),
+    # only the file's first byte-order mark is skipped
+    "json_bom_later_line": ({_PUBS: _append("\ufeff" + _pub())}, [], ParseError,
+                            "{dir}/publications.jsonl:42: invalid JSON: "
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     "record_not_object": ({_PUBS: _append("[]")}, [], ParseError,
                           "{dir}/publications.jsonl:42: publication record must be an object"),
     "pub_id": ({_PUBS: _append(_pub(pub_id=""))}, [], ParseError,
@@ -201,6 +208,9 @@ MALFORMED = {
                      "{dir}/publications.jsonl:42: address_org_ids must be a list"),
     "address_entry": ({_PUBS: _append(_pub(address_org_ids=["UNI-A", 7]))}, [], ParseError,
                       "{dir}/publications.jsonl:42: address_org_ids must be non-empty strings"),
+    "address_empty_entry": ({_PUBS: _append(_pub(address_org_ids=["UNI-A", ""]))}, [],
+                            ParseError, "{dir}/publications.jsonl:42: "
+                            "address_org_ids must be non-empty strings"),
     "publications_utf8": ({_PUBS: _replace('"P02"', '"P\udcff2"')}, [], ParseError,
                           "{dir}/publications.jsonl:3: "
                           "byte 0xff is not valid UTF-8 (invalid start byte)"),

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -459,6 +460,69 @@ def test_blank_jsonl_lines_skipped(fixture_copy):
     assert len(load_corpus(fixture_copy).publications) == 40
 
 
+def test_padded_records_load_as_plain_ones(fixture_copy, tmp_path):
+    # leading blanks, trailing blanks and tabs, and a CRLF line end; a line of
+    # blanks and tabs alone is skipped
+    plain = tmp_path / "plain"
+    shutil.copytree(fixture_copy, plain)
+    _append_bytes(plain / "publications.jsonl", _line("P97") + _line("P98") + _line("P99"))
+    _append_bytes(fixture_copy / "publications.jsonl", b"  \t " + _line("P97") + b" \t\n"
+                  + _line("P98")[:-1] + b" \t \t\n" + _line("P99")[:-1] + b"\r\n")
+    padded = load_corpus(fixture_copy)
+    assert len(padded.publications) == 43
+    assert padded == load_corpus(plain)
+
+
+_PADDING = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\x0b", "\u00a0", "\ufeff", "x", "{}"]), max_size=3,
+).map("".join)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_PADDING, _PADDING, st.booleans())
+def test_parse_publication_decodes_as_json_loads(prefix, suffix, newline):
+    record = json.dumps(_copy_of("P99"))
+    line = prefix + record + suffix + "\n" * newline
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(errors.InvariantViolation) as raised:
+            _parse_publication(line, (2001, 2003), {})
+        assert str(raised.value) == f"invalid JSON: {exc.msg}"
+    else:
+        assert (_parse_publication(line, (2001, 2003), {})
+                == _parse_publication(record, (2001, 2003), {}))
+
+
+def test_load_pauses_and_restores_the_collector(fixture_copy, monkeypatch):
+    during = []
+
+    def traced(*args):
+        during.append(gc.isenabled())
+        return _parse_publication(*args)
+
+    monkeypatch.setattr("collabmap.corpus._parse_publication", traced)
+    bad = fixture_copy.parent / "bad"
+    shutil.copytree(fixture_copy, bad)
+    _append_bytes(bad / "publications.jsonl", _BAD_LINE + _line("P98"))  # fails partway
+    assert gc.isenabled()
+    load_corpus(fixture_copy)
+    assert gc.isenabled()
+    with pytest.raises(errors.ParseError):
+        load_corpus(bad)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_corpus(fixture_copy)
+        assert not gc.isenabled()
+        with pytest.raises(errors.ParseError):
+            load_corpus(bad)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and not any(during)
+
+
 def test_validate_clean_corpus(corpus40):
     warnings = validate_corpus(corpus40)
     codes = [w.code for w in warnings]
@@ -658,6 +722,16 @@ def test_construction_sorts_publications(corpus40):
     reversed_copy = dataclasses.replace(corpus40, publications=corpus40.publications[::-1])
     assert reversed_copy.publications == corpus40.publications
     assert reversed_copy == corpus40
+
+
+def test_address_list_checked_once_fails_at_its_first_publication(fixture_copy):
+    # P97 and P98 share a list that passes; P99's list, as long, names no organization
+    for pub_id in ("P97", "P98"):
+        _append_pub(fixture_copy, _copy_of(pub_id))
+    _append_pub(fixture_copy, dict(_copy_of("P99"), address_org_ids=["ORG-Q"]))
+    with pytest.raises(errors.DanglingReference) as exc:
+        load_corpus(fixture_copy)
+    assert str(exc.value) == "unknown organization: 'ORG-Q' (publication P99)"
 
 
 def test_first_violation_in_pub_id_order(fixture_copy):
